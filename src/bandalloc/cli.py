@@ -13,7 +13,7 @@ from enum import IntEnum
 from pathlib import Path
 
 from . import engine, oracle
-from .admission import admit
+from .admission import ConfirmedDemands, admit
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -97,15 +97,15 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         raise _CliError(f"invalid override: {exc}") from None
 
 
-def _write_trace(path: str, rows) -> None:
+def _write_trace(path: str, states) -> None:
+    """One CSV row per device per recorded engine state."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iter", "device", "x", "u_prime", "zeta", "q"])
-            for row in rows:
-                writer.writerow(
-                    [row.iteration, row.device, row.x, row.u_prime, row.zeta, row.q]
-                )
+            for state in states:
+                rows = zip(state.x, state.u_prime, state.zeta, state.q)
+                writer.writerows((state.iteration, i, *row) for i, row in enumerate(rows))
     except OSError as exc:
         raise _CliError(f"cannot write trace file {path}: {exc}") from None
 
@@ -113,14 +113,14 @@ def _write_trace(path: str, rows) -> None:
 def _run_engine(scenario: Scenario, args: argparse.Namespace) -> engine.RunResult:
     if args.stride < 1:
         raise _CliError(f"--stride must be >= 1, got {args.stride}")
+    if args.trace is None:
+        return engine.run(scenario)
     result = engine.run(scenario, trace_stride=args.stride)
-    if args.trace is not None:
-        _write_trace(args.trace, result.trace)
+    _write_trace(args.trace, result.trace)
     return result
 
 
-def _emit_common_header(scenario: Scenario) -> None:
-    confirmed = admit(scenario.demands, scenario.globals.bandwidth)
+def _emit_common_header(scenario: Scenario, confirmed: ConfirmedDemands) -> None:
     _emit("devices", scenario.n)
     _emit("bandwidth", _fmt(scenario.globals.bandwidth))
     _emit("confirmed_demands", _fmt_vec(confirmed.values))
@@ -135,7 +135,7 @@ def cmd_run(args: argparse.Namespace) -> ExitStatus:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return ExitStatus.NUMERICAL_FAILURE
     _emit("command", "run")
-    _emit_common_header(scenario)
+    _emit_common_header(scenario, admit(scenario.demands, scenario.globals.bandwidth))
     _emit("converged", "true" if result.converged else "false")
     _emit("iterations", result.iterations_used)
     _emit("allocations", _fmt_vec(result.allocations))
@@ -157,7 +157,7 @@ def cmd_oracle(args: argparse.Namespace) -> ExitStatus:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return ExitStatus.NUMERICAL_FAILURE
     _emit("command", "oracle")
-    _emit_common_header(scenario)
+    _emit_common_header(scenario, confirmed)
     _emit("allocations", _fmt_vec(solution.allocations))
     _emit("allocation_total", _fmt(math.fsum(solution.allocations)))
     _emit("lambda", "n/a" if solution.lam is None else _fmt(solution.lam))
@@ -188,7 +188,7 @@ def cmd_compare(args: argparse.Namespace) -> ExitStatus:
     max_gap = max(gaps)
     threshold = 10.0 * (scenario.options.tol_consensus + scenario.options.tol_constraint)
     _emit("command", "compare")
-    _emit_common_header(scenario)
+    _emit_common_header(scenario, confirmed)
     _emit("converged", "true" if result.converged else "false")
     _emit("iterations", result.iterations_used)
     _emit("engine_allocations", _fmt_vec(result.allocations))

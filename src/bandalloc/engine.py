@@ -29,9 +29,7 @@ from .utility import capacity_coefficient, derivative, invert_derivative
 
 __all__ = [
     "NumericalError",
-    "DeviceState",
     "EngineState",
-    "TraceRow",
     "Diagnostics",
     "RunResult",
     "init",
@@ -55,36 +53,21 @@ class NumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DeviceState:
-    """Round-boundary snapshot of one device.
+class EngineState:
+    """Round-boundary state of all devices, one float per device per field.
 
-    ``u_prime`` is the marginal utility the device quotes to neighbors and
-    ``x`` is always ``invert_derivative(u_prime)``. ``q`` is the gossip
-    innovation applied in the round that produced this state (zero at
-    initialization).
+    ``u_prime`` holds the marginal utilities the devices quote to their
+    neighbors and ``x[i]`` is always ``invert_derivative(u_prime[i])``.
+    ``q`` is the gossip innovation applied in the round that produced
+    this state (zero at initialization).
     """
 
-    x: float
-    u_prime: float
-    zeta: float
-    q: float
-
-
-@dataclass(frozen=True)
-class EngineState:
-    devices: tuple[DeviceState, ...]
+    x: tuple[float, ...]
+    u_prime: tuple[float, ...]
+    zeta: tuple[float, ...]
+    q: tuple[float, ...]
     iteration: int
     confirmed: ConfirmedDemands
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    iteration: int
-    device: int
-    x: float
-    u_prime: float
-    zeta: float
-    q: float
 
 
 @dataclass(frozen=True)
@@ -101,8 +84,25 @@ class RunResult:
     consensus_value: float
     iterations_used: int
     converged: bool
-    trace: tuple[TraceRow, ...]
+    trace: tuple[EngineState, ...]
     diagnostics: Diagnostics
+
+
+def _resting_state(
+    scenario: Scenario, confirmed: ConfirmedDemands, xs: tuple[float, ...]
+) -> EngineState:
+    """Round-0 state at allocations ``xs``: zero correction and innovation."""
+    g = scenario.globals
+    c = capacity_coefficient(g.snr)
+    zeros = (0.0,) * scenario.n
+    return EngineState(
+        x=xs,
+        u_prime=tuple(derivative(d.omega, c, g.price, x) for d, x in zip(scenario.devices, xs)),
+        zeta=zeros,
+        q=zeros,
+        iteration=0,
+        confirmed=confirmed,
+    )
 
 
 def init(scenario: Scenario, confirmed: ConfirmedDemands) -> EngineState:
@@ -122,123 +122,91 @@ def init(scenario: Scenario, confirmed: ConfirmedDemands) -> EngineState:
     g = scenario.globals
     mode = scenario.options.init_mode
     if mode == "demand":
-        xs = list(confirmed.values)
+        xs = confirmed.values
     elif mode == "uniform":
-        xs = [g.bandwidth / n] * n
+        xs = (g.bandwidth / n,) * n
     else:
         rng = random.Random(scenario.options.seed if scenario.options.seed is not None else 0)
-        xs = [rng.uniform(0.0, g.bandwidth) for _ in range(n)]
-    c = capacity_coefficient(g.snr)
-    devices = tuple(
-        DeviceState(
-            x=x,
-            u_prime=derivative(scenario.devices[i].omega, c, g.price, x),
-            zeta=0.0,
-            q=0.0,
-        )
-        for i, x in enumerate(xs)
-    )
-    return EngineState(devices=devices, iteration=0, confirmed=confirmed)
+        xs = tuple(rng.uniform(0.0, g.bandwidth) for _ in range(n))
+    return _resting_state(scenario, confirmed, xs)
 
 
-def step(state: EngineState, scenario: Scenario, topo: Topology | None = None) -> EngineState:
+def step(state: EngineState, scenario: Scenario, topo: Topology) -> EngineState:
     """Advance one synchronous round; reads only round-k values.
 
-    Raises :class:`NumericalError` when any update produces a non-finite
-    value or overflows the inverse-derivative arithmetic.
+    ``topo`` must be the scenario's topology. Raises
+    :class:`NumericalError` when any update produces a non-finite value
+    or overflows the inverse-derivative arithmetic.
     """
     n = scenario.n
-    if len(state.devices) != n:
-        raise ValueError(
-            f"state holds {len(state.devices)} devices, scenario has {n}"
-        )
-    if topo is None:
-        topo = build_topology(n, scenario.edges)
+    if len(state.x) != n:
+        raise ValueError(f"state holds {len(state.x)} devices, scenario has {n}")
     g = scenario.globals
     c = capacity_coefficient(g.snr)
     eta, mu, price = g.eta, g.mu, g.price
-    devs = state.devices
-    dstar = state.confirmed.values
+    ys = state.u_prime
     k = state.iteration + 1
     out = []
-    for i, dev in enumerate(devs):
-        q = eta * math.fsum(devs[j].u_prime - dev.u_prime for j in topo.neighbors(i))
+    rows = zip(
+        topo.adjacency, scenario.devices, state.x, ys, state.zeta, state.confirmed.values,
+        strict=True,
+    )
+    for i, (nbrs, dev, x, y, zeta, dstar) in enumerate(rows):
+        q = eta * math.fsum(ys[j] - y for j in nbrs)
         # grouped so a stationary state reproduces u_prime bit for bit
-        u_new = dev.u_prime + (q - dev.zeta + mu * (dev.x - dstar[i]))
-        zeta = dev.zeta - mu * q
-        if not (math.isfinite(u_new) and math.isfinite(zeta)):
+        u_new = y + (q - zeta + mu * (x - dstar))
+        zeta_new = zeta - mu * q
+        if not (math.isfinite(u_new) and math.isfinite(zeta_new)):
             raise NumericalError(k, i)
         try:
-            x = invert_derivative(scenario.devices[i].omega, c, price, u_new)
+            x_new = invert_derivative(dev.omega, c, price, u_new)
         except OverflowError:
             raise NumericalError(k, i, "arithmetic overflow") from None
-        if not math.isfinite(x):
+        if not math.isfinite(x_new):
             raise NumericalError(k, i)
-        out.append(DeviceState(x=x, u_prime=u_new, zeta=zeta, q=q))
-    return EngineState(devices=tuple(out), iteration=k, confirmed=state.confirmed)
+        out.append((x_new, u_new, zeta_new, q))
+    xs_new, ys_new, zetas_new, qs_new = zip(*out)
+    return EngineState(
+        x=xs_new, u_prime=ys_new, zeta=zetas_new, q=qs_new, iteration=k, confirmed=state.confirmed
+    )
 
 
 def consensus_residual(state: EngineState) -> float:
     """Spread of the marginal utilities: max u_prime - min u_prime."""
-    values = [dev.u_prime for dev in state.devices]
-    return max(values) - min(values)
+    return max(state.u_prime) - min(state.u_prime)
 
 
 def constraint_residual(state: EngineState) -> float:
     """|sum of allocations - confirmed total|."""
-    return abs(math.fsum(dev.x for dev in state.devices) - state.confirmed.total)
+    return abs(math.fsum(state.x) - state.confirmed.total)
 
 
-def _trace_rows(state: EngineState) -> list[TraceRow]:
-    return [
-        TraceRow(
-            iteration=state.iteration,
-            device=i,
-            x=dev.x,
-            u_prime=dev.u_prime,
-            zeta=dev.zeta,
-            q=dev.q,
-        )
-        for i, dev in enumerate(state.devices)
-    ]
-
-
-def run(scenario: Scenario, trace_stride: int = 1) -> RunResult:
+def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
     """Admit demands once, initialize, and iterate to the stated tolerances.
 
     Stops as soon as both the consensus residual and the constraint
     residual are inside their tolerances, or at the iteration cap, or
     when the combined residual has grown for 100 consecutive rounds
     (divergence). A zero confirmed total short-circuits to the all-zero
-    allocation. Trace rows are recorded for every ``trace_stride``-th
-    iteration plus the final one.
+    allocation. With a ``trace_stride`` K, the trace holds the state of
+    every K-th iteration plus the final one; without, it stays empty.
 
     Raises :class:`NumericalError` on non-finite arithmetic and
     ``ValueError`` for a non-positive stride.
     """
-    if trace_stride < 1:
+    if trace_stride is not None and trace_stride < 1:
         raise ValueError(f"trace_stride must be >= 1, got {trace_stride}")
     opts = scenario.options
     confirmed = admit(scenario.demands, scenario.globals.bandwidth)
 
     if confirmed.total == 0.0:
-        c = capacity_coefficient(scenario.globals.snr)
-        zero_devices = tuple(
-            DeviceState(
-                x=0.0,
-                u_prime=derivative(d.omega, c, scenario.globals.price, 0.0),
-                zeta=0.0,
-                q=0.0,
-            )
-            for d in scenario.devices
-        )
-        state = EngineState(devices=zero_devices, iteration=0, confirmed=confirmed)
+        zero = _resting_state(scenario, confirmed, (0.0,) * scenario.n)
         return RunResult(
-            allocations=tuple(0.0 for _ in scenario.devices),
+            allocations=zero.x,
             consensus_value=math.nan,
             iterations_used=0,
             converged=True,
-            trace=tuple(_trace_rows(state)),
+            trace=() if trace_stride is None else (zero,),
             diagnostics=Diagnostics(
                 consensus_residual=0.0,
                 constraint_residual=0.0,
@@ -248,8 +216,7 @@ def run(scenario: Scenario, trace_stride: int = 1) -> RunResult:
 
     topo = build_topology(scenario.n, scenario.edges)
     state = init(scenario, confirmed)
-    trace: list[TraceRow] = list(_trace_rows(state))
-    last_recorded = 0
+    trace: list[EngineState] = [] if trace_stride is None else [state]
 
     cons = consensus_residual(state)
     constr = constraint_residual(state)
@@ -261,9 +228,8 @@ def run(scenario: Scenario, trace_stride: int = 1) -> RunResult:
 
     while not converged and not diverged and state.iteration < opts.max_iters:
         state = step(state, scenario, topo)
-        if state.iteration % trace_stride == 0:
-            trace.extend(_trace_rows(state))
-            last_recorded = state.iteration
+        if trace_stride is not None and state.iteration % trace_stride == 0:
+            trace.append(state)
         cons = consensus_residual(state)
         constr = constraint_residual(state)
         if cons <= opts.tol_consensus and constr <= opts.tol_constraint:
@@ -282,10 +248,10 @@ def run(scenario: Scenario, trace_stride: int = 1) -> RunResult:
                 "the gains are too aggressive, reduce eta and mu"
             )
 
-    if last_recorded != state.iteration:
-        trace.extend(_trace_rows(state))
+    if trace_stride is not None and trace[-1] is not state:
+        trace.append(state)
 
-    negatives = [i for i, dev in enumerate(state.devices) if dev.x < 0.0]
+    negatives = [i for i, x in enumerate(state.x) if x < 0.0]
     if negatives:
         warnings.append(
             "final allocation is negative for device(s) "
@@ -293,8 +259,8 @@ def run(scenario: Scenario, trace_stride: int = 1) -> RunResult:
         )
 
     return RunResult(
-        allocations=tuple(dev.x for dev in state.devices),
-        consensus_value=math.fsum(dev.u_prime for dev in state.devices) / scenario.n,
+        allocations=state.x,
+        consensus_value=math.fsum(state.u_prime) / scenario.n,
         iterations_used=state.iteration,
         converged=converged,
         trace=tuple(trace),

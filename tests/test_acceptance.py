@@ -22,7 +22,7 @@ from bandalloc.scenario import generate_random_scenario
 from bandalloc.utility import capacity_coefficient, derivative, evaluate, invert_derivative
 
 from conftest import BENCH_PATH, bench_scenario
-from test_engine import stationary_state
+from test_engine import advance, stationary_state, vectors
 from test_cli import report_dict, floats
 
 # bisection value for the bundled benchmark, recomputed via the oracle
@@ -41,10 +41,6 @@ def _report(name: str, passed: bool, detail: str = "") -> None:
     assert passed, line
 
 
-def _quiet_run(scenario):
-    return run(scenario, trace_stride=1_000_000)
-
-
 def _run_with_rescue(scenario):
     """Run once; on instability retry with eta and mu halved once.
 
@@ -53,7 +49,7 @@ def _run_with_rescue(scenario):
     unstable = False
     result = None
     try:
-        result = _quiet_run(scenario)
+        result = run(scenario)
         unstable = result.diagnostics.diverged
     except NumericalError:
         unstable = True
@@ -65,7 +61,7 @@ def _run_with_rescue(scenario):
         globals=dataclasses.replace(g, eta=g.eta / 2.0, mu=g.mu / 2.0),
     )
     try:
-        return _quiet_run(halved), True
+        return run(halved), True
     except NumericalError:
         return None, True
 
@@ -84,8 +80,8 @@ def test_criterion_1_benchmark_allocations(capsys):
     max_err = max(abs(a - t) for a, t in zip(allocations, BENCH_TARGET))
     total_err = abs(math.fsum(allocations) - 5.0)
 
-    result = run(bench_scenario())
-    first = [r.u_prime for r in result.trace if r.iteration == 0]
+    result = run(bench_scenario(), trace_stride=1)
+    first = result.trace[0].u_prime
     initial_spread = max(first) - min(first)
     decay = result.converged and (
         result.diagnostics.consensus_residual <= initial_spread
@@ -147,7 +143,7 @@ def test_criterion_3_kkt_consensus(capsys):
     bench_lambda_err = None
     ok = True
     for name, scenario in cases:
-        result = _quiet_run(scenario)
+        result = run(scenario)
         ok = ok and result.converged
         ok = ok and result.diagnostics.consensus_residual <= 1e-6
         g = scenario.globals
@@ -242,13 +238,9 @@ def test_criterion_6_conservation(capsys):
     scenario = bench_scenario(
         max_iters=10000, tol_consensus=1e-300, tol_constraint=1e-300
     )
-    result = run(scenario)
-    iterations_seen = set()
-    sums: dict[int, float] = {}
-    for row in result.trace:
-        sums[row.iteration] = sums.get(row.iteration, 0.0) + row.zeta
-        iterations_seen.add(row.iteration)
-    worst = max(abs(total) for total in sums.values())
+    result = run(scenario, trace_stride=1)
+    iterations_seen = {state.iteration for state in result.trace}
+    worst = max(abs(sum(state.zeta)) for state in result.trace)
     passed = (
         result.iterations_used == 10000
         and len(iterations_seen) == 10001
@@ -263,8 +255,6 @@ def test_criterion_6_conservation(capsys):
 
 
 def test_criterion_7_fixed_point(capsys):
-    from bandalloc.engine import step
-
     cases = [
         ("bench", bench_scenario(), 0.5),
         ("bench", bench_scenario(), LAMBDA_STAR),
@@ -274,8 +264,8 @@ def test_criterion_7_fixed_point(capsys):
     ok = True
     for _, scenario, level in cases:
         state = stationary_state(scenario, level)
-        after = step(state, scenario)
-        ok = ok and after.devices == state.devices
+        after = advance(state, scenario)
+        ok = ok and vectors(after) == vectors(state)
     with capsys.disabled():
         _report(
             "criterion-7 fixed-point",

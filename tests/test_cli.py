@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import bandalloc
 from bandalloc.cli import ExitStatus, main
 from bandalloc.scenario import generate_random_scenario, parse_scenario, serialize_scenario
 
 from conftest import BENCH_PATH
+
+# sha256 of ``run scenarios/paper_s5.json --trace F``
+BENCH_TRACE_SHA256 = "225954c42d430a2bc43bd54bf61a214edc0c4949c5635bd5b5385fc8a8fa1e55"
 
 
 def report_dict(output: str) -> dict[str, str]:
@@ -119,6 +126,39 @@ class TestRunCommand:
         code = main(["run", str(BENCH_PATH), "--stride", "0"])
         assert code == ExitStatus.INVALID_INPUT
         capsys.readouterr()
+
+    def test_trace_bytes_pinned(self, capsys, tmp_path):
+        # digest of the benchmark trace as first written; any change to the
+        # engine arithmetic or the CSV format shows up here
+        trace = tmp_path / "trace.csv"
+        code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
+        capsys.readouterr()
+        assert code == ExitStatus.OK
+        data = trace.read_bytes()
+        assert (len(data), data.count(b"\n")) == (29205, 340)
+        assert hashlib.sha256(data).hexdigest() == BENCH_TRACE_SHA256
+
+    def test_numerical_failure_leaves_no_trace(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code = main(["run", str(BENCH_PATH), "--trace", str(trace), "--eta", "50"])
+        err = capsys.readouterr().err
+        assert code == ExitStatus.NUMERICAL_FAILURE
+        assert err.startswith("numerical failure")
+        assert not trace.exists()
+
+    def test_zero_demand_trace_holds_initial_state(self, capsys, tmp_path):
+        doc = json.loads(BENCH_PATH.read_text())
+        for device in doc["devices"]:
+            device["demand"] = 0.0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        trace = tmp_path / "trace.csv"
+        code = main(["run", str(path), "--trace", str(trace)])
+        capsys.readouterr()
+        assert code == ExitStatus.OK
+        rows = read_trace(trace)
+        assert [(r["iter"], r["device"]) for r in rows] == [("0", "0"), ("0", "1"), ("0", "2")]
+        assert all(float(r["x"]) == 0.0 for r in rows)
 
 
 class TestOracleCommand:
@@ -242,10 +282,14 @@ class TestUsageErrors:
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    package_root = str(pathlib.Path(bandalloc.__file__).resolve().parents[1])
+    paths = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
     result = subprocess.run(
         [sys.executable, "-m", "bandalloc", "run", str(BENCH_PATH)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
     assert result.returncode == 0
     assert "converged: true" in result.stdout

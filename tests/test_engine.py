@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -9,7 +10,6 @@ import pytest
 
 from bandalloc.admission import admit
 from bandalloc.engine import (
-    DeviceState,
     EngineState,
     NumericalError,
     consensus_residual,
@@ -29,14 +29,22 @@ BENCH_ALLOCATIONS = (0.778061243179723, 1.6758758193188736, 2.5460632790013853)
 BENCH_ITERATIONS = 112
 
 
+def advance(state: EngineState, scenario) -> EngineState:
+    """One engine round on the scenario's own topology."""
+    return step(state, scenario, build(scenario.n, scenario.edges))
+
+
+def vectors(state: EngineState) -> tuple:
+    """The per-device fields of a state, for bit-exact comparison."""
+    return (state.x, state.u_prime, state.zeta, state.q)
+
+
 def reference_step(state: EngineState, scenario) -> EngineState:
     """Two-phase reference: snapshot all round-k values, then write."""
     g = scenario.globals
     c = capacity_coefficient(g.snr)
     topo = build(scenario.n, scenario.edges)
-    ys = [d.u_prime for d in state.devices]
-    xs = [d.x for d in state.devices]
-    zs = [d.zeta for d in state.devices]
+    ys, xs, zs = state.u_prime, state.x, state.zeta
     dstar = state.confirmed.values
     out = []
     for i in range(scenario.n):
@@ -44,9 +52,15 @@ def reference_step(state: EngineState, scenario) -> EngineState:
         u_new = ys[i] + (q - zs[i] + g.mu * (xs[i] - dstar[i]))
         zeta = zs[i] - g.mu * q
         x = invert_derivative(scenario.omegas[i], c, g.price, u_new)
-        out.append(DeviceState(x=x, u_prime=u_new, zeta=zeta, q=q))
+        out.append((x, u_new, zeta, q))
+    x, u_prime, zeta, q = (tuple(column) for column in zip(*out))
     return EngineState(
-        devices=tuple(out), iteration=state.iteration + 1, confirmed=state.confirmed
+        x=x,
+        u_prime=u_prime,
+        zeta=zeta,
+        q=q,
+        iteration=state.iteration + 1,
+        confirmed=state.confirmed,
     )
 
 
@@ -56,16 +70,14 @@ def state_from_values(scenario, ys, zetas=None) -> EngineState:
     c = capacity_coefficient(g.snr)
     confirmed = admit(scenario.demands, g.bandwidth)
     zetas = zetas if zetas is not None else [0.0] * scenario.n
-    devices = tuple(
-        DeviceState(
-            x=invert_derivative(scenario.omegas[i], c, g.price, ys[i]),
-            u_prime=ys[i],
-            zeta=zetas[i],
-            q=0.0,
-        )
-        for i in range(scenario.n)
+    return EngineState(
+        x=tuple(invert_derivative(w, c, g.price, y) for w, y in zip(scenario.omegas, ys)),
+        u_prime=tuple(ys),
+        zeta=tuple(zetas),
+        q=(0.0,) * scenario.n,
+        iteration=0,
+        confirmed=confirmed,
     )
-    return EngineState(devices=devices, iteration=0, confirmed=confirmed)
 
 
 def stationary_state(scenario, level: float) -> EngineState:
@@ -73,35 +85,38 @@ def stationary_state(scenario, level: float) -> EngineState:
     g = scenario.globals
     c = capacity_coefficient(g.snr)
     confirmed = admit(scenario.demands, g.bandwidth)
-    devices = []
-    for i in range(scenario.n):
-        x = invert_derivative(scenario.omegas[i], c, g.price, level)
-        zeta = g.mu * (x - confirmed.values[i])
-        devices.append(DeviceState(x=x, u_prime=level, zeta=zeta, q=0.0))
-    return EngineState(devices=tuple(devices), iteration=0, confirmed=confirmed)
+    xs = tuple(invert_derivative(w, c, g.price, level) for w in scenario.omegas)
+    return EngineState(
+        x=xs,
+        u_prime=(level,) * scenario.n,
+        zeta=tuple(g.mu * (x - d) for x, d in zip(xs, confirmed.values)),
+        q=(0.0,) * scenario.n,
+        iteration=0,
+        confirmed=confirmed,
+    )
 
 
 class TestInit:
     def test_demand_mode(self, bench):
         state = init(bench, admit(bench.demands, 5.0))
-        assert tuple(d.x for d in state.devices) == (1.0, 2.0, 2.0)
-        assert all(d.zeta == 0.0 and d.q == 0.0 for d in state.devices)
+        assert state.x == (1.0, 2.0, 2.0)
+        assert state.zeta == state.q == (0.0, 0.0, 0.0)
         c = capacity_coefficient(100.0)
-        for i, dev in enumerate(state.devices):
-            assert dev.u_prime == derivative(bench.omegas[i], c, 0.01, dev.x)
+        for i, (x, y) in enumerate(zip(state.x, state.u_prime)):
+            assert y == derivative(bench.omegas[i], c, 0.01, x)
         assert state.iteration == 0
 
     def test_uniform_mode(self):
         scenario = bench_scenario(init_mode="uniform")
         state = init(scenario, admit(scenario.demands, 5.0))
-        assert tuple(d.x for d in state.devices) == (5.0 / 3.0,) * 3
+        assert state.x == (5.0 / 3.0,) * 3
 
     def test_seeded_random_mode_deterministic(self):
         scenario = bench_scenario(init_mode="seeded-random", seed=42)
         first = init(scenario, admit(scenario.demands, 5.0))
         second = init(scenario, admit(scenario.demands, 5.0))
         assert first == second
-        assert all(0.0 <= d.x <= 5.0 for d in first.devices)
+        assert all(0.0 <= x <= 5.0 for x in first.x)
         other = bench_scenario(init_mode="seeded-random", seed=43)
         assert init(other, admit(other.demands, 5.0)) != first
 
@@ -113,19 +128,18 @@ class TestInit:
 class TestStep:
     def test_gossip_innovation_hand_values(self, bench):
         state = state_from_values(bench, ys=[1.0, 2.0, 3.0])
-        after = step(state, bench)
-        assert tuple(d.q for d in after.devices) == (0.2, 0.0, -0.2)
+        after = advance(state, bench)
+        assert after.q == (0.2, 0.0, -0.2)
 
     def test_correction_update_hand_values(self, bench):
         state = state_from_values(bench, ys=[1.0, 2.0, 3.0])
-        after = step(state, bench)
-        zetas = tuple(d.zeta for d in after.devices)
+        zetas = advance(state, bench).zeta
         assert zetas == pytest.approx((-0.04, 0.0, 0.04), abs=1e-15)
         assert math.fsum(zetas) == pytest.approx(0.0, abs=1e-15)
 
     def test_iteration_counter_increments(self, bench):
         state = init(bench, admit(bench.demands, 5.0))
-        assert step(state, bench).iteration == 1
+        assert advance(state, bench).iteration == 1
 
     def test_matches_two_phase_reference(self):
         rng = random.Random(12)
@@ -143,37 +157,33 @@ class TestStep:
             ys = [rng.uniform(-2.0, 8.0) for _ in range(n)]
             zetas = [rng.uniform(-1.0, 1.0) for _ in range(n)]
             state = state_from_values(scenario, ys, zetas)
-            assert step(state, scenario) == reference_step(state, scenario)
+            assert advance(state, scenario) == reference_step(state, scenario)
 
     def test_device_count_mismatch_rejected(self, bench):
         other = make_scenario(omegas=(1.0, 2.0), demands=(1.0, 1.0), edges=((0, 1),))
         state = init(other, admit(other.demands, 5.0))
         with pytest.raises(ValueError, match="devices"):
-            step(state, bench)
+            step(state, bench, build(bench.n, bench.edges))
 
 
 class TestFixedPoint:
     @pytest.mark.parametrize("level", [0.5, 1.0, 2.0])
     def test_consensus_state_is_stationary_bitwise(self, bench, level):
         state = stationary_state(bench, level)
-        after = step(state, bench)
-        assert after.devices == state.devices
+        after = advance(state, bench)
+        assert vectors(after) == vectors(state)
         assert after.iteration == state.iteration + 1
 
     def test_mismatched_correction_is_not_stationary(self, bench):
         base = stationary_state(bench, 1.0)
-        flipped = tuple(
-            DeviceState(x=d.x, u_prime=d.u_prime, zeta=-d.zeta, q=d.q)
-            for d in base.devices
-        )
-        state = EngineState(devices=flipped, iteration=0, confirmed=base.confirmed)
-        after = step(state, bench)
-        assert after.devices != state.devices
+        state = dataclasses.replace(base, zeta=tuple(-z for z in base.zeta))
+        after = advance(state, bench)
+        assert vectors(after) != vectors(state)
 
     def test_unequal_marginals_are_not_stationary(self, bench):
         state = state_from_values(bench, ys=[1.0, 1.0, 1.5])
-        after = step(state, bench)
-        assert after.devices != state.devices
+        after = advance(state, bench)
+        assert vectors(after) != vectors(state)
 
     def test_zero_sum_correction_pins_totals(self, bench):
         # at the conserved-sum consensus level the allocation total matches
@@ -181,10 +191,10 @@ class TestFixedPoint:
         confirmed = admit(bench.demands, 5.0)
         pinned = solve(bench, confirmed).lam
         state = stationary_state(bench, pinned)
-        assert math.fsum(d.zeta for d in state.devices) == pytest.approx(0.0, abs=1e-12)
+        assert math.fsum(state.zeta) == pytest.approx(0.0, abs=1e-12)
         assert constraint_residual(state) <= 1e-9
         off = stationary_state(bench, pinned + 0.5)
-        assert abs(math.fsum(d.zeta for d in off.devices)) > 1e-3
+        assert abs(math.fsum(off.zeta)) > 1e-3
         assert constraint_residual(off) > 1e-2
 
 
@@ -211,12 +221,12 @@ class TestRun:
         assert not result.diagnostics.diverged
 
     def test_final_state_marginals_consistent(self, bench):
-        result = run(bench)
+        result = run(bench, trace_stride=1)
         c = capacity_coefficient(100.0)
-        final_rows = [r for r in result.trace if r.iteration == result.iterations_used]
-        for row in final_rows:
-            expected = derivative(bench.omegas[row.device], c, 0.01, row.x)
-            assert row.u_prime == pytest.approx(expected, rel=1e-9)
+        final = result.trace[-1]
+        assert final.iteration == result.iterations_used
+        for i, (x, y) in enumerate(zip(final.x, final.u_prime)):
+            assert y == pytest.approx(derivative(bench.omegas[i], c, 0.01, x), rel=1e-9)
 
     def test_single_device_settles_at_confirmed_demand(self):
         scenario = make_scenario(omegas=(1.0,), demands=(3.0,), edges=())
@@ -261,28 +271,25 @@ class TestRun:
             assert abs(got - want) <= gate
 
     def test_deterministic_traces(self, bench):
-        first = run(bench)
-        second = run(bench)
+        first = run(bench, trace_stride=1)
+        second = run(bench, trace_stride=1)
         assert first.trace == second.trace
         assert first.allocations == second.allocations
 
-    def test_trace_records_every_iteration_by_default(self, bench):
-        result = run(bench)
-        iterations = [r.iteration for r in result.trace]
-        assert iterations[:3] == [0, 0, 0]
-        assert len(result.trace) == 3 * (result.iterations_used + 1)
-        assert iterations == sorted(iterations)
+    def test_trace_empty_unless_requested(self, bench):
+        assert run(bench).trace == ()
+        result = run(bench, trace_stride=1)
+        iterations = [state.iteration for state in result.trace]
+        assert iterations == list(range(result.iterations_used + 1))
 
     def test_trace_stride_keeps_final_iteration(self, bench):
         result = run(bench, trace_stride=10)
-        recorded = sorted({r.iteration for r in result.trace})
+        recorded = [state.iteration for state in result.trace]
         assert recorded[0] == 0
         assert recorded[-1] == result.iterations_used
+        assert recorded == sorted(set(recorded))
         assert all(k % 10 == 0 for k in recorded[:-1])
-        counts = {k: 0 for k in recorded}
-        for row in result.trace:
-            counts[row.iteration] += 1
-        assert all(v == 3 for v in counts.values())
+        assert all(len(field) == 3 for state in result.trace for field in vectors(state))
 
     def test_bad_stride_rejected(self, bench):
         with pytest.raises(ValueError, match="trace_stride"):
@@ -292,13 +299,11 @@ class TestRun:
         scenario = bench_scenario(
             max_iters=1000, tol_consensus=1e-300, tol_constraint=1e-300
         )
-        result = run(scenario)
+        result = run(scenario, trace_stride=1)
         assert not result.converged
-        sums: dict[int, list[float]] = {}
-        for row in result.trace:
-            sums.setdefault(row.iteration, []).append(row.zeta)
-        for iteration, zetas in sums.items():
-            assert abs(math.fsum(zetas)) <= 1e-10, f"iteration {iteration}"
+        assert len(result.trace) == 1001
+        for state in result.trace:
+            assert abs(math.fsum(state.zeta)) <= 1e-10, f"iteration {state.iteration}"
 
     def test_zero_demand_short_circuit(self):
         scenario = make_scenario(
@@ -312,6 +317,10 @@ class TestRun:
         assert result.diagnostics.consensus_residual == 0.0
         assert result.diagnostics.constraint_residual == 0.0
         assert any("zero" in w for w in result.diagnostics.warnings)
+        assert result.trace == ()
+        (only,) = run(scenario, trace_stride=5).trace
+        assert only.iteration == 0
+        assert only.x == only.zeta == only.q == (0.0, 0.0)
 
     def test_negative_final_allocation_warns(self):
         scenario = make_scenario(
@@ -326,8 +335,6 @@ class TestRun:
 
     def test_unstable_gain_raises_numerical_error(self):
         scenario = bench_scenario()
-        import dataclasses
-
         unstable = dataclasses.replace(
             scenario, globals=dataclasses.replace(scenario.globals, eta=50.0)
         )
@@ -337,8 +344,6 @@ class TestRun:
         assert 0 <= excinfo.value.device < 3
 
     def test_slow_divergence_aborts_with_suggestion(self):
-        import dataclasses
-
         scenario = bench_scenario()
         shaky = dataclasses.replace(
             scenario, globals=dataclasses.replace(scenario.globals, eta=1.0)
