@@ -135,7 +135,7 @@ def cmd_run(args: argparse.Namespace) -> ExitStatus:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return ExitStatus.NUMERICAL_FAILURE
     _emit("command", "run")
-    _emit_common_header(scenario, admit(scenario.demands, scenario.globals.bandwidth))
+    _emit_common_header(scenario, result.confirmed)
     _emit("converged", "true" if result.converged else "false")
     _emit("iterations", result.iterations_used)
     _emit("allocations", _fmt_vec(result.allocations))
@@ -178,9 +178,8 @@ def cmd_compare(args: argparse.Namespace) -> ExitStatus:
     except engine.NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return ExitStatus.NUMERICAL_FAILURE
-    confirmed = admit(scenario.demands, scenario.globals.bandwidth)
     try:
-        solution = oracle.solve(scenario, confirmed)
+        solution = oracle.solve(scenario, result.confirmed)
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return ExitStatus.NUMERICAL_FAILURE
@@ -188,7 +187,7 @@ def cmd_compare(args: argparse.Namespace) -> ExitStatus:
     max_gap = max(gaps)
     threshold = 10.0 * (scenario.options.tol_consensus + scenario.options.tol_constraint)
     _emit("command", "compare")
-    _emit_common_header(scenario, confirmed)
+    _emit_common_header(scenario, result.confirmed)
     _emit("converged", "true" if result.converged else "false")
     _emit("iterations", result.iterations_used)
     _emit("engine_allocations", _fmt_vec(result.allocations))

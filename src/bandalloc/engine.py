@@ -42,6 +42,12 @@ __all__ = [
 # consecutive residual-growth rounds before a run is declared divergent
 _DIVERGENCE_STREAK = 100
 
+# Device count from which ``run`` iterates with the numpy kernel in
+# ``array_kernel``, when numpy imports. Below it the scalar ``step`` is
+# faster: an array round costs about 27 us at 3 devices against 10 us for
+# ``step``, and the two cross between 12 and 16 devices.
+ARRAY_MIN_DEVICES = 16
+
 
 class NumericalError(RuntimeError):
     """Non-finite arithmetic during iteration; carries iteration and device."""
@@ -86,6 +92,7 @@ class RunResult:
     converged: bool
     trace: tuple[EngineState, ...]
     diagnostics: Diagnostics
+    confirmed: ConfirmedDemands
 
 
 def _resting_state(
@@ -181,6 +188,33 @@ def constraint_residual(state: EngineState) -> float:
     return abs(math.fsum(state.x) - state.confirmed.total)
 
 
+class _ScalarRounds:
+    """Rounds of :func:`step` on tuples, the interface of ``ArrayRounds``."""
+
+    def __init__(self, state: EngineState, scenario: Scenario, topo: Topology) -> None:
+        self._state, self._scenario, self._topo = state, scenario, topo
+
+    def advance(self) -> tuple[float, float]:
+        """One round; returns the consensus and constraint residuals."""
+        state = self._state = step(self._state, self._scenario, self._topo)
+        return consensus_residual(state), constraint_residual(state)
+
+    def state(self) -> EngineState:
+        return self._state
+
+
+def _rounds(state: EngineState, scenario: Scenario, topo: Topology):
+    """The round kernel for this input: numpy from ``ARRAY_MIN_DEVICES`` on."""
+    if scenario.n >= ARRAY_MIN_DEVICES:
+        try:
+            from .array_kernel import ArrayRounds
+        except ImportError:  # numpy is optional; step is the stdlib fallback
+            pass
+        else:
+            return ArrayRounds(state, scenario, topo)
+    return _ScalarRounds(state, scenario, topo)
+
+
 def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
     """Admit demands once, initialize, and iterate to the stated tolerances.
 
@@ -190,6 +224,10 @@ def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
     (divergence). A zero confirmed total short-circuits to the all-zero
     allocation. With a ``trace_stride`` K, the trace holds the state of
     every K-th iteration plus the final one; without, it stays empty.
+
+    From ``ARRAY_MIN_DEVICES`` devices on, and when numpy imports, the
+    rounds run in the numpy kernel of ``array_kernel``; its results agree
+    with :func:`step`'s to rounding (about 1e-15), not bit for bit.
 
     Raises :class:`NumericalError` on non-finite arithmetic and
     ``ValueError`` for a non-positive stride.
@@ -212,6 +250,7 @@ def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
                 constraint_residual=0.0,
                 warnings=("all demands are zero; allocation is trivially zero",),
             ),
+            confirmed=confirmed,
         )
 
     topo = build_topology(scenario.n, scenario.edges)
@@ -225,13 +264,14 @@ def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
     warnings: list[str] = []
     growth_streak = 0
     prev_combined: float | None = None
+    rounds = _rounds(state, scenario, topo)
+    k = 0
 
-    while not converged and not diverged and state.iteration < opts.max_iters:
-        state = step(state, scenario, topo)
-        if trace_stride is not None and state.iteration % trace_stride == 0:
-            trace.append(state)
-        cons = consensus_residual(state)
-        constr = constraint_residual(state)
+    while not converged and not diverged and k < opts.max_iters:
+        cons, constr = rounds.advance()
+        k += 1
+        if trace_stride is not None and k % trace_stride == 0:
+            trace.append(rounds.state())
         if cons <= opts.tol_consensus and constr <= opts.tol_constraint:
             converged = True
             continue
@@ -248,7 +288,8 @@ def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
                 "the gains are too aggressive, reduce eta and mu"
             )
 
-    if trace_stride is not None and trace[-1] is not state:
+    state = rounds.state()
+    if trace_stride is not None and trace[-1].iteration != k:
         trace.append(state)
 
     negatives = [i for i, x in enumerate(state.x) if x < 0.0]
@@ -270,4 +311,5 @@ def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
             diverged=diverged,
             warnings=tuple(warnings),
         ),
+        confirmed=confirmed,
     )

@@ -6,7 +6,13 @@ import pathlib
 
 import pytest
 
-from bandalloc.scenario import DeviceParams, Globals, Scenario, SolverOptions
+from bandalloc.scenario import (
+    DeviceParams,
+    Globals,
+    Scenario,
+    SolverOptions,
+    generate_random_scenario,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -40,6 +46,11 @@ def bench_scenario(**option_kwargs) -> Scenario:
         edges=((0, 1), (1, 2)),
         **option_kwargs,
     )
+
+
+def generated_scenario(seed: int) -> Scenario:
+    """The generated instances of acceptance criteria 2, 3 and 7: 2 to 20 devices."""
+    return generate_random_scenario(2 + (seed - 1) % 19, seed=seed)
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ failure output).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 import time
@@ -18,11 +19,11 @@ from bandalloc.admission import admit
 from bandalloc.cli import ExitStatus, main
 from bandalloc.engine import NumericalError, run
 from bandalloc.oracle import solve
-from bandalloc.scenario import generate_random_scenario
+from bandalloc.topology import build
 from bandalloc.utility import capacity_coefficient, derivative, evaluate, invert_derivative
 
-from conftest import BENCH_PATH, bench_scenario
-from test_engine import advance, stationary_state, vectors
+from conftest import BENCH_PATH, bench_scenario, generated_scenario as _generated
+from test_engine import advance, run_on, stationary_state, vectors
 from test_cli import report_dict, floats
 
 # bisection value for the bundled benchmark, recomputed via the oracle
@@ -64,10 +65,6 @@ def _run_with_rescue(scenario):
         return run(halved), True
     except NumericalError:
         return None, True
-
-
-def _generated(seed: int):
-    return generate_random_scenario(2 + (seed - 1) % 19, seed=seed)
 
 
 def test_criterion_1_benchmark_allocations(capsys):
@@ -234,11 +231,11 @@ def test_criterion_5_utility_math(capsys):
         )
 
 
-def test_criterion_6_conservation(capsys):
+def _criterion_6(capsys, run_scenario, kernel: str) -> None:
     scenario = bench_scenario(
         max_iters=10000, tol_consensus=1e-300, tol_constraint=1e-300
     )
-    result = run(scenario, trace_stride=1)
+    result = run_scenario(scenario, trace_stride=1)
     iterations_seen = {state.iteration for state in result.trace}
     worst = max(abs(sum(state.zeta)) for state in result.trace)
     passed = (
@@ -248,30 +245,63 @@ def test_criterion_6_conservation(capsys):
     )
     with capsys.disabled():
         _report(
-            "criterion-6 conservation",
+            f"criterion-6 conservation{kernel}",
             passed,
             f"10000 iterations, max |sum zeta| {worst:.2e}",
         )
 
 
-def test_criterion_7_fixed_point(capsys):
-    cases = [
-        ("bench", bench_scenario(), 0.5),
-        ("bench", bench_scenario(), LAMBDA_STAR),
-        ("bench", bench_scenario(), 2.0),
-        ("seed 5", _generated(5), 1.3),
-    ]
+def test_criterion_6_conservation(capsys):
+    _criterion_6(capsys, run, "")
+
+
+def test_criterion_6_conservation_array_kernel(capsys, monkeypatch):
+    pytest.importorskip("numpy")
+    _criterion_6(capsys, functools.partial(run_on, "array", monkeypatch=monkeypatch), " [array]")
+
+
+FIXED_POINT_CASES = [
+    (bench_scenario(), 0.5),
+    (bench_scenario(), LAMBDA_STAR),
+    (bench_scenario(), 2.0),
+    (_generated(5), 1.3),
+]
+
+
+def _criterion_7(capsys, states, kernel: str) -> None:
+    """``states(scenario, level)`` gives a consensus state and its next round."""
     ok = True
-    for _, scenario, level in cases:
-        state = stationary_state(scenario, level)
-        after = advance(state, scenario)
+    for scenario, level in FIXED_POINT_CASES:
+        state, after = states(scenario, level)
         ok = ok and vectors(after) == vectors(state)
     with capsys.disabled():
         _report(
-            "criterion-7 fixed-point",
+            f"criterion-7 fixed-point{kernel}",
             ok,
-            f"{len(cases)} constructed consensus states bit-identical under step",
+            f"{len(FIXED_POINT_CASES)} constructed consensus states bit-identical under step",
         )
+
+
+def test_criterion_7_fixed_point(capsys):
+    def states(scenario, level):
+        state = stationary_state(scenario, level)
+        return state, advance(state, scenario)
+
+    _criterion_7(capsys, states, "")
+
+
+def test_criterion_7_fixed_point_array_kernel(capsys):
+    pytest.importorskip("numpy")
+    from bandalloc.array_kernel import ArrayRounds, invert_derivative as array_inverse
+
+    def states(scenario, level):
+        # x from the array inverse, which may differ from the scalar one by an ulp
+        state = stationary_state(scenario, level, inverse=array_inverse)
+        rounds = ArrayRounds(state, scenario, build(scenario.n, scenario.edges))
+        rounds.advance()
+        return state, rounds.state()
+
+    _criterion_7(capsys, states, " [array]")
 
 
 def test_criterion_8_determinism(capsys, tmp_path):

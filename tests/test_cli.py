@@ -9,10 +9,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import bandalloc
+from bandalloc import cli, engine
 from bandalloc.cli import ExitStatus, main
 from bandalloc.scenario import generate_random_scenario, parse_scenario, serialize_scenario
 
@@ -37,6 +39,24 @@ def floats(field: str) -> list[float]:
 def read_trace(path) -> list[dict[str, str]]:
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def write_generated(tmp_path, n: int, seed: int) -> pathlib.Path:
+    path = tmp_path / f"g{n}-{seed}.json"
+    path.write_text(serialize_scenario(generate_random_scenario(n, seed=seed)))
+    return path
+
+
+def run_child(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``args``, importing this process's package."""
+    package_root = str(pathlib.Path(bandalloc.__file__).resolve().parents[1])
+    paths = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
 
 
 class TestRunCommand:
@@ -242,6 +262,90 @@ class TestCompareCommand:
         capsys.readouterr()
         assert code in (ExitStatus.NOT_CONVERGED, ExitStatus.NUMERICAL_FAILURE)
 
+    def test_array_kernel_trace_rows(self, capsys, tmp_path):
+        pytest.importorskip("numpy")
+        assert 20 >= engine.ARRAY_MIN_DEVICES
+        trace = tmp_path / "trace.csv"
+        code = main(["compare", str(write_generated(tmp_path, 20, 1)), "--trace", str(trace)])
+        report = report_dict(capsys.readouterr().out)
+        assert code == ExitStatus.OK
+        rows = read_trace(trace)
+        assert len(rows) == (int(report["iterations"]) + 1) * 20
+        assert [int(r["iter"]) for r in rows[-20:]] == [int(report["iterations"])] * 20
+        final = [f"{float(r['x']):.12g}" for r in rows[-20:]]
+        assert report["engine_allocations"].split() == final
+
+    def test_array_kernel_failure_leaves_no_trace_and_no_warning(self, capsys, tmp_path):
+        pytest.importorskip("numpy")
+        trace = tmp_path / "trace.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["compare", str(write_generated(tmp_path, 20, 14)), "--trace", str(trace)]
+            )
+        err = capsys.readouterr().err
+        assert code == ExitStatus.NUMERICAL_FAILURE
+        assert err == (
+            "numerical failure: arithmetic overflow at iteration 309, device 1\n"
+        )
+        assert not trace.exists()
+
+    def test_stdlib_fallback_agrees(self, capsys, tmp_path):
+        # without numpy the scalar kernel runs at every size
+        pytest.importorskip("numpy")
+        path = str(write_generated(tmp_path, 20, 1))
+        code = main(["compare", path])
+        report = report_dict(capsys.readouterr().out)
+        child = run_child(
+            "-c",
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from bandalloc.cli import main\n"
+            "code = main(['compare', sys.argv[1]])\n"
+            "assert 'bandalloc.array_kernel' not in sys.modules\n"
+            "raise SystemExit(code)\n",
+            path,
+        )
+        assert child.returncode == code == ExitStatus.OK, child.stderr
+        fallback = report_dict(child.stdout)
+        assert fallback["iterations"] == report["iterations"]
+        # agreement to the 12 printed significant digits, up to one last-digit rounding
+        assert floats(fallback["engine_allocations"]) == pytest.approx(
+            floats(report["engine_allocations"]), rel=1e-11
+        )
+
+
+def test_run_and_compare_admit_once(capsys, monkeypatch):
+    # the report header and the oracle reuse the engine's admission
+    calls = []
+    for module in (engine, cli):
+        original = module.admit
+        monkeypatch.setattr(
+            module, "admit", lambda *args, f=original: calls.append(args) or f(*args)
+        )
+    for command in ("run", "compare"):
+        calls.clear()
+        assert main([command, str(BENCH_PATH)]) == ExitStatus.OK
+        assert len(calls) == 1, command
+    capsys.readouterr()
+
+
+def test_numpy_not_loaded_below_threshold(tmp_path):
+    # oracle, gen and small engine runs stay on the stdlib
+    child = run_child(
+        "-c",
+        "import sys\n"
+        "from bandalloc.cli import main\n"
+        "assert main(['compare', sys.argv[1]]) == 0\n"
+        "assert main(['oracle', sys.argv[2]]) == 0\n"
+        "assert main(['gen', '--n', '50', '--seed', '1']) == 0\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n",
+        str(BENCH_PATH),
+        str(write_generated(tmp_path, 50, 1)),
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == "False\n"
+
 
 class TestGenCommand:
     def test_stdout_matches_library(self, capsys):
@@ -283,13 +387,6 @@ class TestUsageErrors:
 
 def test_module_entry_point():
     # the child imports the same package as this process, installed or not
-    package_root = str(pathlib.Path(bandalloc.__file__).resolve().parents[1])
-    paths = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
-    result = subprocess.run(
-        [sys.executable, "-m", "bandalloc", "run", str(BENCH_PATH)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
-    )
+    result = run_child("-m", "bandalloc", "run", str(BENCH_PATH))
     assert result.returncode == 0
     assert "converged: true" in result.stdout

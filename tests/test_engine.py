@@ -5,9 +5,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
+from bandalloc import engine
 from bandalloc.admission import admit
 from bandalloc.engine import (
     EngineState,
@@ -19,10 +21,11 @@ from bandalloc.engine import (
     step,
 )
 from bandalloc.oracle import solve
+from bandalloc.scenario import generate_random_scenario
 from bandalloc.topology import build
 from bandalloc.utility import capacity_coefficient, derivative, invert_derivative
 
-from conftest import bench_scenario, make_scenario
+from conftest import bench_scenario, generated_scenario, make_scenario
 
 # engine limit for the bundled benchmark, pinned after first computation
 BENCH_ALLOCATIONS = (0.778061243179723, 1.6758758193188736, 2.5460632790013853)
@@ -80,12 +83,19 @@ def state_from_values(scenario, ys, zetas=None) -> EngineState:
     )
 
 
-def stationary_state(scenario, level: float) -> EngineState:
-    """Consensus state at a common marginal value, correction matched to it."""
+def stationary_state(scenario, level: float, inverse=None) -> EngineState:
+    """Consensus state at a common marginal value, correction matched to it.
+
+    ``inverse(omegas, c, price, level)`` computes the allocations; by
+    default the scalar ``invert_derivative`` per device.
+    """
     g = scenario.globals
     c = capacity_coefficient(g.snr)
     confirmed = admit(scenario.demands, g.bandwidth)
-    xs = tuple(invert_derivative(w, c, g.price, level) for w in scenario.omegas)
+    if inverse is None:
+        xs = tuple(invert_derivative(w, c, g.price, level) for w in scenario.omegas)
+    else:
+        xs = tuple(inverse(scenario.omegas, c, g.price, level))
     return EngineState(
         x=xs,
         u_prime=(level,) * scenario.n,
@@ -353,3 +363,141 @@ class TestRun:
         assert result.diagnostics.diverged
         assert result.iterations_used < scenario.options.max_iters
         assert any("reduce eta and mu" in w for w in result.diagnostics.warnings)
+
+
+def run_on(kernel: str, scenario, monkeypatch, **kwargs):
+    """``run`` with the round kernel forced: "scalar" (step) or "array" (numpy)."""
+    threshold = 1 if kernel == "array" else sys.maxsize
+    monkeypatch.setattr(engine, "ARRAY_MIN_DEVICES", threshold)
+    return run(scenario, **kwargs)
+
+
+def outcome(kernel: str, scenario, monkeypatch):
+    """(stop reason, iterations, result): numerical failures as their message."""
+    try:
+        result = run_on(kernel, scenario, monkeypatch)
+    except NumericalError as exc:
+        return f"numerical: {exc}", exc.iteration, None
+    if result.converged:
+        stop = "converged"
+    elif result.diagnostics.diverged:
+        stop = "diverged"
+    else:
+        stop = "cap"
+    return stop, result.iterations_used, result
+
+
+def with_eta(scenario, eta: float):
+    return dataclasses.replace(scenario, globals=dataclasses.replace(scenario.globals, eta=eta))
+
+
+def stable_eta(scenario) -> float:
+    """1/λmax of the graph Laplacian, a gain the engine converges with."""
+    np = pytest.importorskip("numpy")
+    laplacian = np.zeros((scenario.n, scenario.n))
+    for i, j in scenario.edges:
+        laplacian[i, j] = laplacian[j, i] = -1.0
+        laplacian[i, i] += 1.0
+        laplacian[j, j] += 1.0
+    return 1.0 / float(np.linalg.eigvalsh(laplacian)[-1])
+
+
+def parity_scenarios():
+    """Criterion 2's 51 scenarios, then n in {30, 60, 200} under both gains."""
+    yield "bench", bench_scenario()
+    for seed in range(1, 51):
+        yield f"criterion-2 seed {seed}", generated_scenario(seed)
+    for n in (30, 60, 200):
+        for seed in range(1, 11):
+            scenario = generate_random_scenario(n, seed)
+            yield f"n={n} seed {seed}", scenario
+            yield f"n={n} seed {seed} eta=1/lambda_max", with_eta(scenario, stable_eta(scenario))
+
+
+class TestArrayKernel:
+    """The numpy round against the scalar ``step``, called on both sides."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        pytest.importorskip("numpy")
+
+    def test_threshold_picks_kernel(self, monkeypatch):
+        # the kernel is chosen by device count alone
+        from bandalloc import array_kernel
+
+        seen = []
+        real = array_kernel.ArrayRounds
+        monkeypatch.setattr(
+            array_kernel, "ArrayRounds", lambda *args: seen.append(args[1].n) or real(*args)
+        )
+        n = engine.ARRAY_MIN_DEVICES
+        run(generate_random_scenario(n - 1, 1))
+        run(generate_random_scenario(n, 1))
+        assert seen == [n]
+
+    def test_matches_scalar_kernel(self, monkeypatch):
+        # Not bitwise: gossip sums in sequence where step uses fsum, and the
+        # square is t*t where step calls pow. Stop reason and round count
+        # must agree exactly, allocations to 1e-12 wherever the run ended
+        # on its own terms.
+        stops = set()
+        for name, scenario in parity_scenarios():
+            scalar = outcome("scalar", scenario, monkeypatch)
+            array = outcome("array", scenario, monkeypatch)
+            assert array[:2] == scalar[:2], name
+            stops.add(scalar[0].split(":")[0])
+            if scalar[0] in ("converged", "cap"):
+                gap = max(
+                    abs(a - b) for a, b in zip(array[2].allocations, scalar[2].allocations)
+                )
+                assert gap <= 1e-12, name
+        assert stops == {"converged", "diverged", "numerical"}
+
+    def test_numerical_failure_names_same_round_and_device(self, monkeypatch):
+        # inf in the discriminant still yields a finite x, so the square's
+        # overflow must be caught on its own
+        scenario = generate_random_scenario(20, 14)
+        errors = []
+        for kernel in ("scalar", "array"):
+            with pytest.raises(NumericalError) as excinfo:
+                run_on(kernel, scenario, monkeypatch)
+            errors.append((excinfo.value.iteration, excinfo.value.device, str(excinfo.value)))
+        assert errors[0] == errors[1]
+        assert errors[0] == (309, 1, "arithmetic overflow at iteration 309, device 1")
+
+    def test_non_finite_update_names_same_round_and_device(self, monkeypatch):
+        unstable = with_eta(bench_scenario(), 50.0)
+        errors = []
+        for kernel in ("scalar", "array"):
+            with pytest.raises(NumericalError) as excinfo:
+                run_on(kernel, unstable, monkeypatch)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+
+    def test_trace_stride(self, monkeypatch):
+        scenario = with_eta(generate_random_scenario(20, 2), 0.05)
+        scalar = run_on("scalar", scenario, monkeypatch, trace_stride=7)
+        array = run_on("array", scenario, monkeypatch, trace_stride=7)
+        recorded = [state.iteration for state in array.trace]
+        final = array.iterations_used
+        assert final % 7 != 0
+        assert recorded == [*range(0, final, 7), final]
+        assert recorded == [state.iteration for state in scalar.trace]
+        assert array.trace[-1].x == array.allocations
+        for got, want in zip(array.trace, scalar.trace):
+            for a, b in zip(vectors(got), vectors(want)):
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+        assert run_on("array", scenario, monkeypatch).trace == ()
+
+    def test_inverse_matches_scalar(self):
+        from bandalloc.array_kernel import invert_derivative as array_inverse
+
+        rng = random.Random(7)
+        for _ in range(20):
+            omega = rng.uniform(0.5, 5.0)
+            c = capacity_coefficient(rng.uniform(10.0, 500.0))
+            price = rng.uniform(0.002, 0.05)
+            vs = [rng.uniform(-50.0, 50.0) for _ in range(100)] + [0.0, -2.0 * price / c]
+            got = array_inverse([omega] * len(vs), c, price, vs)
+            want = [invert_derivative(omega, c, price, v) for v in vs]
+            assert got.tolist() == pytest.approx(want, rel=1e-15, abs=1e-15)
