@@ -1,8 +1,9 @@
 """Numpy round kernel: the round of :func:`bandalloc.engine.step` on arrays.
 
-:func:`bandalloc.engine.run` imports this module lazily and uses it when
-numpy imports and the scenario has at least ``engine.ARRAY_MIN_DEVICES``
-devices; the package itself needs only the stdlib. The arithmetic follows
+:func:`bandalloc.engine.run` and :func:`bandalloc.oracle.solve` import this
+module lazily, through ``engine.array_kernel_for``, and use it when numpy
+imports and the scenario has at least ``engine.ARRAY_MIN_DEVICES`` devices;
+the package itself needs only the stdlib. The arithmetic follows
 ``step`` and :func:`bandalloc.utility.invert_derivative` operation for
 operation, with two exceptions: gossip adds the neighbor differences in
 sequence where ``step`` uses ``math.fsum``, and the discriminant squares by
@@ -29,7 +30,8 @@ def invert_derivative(omega, c: float, price: float, v) -> np.ndarray:
     """:func:`bandalloc.utility.invert_derivative` elementwise over ``omega`` and ``v``.
 
     No argument checks and no overflow error: an overflowing square yields
-    ``inf`` in the discriminant, which :class:`ArrayRounds` detects.
+    ``inf`` in the discriminant, which :class:`ArrayRounds` and
+    :func:`bandalloc.oracle.solve` detect.
     """
     omega = np.asarray(omega, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -43,9 +43,12 @@ __all__ = [
 _DIVERGENCE_STREAK = 100
 
 # Device count from which ``run`` iterates with the numpy kernel in
-# ``array_kernel``, when numpy imports. Below it the scalar ``step`` is
-# faster: an array round costs about 27 us at 3 devices against 10 us for
-# ``step``, and the two cross between 12 and 16 devices.
+# ``array_kernel``, and ``oracle.solve`` bisects on its elementwise inverse,
+# when numpy imports. Below it the scalar code is faster: an array round
+# costs about 27 us at 3 devices against 10 us for ``step``, and the two
+# cross between 12 and 16 devices. One oracle evaluation crosses later, near
+# 32 devices (20 us array against 11 to 23 us scalar at 16); the oracle
+# keeps this one rule, since below 32 a solve loses under 1 ms.
 ARRAY_MIN_DEVICES = 16
 
 
@@ -203,16 +206,28 @@ class _ScalarRounds:
         return self._state
 
 
+def array_kernel_for(n: int):
+    """The ``array_kernel`` module for ``n`` devices, or None for the scalar code.
+
+    It applies from ``ARRAY_MIN_DEVICES`` devices on, when numpy imports; the
+    import is deferred to the first such call. ``run`` and ``oracle.solve``
+    both choose their kernel here.
+    """
+    if n < ARRAY_MIN_DEVICES:
+        return None
+    try:
+        from . import array_kernel
+    except ImportError:  # numpy is optional; the scalar code is the stdlib fallback
+        return None
+    return array_kernel
+
+
 def _rounds(state: EngineState, scenario: Scenario, topo: Topology):
     """The round kernel for this input: numpy from ``ARRAY_MIN_DEVICES`` on."""
-    if scenario.n >= ARRAY_MIN_DEVICES:
-        try:
-            from .array_kernel import ArrayRounds
-        except ImportError:  # numpy is optional; step is the stdlib fallback
-            pass
-        else:
-            return ArrayRounds(state, scenario, topo)
-    return _ScalarRounds(state, scenario, topo)
+    kernel = array_kernel_for(scenario.n)
+    if kernel is None:
+        return _ScalarRounds(state, scenario, topo)
+    return kernel.ArrayRounds(state, scenario, topo)
 
 
 def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:

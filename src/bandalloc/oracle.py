@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import engine
 from .admission import ConfirmedDemands
 from .scenario import Scenario
 from .utility import capacity_coefficient, derivative, evaluate, invert_derivative
@@ -52,6 +53,38 @@ def objective(scenario: Scenario, allocations: tuple[float, ...]) -> float:
     return math.fsum(terms)
 
 
+def _inverse(omegas: tuple[float, ...], c: float, price: float):
+    """``v -> [x_i]``: every device's inverse derivative at the common value v.
+
+    From ``engine.ARRAY_MIN_DEVICES`` devices on, when numpy imports, the
+    inverse runs elementwise in ``array_kernel``; otherwise, and as the test
+    reference, one scalar call per device.
+    """
+
+    def scalar(v: float) -> list[float]:
+        return [invert_derivative(w, c, price, v) for w in omegas]
+
+    kernel = engine.array_kernel_for(len(omegas))
+    if kernel is None:
+        return scalar
+    import numpy as np
+
+    omega = np.array(omegas)
+
+    def array(v: float) -> list[float]:
+        with np.errstate(all="ignore"):
+            xs = kernel.invert_derivative(omega, c, price, v)
+        # Where (2*price - v*c)**2 overflows, the scalar code raises
+        # OverflowError, while the array gives every device 0 (v > 0) or inf
+        # (v < 0); and np.maximum keeps a NaN that max drops. The scalar
+        # code judges each such v.
+        if not (np.isfinite(xs).all() and xs.any()):
+            return scalar(v)
+        return xs.tolist()
+
+    return array
+
+
 def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
     """Equal-marginal allocation whose total equals the confirmed total.
 
@@ -59,7 +92,10 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
     derivative per device, until the bracket width falls below
     ``1e-12 * max(1, |v|)`` or 200 halvings. The initial bracket spans
     [min derivative at bandwidth*n, max omega*c] and is widened first if
-    it does not straddle the target.
+    it does not straddle the target. From ``engine.ARRAY_MIN_DEVICES``
+    devices on, when numpy imports, the inverse runs on arrays; the totals
+    are exactly rounded sums either way, and the two paths agree to about
+    1e-15, not bit for bit.
     """
     n = scenario.n
     if len(confirmed.values) != n:
@@ -76,11 +112,14 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
         zeros = tuple(0.0 for _ in range(n))
         return OracleSolution(allocations=zeros, lam=None, objective=objective(scenario, zeros))
 
-    def alloc_sum(v: float) -> float:
-        return math.fsum(invert_derivative(w, c, g.price, v) for w in omegas)
+    inverse = _inverse(omegas, c, g.price)
 
-    lo = min(derivative(w, c, g.price, g.bandwidth * n) for w in omegas)
-    hi = max(w * c for w in omegas)
+    def alloc_sum(v: float) -> float:
+        return math.fsum(inverse(v))
+
+    # both ends are monotone in omega, in floating point too
+    lo = derivative(min(omegas), c, g.price, g.bandwidth * n)
+    hi = max(omegas) * c
     for _ in range(_MAX_WIDENINGS):
         if alloc_sum(lo) >= target:
             break
@@ -104,7 +143,7 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
             hi = mid
 
     lam = 0.5 * (lo + hi)
-    allocations = tuple(invert_derivative(w, c, g.price, lam) for w in omegas)
+    allocations = tuple(inverse(lam))
     return OracleSolution(
         allocations=allocations, lam=lam, objective=objective(scenario, allocations)
     )

@@ -218,6 +218,30 @@ class TestOracleCommand:
         capsys.readouterr()
         assert code == ExitStatus.INVALID_INPUT
 
+    def test_stdlib_fallback_agrees(self, capsys, tmp_path):
+        # without numpy the scalar inverse runs at every size
+        pytest.importorskip("numpy")
+        path = str(write_generated(tmp_path, 200, 1))
+        code = main(["oracle", path])
+        report = report_dict(capsys.readouterr().out)
+        child = run_child(
+            "-c",
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from bandalloc.cli import main\n"
+            "code = main(['oracle', sys.argv[1]])\n"
+            "assert 'bandalloc.array_kernel' not in sys.modules\n"
+            "raise SystemExit(code)\n",
+            path,
+        )
+        assert child.returncode == code == ExitStatus.OK, child.stderr
+        fallback = report_dict(child.stdout)
+        # agreement to the 12 printed significant digits, up to one last-digit rounding
+        assert float(fallback["lambda"]) == pytest.approx(float(report["lambda"]), rel=1e-11)
+        assert floats(fallback["allocations"]) == pytest.approx(
+            floats(report["allocations"]), rel=1e-11
+        )
+
     def test_degenerate_lambda_not_applicable(self, capsys, tmp_path):
         doc = {
             "bandwidth": 5.0,
@@ -331,7 +355,8 @@ def test_run_and_compare_admit_once(capsys, monkeypatch):
 
 
 def test_numpy_not_loaded_below_threshold(tmp_path):
-    # oracle, gen and small engine runs stay on the stdlib
+    # gen, and engine runs and oracle solves below the threshold, stay on the stdlib
+    assert 10 < engine.ARRAY_MIN_DEVICES
     child = run_child(
         "-c",
         "import sys\n"
@@ -341,10 +366,25 @@ def test_numpy_not_loaded_below_threshold(tmp_path):
         "assert main(['gen', '--n', '50', '--seed', '1']) == 0\n"
         "print('numpy' in sys.modules, file=sys.stderr)\n",
         str(BENCH_PATH),
-        str(write_generated(tmp_path, 50, 1)),
+        str(write_generated(tmp_path, 10, 1)),
     )
     assert child.returncode == 0, child.stderr
     assert child.stderr == "False\n"
+
+
+def test_oracle_loads_array_kernel_from_threshold(tmp_path):
+    pytest.importorskip("numpy")
+    assert 50 >= engine.ARRAY_MIN_DEVICES
+    child = run_child(
+        "-c",
+        "import sys\n"
+        "from bandalloc.cli import main\n"
+        "assert main(['oracle', sys.argv[1]]) == 0\n"
+        "print('bandalloc.array_kernel' in sys.modules, file=sys.stderr)\n",
+        str(write_generated(tmp_path, 50, 1)),
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == "True\n"
 
 
 class TestGenCommand:

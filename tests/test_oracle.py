@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import sys
+import warnings
 
 import mpmath
 import pytest
 from scipy.optimize import minimize
 
+from bandalloc import engine
 from bandalloc.admission import admit
 from bandalloc.oracle import objective, solve
 from bandalloc.scenario import generate_random_scenario
 from bandalloc.utility import capacity_coefficient, derivative, evaluate, invert_derivative
 
-from conftest import make_scenario
+from conftest import bench_scenario, generated_scenario, make_scenario
 
 mpmath.mp.dps = 50
 
@@ -135,6 +139,108 @@ class TestSolveGeneral:
                 continue
             lo, hi = min(v1, v2), max(v1, v2)
             assert alloc_sum(lo) > alloc_sum(hi)
+
+
+def test_bracket_ends_need_no_per_device_loop():
+    # derivative and w*c do not decrease as omega grows, in floating point
+    # too, so the extreme omegas give the per-device min and max exactly
+    for n in (3, 20, 200):
+        for seed in range(1, 11):
+            scenario = generate_random_scenario(n, seed)
+            g = scenario.globals
+            c = capacity_coefficient(g.snr)
+            x = g.bandwidth * n
+            omegas = scenario.omegas
+            assert derivative(min(omegas), c, g.price, x) == min(
+                derivative(w, c, g.price, x) for w in omegas
+            )
+            assert max(omegas) * c == max(w * c for w in omegas)
+
+
+def solve_on(path: str, scenario, monkeypatch):
+    """``solve`` with the inverse forced: "scalar" (one call per device) or "array" (numpy)."""
+    threshold = 1 if path == "array" else sys.maxsize
+    monkeypatch.setattr(engine, "ARRAY_MIN_DEVICES", threshold)
+    return solve(scenario, admit(scenario.demands, scenario.globals.bandwidth))
+
+
+class TestArrayPath:
+    """The bisection on numpy arrays against the scalar loop, called on both sides."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        pytest.importorskip("numpy")
+
+    def test_threshold_picks_path(self, monkeypatch):
+        # the engine's kernel rule, read at call time: device count alone
+        from bandalloc import array_kernel
+
+        seen = []
+        real = array_kernel.invert_derivative
+        monkeypatch.setattr(
+            array_kernel, "invert_derivative", lambda w, *args: seen.append(len(w)) or real(w, *args)
+        )
+        n = engine.ARRAY_MIN_DEVICES
+        for size in (n - 1, n):
+            scenario = generate_random_scenario(size, 1)
+            solve(scenario, admit(scenario.demands, scenario.globals.bandwidth))
+        assert seen and set(seen) == {n}
+        seen.clear()
+        solve_on("array", bench_scenario(), monkeypatch)
+        assert seen and set(seen) == {3}
+
+    def test_matches_scalar_path(self, monkeypatch):
+        # Not bitwise: the array squares by multiplication where the scalar
+        # inverse calls pow. The bisection still ends on the same bracket
+        # to its own tolerance.
+        cases = [("bench", bench_scenario())]
+        cases += [(f"criterion-2 seed {s}", generated_scenario(s)) for s in range(1, 51)]
+        cases += [
+            (f"n={n} seed {s}", generate_random_scenario(n, s))
+            for n in (16, 60, 200, 1000)
+            for s in range(1, 6)
+        ]
+        for name, scenario in cases:
+            scalar = solve_on("scalar", scenario, monkeypatch)
+            array = solve_on("array", scenario, monkeypatch)
+            assert abs(array.lam - scalar.lam) <= 1e-12 * max(1.0, abs(scalar.lam)), name
+            gap = max(abs(a - b) for a, b in zip(array.allocations, scalar.allocations))
+            assert gap <= 1e-12, name
+            assert array.objective == pytest.approx(scalar.objective, rel=1e-12), name
+
+    def test_zero_demand_alike(self, monkeypatch):
+        scenario = generate_random_scenario(20, 1)
+        scenario = dataclasses.replace(
+            scenario,
+            devices=tuple(dataclasses.replace(d, demand=0.0) for d in scenario.devices),
+        )
+        for path in ("scalar", "array"):
+            solution = solve_on(path, scenario, monkeypatch)
+            assert solution.lam is None, path
+            assert solution.allocations == (0.0,) * 20, path
+            assert solution.objective == 0.0, path
+
+    @pytest.mark.parametrize(
+        "omega, error",
+        [
+            # (2*price - v*c)**2 overflows while the bracket is checked
+            (lambda w: w * 1e152, r"^\(34, 'Numerical result out of range'\)$"),
+            # omega*c overflows: the bracket search runs into NaN
+            (lambda w: 1e308, r"^bisection bracket failure: no lower bound found$"),
+        ],
+        ids=["overflow", "bracket"],
+    )
+    def test_arithmetic_failure_alike(self, monkeypatch, omega, error):
+        scenario = generate_random_scenario(20, 1)
+        scenario = dataclasses.replace(
+            scenario,
+            devices=tuple(dataclasses.replace(d, omega=omega(d.omega)) for d in scenario.devices),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for path in ("scalar", "array"):
+                with pytest.raises(ArithmeticError, match=error):
+                    solve_on(path, scenario, monkeypatch)
 
 
 class TestObjective:
