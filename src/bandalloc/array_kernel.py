@@ -19,7 +19,6 @@ import numpy as np
 
 from .engine import EngineState, NumericalError
 from .scenario import Scenario
-from .topology import Topology
 from .utility import capacity_coefficient
 from .utility import invert_derivative as scalar_invert_derivative
 
@@ -57,7 +56,7 @@ class ArrayRounds:
     :meth:`state` builds the current :class:`EngineState` on request.
     """
 
-    def __init__(self, state: EngineState, scenario: Scenario, topo: Topology) -> None:
+    def __init__(self, state: EngineState, scenario: Scenario) -> None:
         g = scenario.globals
         self._c = capacity_coefficient(g.snr)
         self._eta, self._mu, self._price = g.eta, g.mu, g.price
@@ -66,10 +65,11 @@ class ArrayRounds:
         self._omega_c = omega * self._c
         self._disc_const = 8.0 * omega * g.price * self._c * self._c
         # directed edge list: device src[e] hears from device dst[e]
-        degrees = [len(nbrs) for nbrs in topo.adjacency]
+        adjacency = scenario.topology.adjacency
+        degrees = [len(nbrs) for nbrs in adjacency]
         self._src = np.repeat(np.arange(scenario.n), degrees)
         self._dst = np.fromiter(
-            (j for nbrs in topo.adjacency for j in nbrs), dtype=np.intp, count=sum(degrees)
+            (j for nbrs in adjacency for j in nbrs), dtype=np.intp, count=sum(degrees)
         )
         self._n = scenario.n
         self._confirmed = state.confirmed

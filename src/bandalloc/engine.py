@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from .admission import ConfirmedDemands, admit
 from .scenario import Scenario
-from .topology import Topology, build as build_topology
+# not called: kept because bench/tracer.py wraps this binding by name
+from .topology import build as build_topology  # noqa: F401
 from .utility import capacity_coefficient, derivative, invert_derivative
 
 __all__ = [
@@ -141,12 +142,11 @@ def init(scenario: Scenario, confirmed: ConfirmedDemands) -> EngineState:
     return _resting_state(scenario, confirmed, xs)
 
 
-def step(state: EngineState, scenario: Scenario, topo: Topology) -> EngineState:
+def step(state: EngineState, scenario: Scenario) -> EngineState:
     """Advance one synchronous round; reads only round-k values.
 
-    ``topo`` must be the scenario's topology. Raises
-    :class:`NumericalError` when any update produces a non-finite value
-    or overflows the inverse-derivative arithmetic.
+    Raises :class:`NumericalError` when any update produces a non-finite
+    value or overflows the inverse-derivative arithmetic.
     """
     n = scenario.n
     if len(state.x) != n:
@@ -158,8 +158,8 @@ def step(state: EngineState, scenario: Scenario, topo: Topology) -> EngineState:
     k = state.iteration + 1
     out = []
     rows = zip(
-        topo.adjacency, scenario.devices, state.x, ys, state.zeta, state.confirmed.values,
-        strict=True,
+        scenario.topology.adjacency, scenario.devices, state.x, ys, state.zeta,
+        state.confirmed.values, strict=True,
     )
     for i, (nbrs, dev, x, y, zeta, dstar) in enumerate(rows):
         q = eta * math.fsum(ys[j] - y for j in nbrs)
@@ -194,12 +194,12 @@ def constraint_residual(state: EngineState) -> float:
 class _ScalarRounds:
     """Rounds of :func:`step` on tuples, the interface of ``ArrayRounds``."""
 
-    def __init__(self, state: EngineState, scenario: Scenario, topo: Topology) -> None:
-        self._state, self._scenario, self._topo = state, scenario, topo
+    def __init__(self, state: EngineState, scenario: Scenario) -> None:
+        self._state, self._scenario = state, scenario
 
     def advance(self) -> tuple[float, float]:
         """One round; returns the consensus and constraint residuals."""
-        state = self._state = step(self._state, self._scenario, self._topo)
+        state = self._state = step(self._state, self._scenario)
         return consensus_residual(state), constraint_residual(state)
 
     def state(self) -> EngineState:
@@ -222,12 +222,12 @@ def array_kernel_for(n: int):
     return array_kernel
 
 
-def _rounds(state: EngineState, scenario: Scenario, topo: Topology):
+def _rounds(state: EngineState, scenario: Scenario):
     """The round kernel for this input: numpy from ``ARRAY_MIN_DEVICES`` on."""
     kernel = array_kernel_for(scenario.n)
     if kernel is None:
-        return _ScalarRounds(state, scenario, topo)
-    return kernel.ArrayRounds(state, scenario, topo)
+        return _ScalarRounds(state, scenario)
+    return kernel.ArrayRounds(state, scenario)
 
 
 def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
@@ -268,7 +268,6 @@ def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
             confirmed=confirmed,
         )
 
-    topo = build_topology(scenario.n, scenario.edges)
     state = init(scenario, confirmed)
     trace: list[EngineState] = [] if trace_stride is None else [state]
 
@@ -279,7 +278,7 @@ def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
     warnings: list[str] = []
     growth_streak = 0
     prev_combined: float | None = None
-    rounds = _rounds(state, scenario, topo)
+    rounds = _rounds(state, scenario)
     k = 0
 
     while not converged and not diverged and k < opts.max_iters:

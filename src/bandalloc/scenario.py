@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 from . import topology
+from .topology import Topology
 
 __all__ = [
     "ScenarioError",
@@ -40,11 +41,26 @@ class ScenarioError(ValueError):
     """A scenario document or field violates its contract."""
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
+def _number(name: str, value: Any) -> float:
+    """``value`` as a float: bools, non-numbers and ints beyond float range are errors."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{name} must be a number, got {value!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise ScenarioError(f"{name} must be a positive finite number, got {value}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{name} is an integer too large for a float") from None
+
+
+def _positive(name: str, value: Any) -> float:
+    x = _number(name, value)
+    if not (math.isfinite(x) and x > 0):
+        raise ScenarioError(f"{name} must be a positive finite number, got {x}")
+    return x
+
+
+def _require_int(name: str, value: Any) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +74,8 @@ class Globals:
     eta: float
 
     def __post_init__(self) -> None:
-        for name in ("bandwidth", "snr", "price", "mu", "eta"):
-            _require_positive(name, getattr(self, name))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _positive(f.name, getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -70,12 +86,11 @@ class DeviceParams:
     demand: float
 
     def __post_init__(self) -> None:
-        _require_positive("omega", self.omega)
-        d = self.demand
-        if not (isinstance(d, (int, float)) and not isinstance(d, bool)):
-            raise ScenarioError(f"demand must be a number, got {d!r}")
+        object.__setattr__(self, "omega", _positive("omega", self.omega))
+        d = _number("demand", self.demand)
         if not (math.isfinite(d) and d >= 0):
             raise ScenarioError(f"demand must be a finite number >= 0, got {d}")
+        object.__setattr__(self, "demand", d)
 
 
 @dataclass(frozen=True)
@@ -89,53 +104,45 @@ class SolverOptions:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.max_iters, int) and not isinstance(self.max_iters, bool)):
-            raise ScenarioError(f"max_iters must be an integer, got {self.max_iters!r}")
+        _require_int("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ScenarioError(f"max_iters must be >= 1, got {self.max_iters}")
-        _require_positive("tol_consensus", self.tol_consensus)
-        _require_positive("tol_constraint", self.tol_constraint)
+        for name in ("tol_consensus", "tol_constraint"):
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
         if self.init_mode not in INIT_MODES:
             raise ScenarioError(
                 f"init_mode must be one of {', '.join(INIT_MODES)}, got {self.init_mode!r}"
             )
-        if self.seed is not None and (
-            not isinstance(self.seed, int) or isinstance(self.seed, bool)
-        ):
-            raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed is not None:
+            _require_int("seed", self.seed)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete, validated problem instance."""
+    """A complete, validated problem instance.
+
+    ``topology`` is the communication graph built from ``edges`` when the
+    scenario is constructed; it takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     globals: Globals
     devices: tuple[DeviceParams, ...]
     edges: tuple[tuple[int, int], ...]
     options: SolverOptions = field(default_factory=SolverOptions)
+    topology: Topology = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "devices", tuple(self.devices))
-        object.__setattr__(
-            self, "edges", tuple((int(i), int(j)) for i, j in self.edges)
-        )
-        n = len(self.devices)
-        if n == 0:
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        if not self.devices:
             raise ScenarioError("devices must contain at least one entry")
-        seen: set[tuple[int, int]] = set()
-        for k, (i, j) in enumerate(self.edges):
-            if not (0 <= i < n and 0 <= j < n):
-                raise ScenarioError(
-                    f"edges[{k}]: endpoint out of range [0, {n}) in ({i}, {j})"
-                )
-            if i == j:
-                raise ScenarioError(f"edges[{k}]: self-loop ({i}, {j})")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ScenarioError(f"edges[{k}]: duplicate edge ({i}, {j})")
-            seen.add(key)
-        if n > 1 and not topology.build(n, self.edges).is_connected():
+        try:
+            topo = topology.build(len(self.devices), self.edges)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
+        if not topo.is_connected():
             raise ScenarioError("edges: communication graph is not connected")
+        object.__setattr__(self, "topology", topo)
 
     @property
     def n(self) -> int:
@@ -150,48 +157,31 @@ class Scenario:
         return tuple(d.demand for d in self.devices)
 
 
-_TOP_KEYS = {"bandwidth", "snr", "price", "mu", "eta", "devices", "edges", "options"}
+_GLOBAL_KEYS = [f.name for f in fields(Globals)]
+_TOP_KEYS = {*_GLOBAL_KEYS, "devices", "edges", "options"}
 _REQUIRED_TOP_KEYS = _TOP_KEYS - {"options"}
-_DEVICE_KEYS = {"omega", "demand"}
-_OPTION_KEYS = {"max_iters", "tol_consensus", "tol_constraint", "init_mode", "seed"}
+_DEVICE_KEYS = {f.name for f in fields(DeviceParams)}
+_OPTION_KEYS = {f.name for f in fields(SolverOptions)}
 
 
-def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
+def _check_keys(doc: dict, allowed: set[str], required: set[str], where: str) -> None:
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s): {', '.join(unknown)}")
-
-
-def _number(doc: dict, key: str, where: str) -> float:
-    value = doc[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{where}{key}: must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(doc: dict, key: str, where: str) -> int:
-    value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{where}{key}: must be an integer, got {value!r}")
-    return value
+    missing = sorted(required - set(doc))
+    if missing:
+        raise ScenarioError(f"{where}: missing key(s): {', '.join(missing)}")
 
 
 def scenario_from_dict(doc: Any) -> Scenario:
-    """Validate a decoded JSON document and build a :class:`Scenario`."""
+    """Validate a decoded JSON document and build a :class:`Scenario`.
+
+    This checks the document's shape; the dataclasses check the values.
+    """
     if not isinstance(doc, dict):
         raise ScenarioError("top level must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "top level")
-    missing = sorted(_REQUIRED_TOP_KEYS - set(doc))
-    if missing:
-        raise ScenarioError(f"missing required key(s): {', '.join(missing)}")
-
-    glob = Globals(
-        bandwidth=_number(doc, "bandwidth", ""),
-        snr=_number(doc, "snr", ""),
-        price=_number(doc, "price", ""),
-        mu=_number(doc, "mu", ""),
-        eta=_number(doc, "eta", ""),
-    )
+    _check_keys(doc, _TOP_KEYS, _REQUIRED_TOP_KEYS, "top level")
+    glob = Globals(**{key: doc[key] for key in _GLOBAL_KEYS})
 
     raw_devices = doc["devices"]
     if not isinstance(raw_devices, list) or not raw_devices:
@@ -201,59 +191,51 @@ def scenario_from_dict(doc: Any) -> Scenario:
         where = f"devices[{k}]"
         if not isinstance(entry, dict):
             raise ScenarioError(f"{where}: must be an object")
-        _reject_unknown(entry, _DEVICE_KEYS, where)
-        missing = sorted(_DEVICE_KEYS - set(entry))
-        if missing:
-            raise ScenarioError(f"{where}: missing key(s): {', '.join(missing)}")
+        _check_keys(entry, _DEVICE_KEYS, _DEVICE_KEYS, where)
         try:
-            devices.append(
-                DeviceParams(
-                    omega=_number(entry, "omega", f"{where}."),
-                    demand=_number(entry, "demand", f"{where}."),
-                )
-            )
+            devices.append(DeviceParams(**entry))
         except ScenarioError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
 
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise ScenarioError("edges: must be an array")
-    edges = []
     for k, pair in enumerate(raw_edges):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(not isinstance(v, int) or isinstance(v, bool) for v in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioError(f"edges[{k}]: must be a pair of integer indices")
-        edges.append((pair[0], pair[1]))
 
-    options = SolverOptions()
-    if "options" in doc:
-        raw = doc["options"]
-        if not isinstance(raw, dict):
-            raise ScenarioError("options: must be an object")
-        _reject_unknown(raw, _OPTION_KEYS, "options")
-        kwargs: dict[str, Any] = {}
-        if "max_iters" in raw:
-            kwargs["max_iters"] = _integer(raw, "max_iters", "options.")
-        if "tol_consensus" in raw:
-            kwargs["tol_consensus"] = _number(raw, "tol_consensus", "options.")
-        if "tol_constraint" in raw:
-            kwargs["tol_constraint"] = _number(raw, "tol_constraint", "options.")
-        if "init_mode" in raw:
-            mode = raw["init_mode"]
-            if not isinstance(mode, str):
-                raise ScenarioError(f"options.init_mode: must be a string, got {mode!r}")
-            kwargs["init_mode"] = mode
-        if "seed" in raw:
-            kwargs["seed"] = _integer(raw, "seed", "options.")
-        try:
-            options = SolverOptions(**kwargs)
-        except ScenarioError as exc:
-            raise ScenarioError(f"options: {exc}") from None
+    raw = doc.get("options", {})
+    if not isinstance(raw, dict):
+        raise ScenarioError("options: must be an object")
+    _check_keys(raw, _OPTION_KEYS, set(), "options")
+    # an unset seed is written by leaving the key out, never as null
+    if "seed" in raw and raw["seed"] is None:
+        raise ScenarioError("options: seed must be an integer, got None")
+    try:
+        options = SolverOptions(**raw)
+    except ScenarioError as exc:
+        raise ScenarioError(f"options: {exc}") from None
 
-    return Scenario(globals=glob, devices=tuple(devices), edges=tuple(edges), options=options)
+    return Scenario(globals=glob, devices=devices, edges=raw_edges, options=options)
+
+
+def _decode_json(text: str) -> Any:
+    """``json.loads``, except that an integer literal too long for ``int`` (the
+    interpreter's digit limit) reads as +-inf, as a float literal out of float
+    range does, so that the field holding it is the one rejected."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the digit limit; malformed text raises JSONDecodeError
+        return json.loads(text, parse_int=_int_or_inf)
+
+
+def _int_or_inf(literal: str) -> int | float:
+    try:
+        return int(literal)
+    except ValueError:
+        return float(literal)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -268,7 +250,7 @@ def parse_scenario(text: str) -> Scenario:
     ``"demand"``, optional integer ``seed``). Unknown keys are rejected.
     """
     try:
-        doc = json.loads(text)
+        doc = _decode_json(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"not valid JSON: {exc}") from None
     return scenario_from_dict(doc)

@@ -44,17 +44,22 @@ class Topology:
 def build(n: int, edges: Iterable[tuple[int, int]]) -> Topology:
     """Build a :class:`Topology` from undirected edge pairs.
 
-    Duplicate edges collapse; self-loops and out-of-range endpoints are
-    rejected.
+    The one check of an edge list: endpoints that are not ints (bools
+    included) or lie outside ``[0, n)``, self-loops, and an edge repeated in
+    either orientation raise ``ValueError`` naming ``edges[k]``.
     """
     if n < 1:
         raise ValueError(f"device count must be >= 1, got {n}")
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-    for i, j in edges:
+    for k, (i, j) in enumerate(edges):
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"edges[{k}]: must be a pair of integer indices")
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) has an endpoint outside [0, {n})")
+            raise ValueError(f"edges[{k}]: endpoint out of range [0, {n}) in ({i}, {j})")
         if i == j:
-            raise ValueError(f"edge ({i}, {j}) is a self-loop")
+            raise ValueError(f"edges[{k}]: self-loop ({i}, {j})")
+        if j in neighbor_sets[i]:
+            raise ValueError(f"edges[{k}]: duplicate edge ({i}, {j})")
         neighbor_sets[i].add(j)
         neighbor_sets[j].add(i)
     return Topology(n=n, adjacency=tuple(tuple(sorted(s)) for s in neighbor_sets))

@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from bandalloc import engine, topology
 from bandalloc.scenario import (
     DeviceParams,
     Globals,
@@ -61,3 +62,18 @@ def bench_path() -> pathlib.Path:
 @pytest.fixture
 def bench() -> Scenario:
     return bench_scenario()
+
+
+@pytest.fixture
+def build_calls(monkeypatch) -> list:
+    """Topology builds, counted at ``topology.build`` and at the engine's binding of it."""
+    calls = []
+    original = topology.build
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(topology, "build", counted)
+    monkeypatch.setattr(engine, "build_topology", counted)
+    return calls

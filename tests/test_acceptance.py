@@ -17,13 +17,12 @@ import pytest
 
 from bandalloc.admission import admit
 from bandalloc.cli import ExitStatus, main
-from bandalloc.engine import NumericalError, run
+from bandalloc.engine import NumericalError, run, step
 from bandalloc.oracle import solve
-from bandalloc.topology import build
 from bandalloc.utility import capacity_coefficient, derivative, evaluate, invert_derivative
 
 from conftest import BENCH_PATH, bench_scenario, generated_scenario as _generated
-from test_engine import advance, run_on, stationary_state, vectors
+from test_engine import run_on, stationary_state, vectors
 from test_cli import report_dict, floats
 
 # bisection value for the bundled benchmark, recomputed via the oracle
@@ -285,7 +284,7 @@ def _criterion_7(capsys, states, kernel: str) -> None:
 def test_criterion_7_fixed_point(capsys):
     def states(scenario, level):
         state = stationary_state(scenario, level)
-        return state, advance(state, scenario)
+        return state, step(state, scenario)
 
     _criterion_7(capsys, states, "")
 
@@ -297,7 +296,7 @@ def test_criterion_7_fixed_point_array_kernel(capsys):
     def states(scenario, level):
         # x from the array inverse, which may differ from the scalar one by an ulp
         state = stationary_state(scenario, level, inverse=array_inverse)
-        rounds = ArrayRounds(state, scenario, build(scenario.n, scenario.edges))
+        rounds = ArrayRounds(state, scenario)
         rounds.advance()
         return state, rounds.state()
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
+
+from bandalloc import engine, oracle
 
 from conftest import REPO_ROOT
 
@@ -22,3 +25,11 @@ def test_tracer_bindings_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert bindings and not missing
+
+
+def test_observed_argument_positions():
+    # the tracer's observers read the scenario from these positions
+    # (``args[1]`` of ``step``, ``args[0]`` of ``solve``); a move would zero
+    # its message and evaluation counts instead of failing
+    assert list(inspect.signature(engine.step).parameters)[1] == "scenario"
+    assert list(inspect.signature(oracle.solve).parameters)[0] == "scenario"

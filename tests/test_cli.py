@@ -218,6 +218,18 @@ class TestOracleCommand:
         capsys.readouterr()
         assert code == ExitStatus.INVALID_INPUT
 
+    @pytest.mark.parametrize("digits", [401, 5000])
+    def test_oversized_integer_rejected(self, capsys, tmp_path, digits):
+        # 401 digits overflows a float; 5000 is past the interpreter's limit for an int
+        text = BENCH_PATH.read_text()
+        bad = tmp_path / "huge.json"
+        bad.write_text(text.replace('"bandwidth": 5.0', '"bandwidth": 1' + "0" * (digits - 1)))
+        code = main(["oracle", str(bad)])
+        captured = capsys.readouterr()
+        assert code == ExitStatus.INVALID_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: invalid scenario {bad}: bandwidth ")
+
     def test_stdlib_fallback_agrees(self, capsys, tmp_path):
         # without numpy the scalar inverse runs at every size
         pytest.importorskip("numpy")
@@ -351,6 +363,13 @@ def test_run_and_compare_admit_once(capsys, monkeypatch):
         calls.clear()
         assert main([command, str(BENCH_PATH)]) == ExitStatus.OK
         assert len(calls) == 1, command
+    capsys.readouterr()
+
+
+def test_run_builds_topology_once(capsys, build_calls):
+    # parsing builds it; the engine reads it from the scenario
+    assert main(["run", str(BENCH_PATH)]) == ExitStatus.OK
+    assert len(build_calls) == 1
     capsys.readouterr()
 
 

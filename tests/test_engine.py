@@ -32,11 +32,6 @@ BENCH_ALLOCATIONS = (0.778061243179723, 1.6758758193188736, 2.5460632790013853)
 BENCH_ITERATIONS = 112
 
 
-def advance(state: EngineState, scenario) -> EngineState:
-    """One engine round on the scenario's own topology."""
-    return step(state, scenario, build(scenario.n, scenario.edges))
-
-
 def vectors(state: EngineState) -> tuple:
     """The per-device fields of a state, for bit-exact comparison."""
     return (state.x, state.u_prime, state.zeta, state.q)
@@ -138,18 +133,18 @@ class TestInit:
 class TestStep:
     def test_gossip_innovation_hand_values(self, bench):
         state = state_from_values(bench, ys=[1.0, 2.0, 3.0])
-        after = advance(state, bench)
+        after = step(state, bench)
         assert after.q == (0.2, 0.0, -0.2)
 
     def test_correction_update_hand_values(self, bench):
         state = state_from_values(bench, ys=[1.0, 2.0, 3.0])
-        zetas = advance(state, bench).zeta
+        zetas = step(state, bench).zeta
         assert zetas == pytest.approx((-0.04, 0.0, 0.04), abs=1e-15)
         assert math.fsum(zetas) == pytest.approx(0.0, abs=1e-15)
 
     def test_iteration_counter_increments(self, bench):
         state = init(bench, admit(bench.demands, 5.0))
-        assert advance(state, bench).iteration == 1
+        assert step(state, bench).iteration == 1
 
     def test_matches_two_phase_reference(self):
         rng = random.Random(12)
@@ -167,32 +162,32 @@ class TestStep:
             ys = [rng.uniform(-2.0, 8.0) for _ in range(n)]
             zetas = [rng.uniform(-1.0, 1.0) for _ in range(n)]
             state = state_from_values(scenario, ys, zetas)
-            assert advance(state, scenario) == reference_step(state, scenario)
+            assert step(state, scenario) == reference_step(state, scenario)
 
     def test_device_count_mismatch_rejected(self, bench):
         other = make_scenario(omegas=(1.0, 2.0), demands=(1.0, 1.0), edges=((0, 1),))
         state = init(other, admit(other.demands, 5.0))
         with pytest.raises(ValueError, match="devices"):
-            step(state, bench, build(bench.n, bench.edges))
+            step(state, bench)
 
 
 class TestFixedPoint:
     @pytest.mark.parametrize("level", [0.5, 1.0, 2.0])
     def test_consensus_state_is_stationary_bitwise(self, bench, level):
         state = stationary_state(bench, level)
-        after = advance(state, bench)
+        after = step(state, bench)
         assert vectors(after) == vectors(state)
         assert after.iteration == state.iteration + 1
 
     def test_mismatched_correction_is_not_stationary(self, bench):
         base = stationary_state(bench, 1.0)
         state = dataclasses.replace(base, zeta=tuple(-z for z in base.zeta))
-        after = advance(state, bench)
+        after = step(state, bench)
         assert vectors(after) != vectors(state)
 
     def test_unequal_marginals_are_not_stationary(self, bench):
         state = state_from_values(bench, ys=[1.0, 1.0, 1.5])
-        after = advance(state, bench)
+        after = step(state, bench)
         assert vectors(after) != vectors(state)
 
     def test_zero_sum_correction_pins_totals(self, bench):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bandalloc import engine, oracle
+from bandalloc.admission import admit
 from bandalloc.scenario import (
     DeviceParams,
     Globals,
@@ -20,7 +23,7 @@ from bandalloc.scenario import (
     serialize_scenario,
 )
 
-from conftest import make_scenario
+from conftest import bench_scenario, make_scenario
 
 
 BASE_DOC = {
@@ -166,6 +169,26 @@ class TestParse:
         with pytest.raises(ScenarioError, match="seed"):
             parse_scenario(doc_with(options={"seed": "abc"}))
 
+    def test_null_seed_rejected(self):
+        with pytest.raises(ScenarioError, match="options: seed"):
+            parse_scenario(doc_with(options={"seed": None}))
+
+    @pytest.mark.parametrize("digits", [401, 5000])
+    @pytest.mark.parametrize(
+        "changes, where",
+        [
+            ({"bandwidth": "HUGE"}, "bandwidth"),
+            ({"devices": [{"omega": 1.0, "demand": "HUGE"}]}, r"devices\[0\]: demand"),
+            ({"options": {"tol_consensus": "HUGE"}}, "options: tol_consensus"),
+            ({"edges": [[0, 1], [1, "HUGE"]]}, r"edges\[1\]"),
+        ],
+    )
+    def test_oversized_integer_names_field(self, digits, changes, where):
+        # 5000 digits is past the interpreter's limit for reading an int
+        huge = "1" + "0" * (digits - 1)
+        with pytest.raises(ScenarioError, match=where):
+            parse_scenario(doc_with(**changes).replace('"HUGE"', huge))
+
 
 class TestDirectConstruction:
     def test_single_device_no_edges(self):
@@ -189,6 +212,67 @@ class TestDirectConstruction:
     def test_device_params_validation(self):
         with pytest.raises(ScenarioError, match="omega"):
             DeviceParams(omega=0.0, demand=1.0)
+
+    def test_oversized_integer_names_field(self):
+        with pytest.raises(ScenarioError, match="bandwidth"):
+            Globals(bandwidth=10**400, snr=100.0, price=0.01, mu=0.2, eta=0.2)
+        with pytest.raises(ScenarioError, match="demand"):
+            DeviceParams(omega=1.0, demand=10**400)
+        with pytest.raises(ScenarioError, match="tol_constraint"):
+            SolverOptions(tol_constraint=10**400)
+
+    def test_numbers_stored_as_floats(self):
+        g = Globals(bandwidth=5, snr=100, price=1, mu=1, eta=1)
+        d = DeviceParams(omega=2, demand=0)
+        o = SolverOptions(tol_consensus=1, tol_constraint=1)
+        values = (*dataclasses.astuple(g), *dataclasses.astuple(d))
+        assert all(type(v) is float for v in (*values, o.tol_consensus, o.tol_constraint))
+
+    @pytest.mark.parametrize("edge", [(0, 1.7), (0.0, 1), (False, True), (0, "1")])
+    def test_non_integer_endpoint_rejected(self, edge):
+        with pytest.raises(ScenarioError, match=r"edges\[1\]: must be a pair of integer indices"):
+            make_scenario(omegas=(1.0, 1.0, 1.0), demands=(1.0, 1.0, 1.0), edges=((1, 2), edge))
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((0, 1), (1, 3)), r"edges\[1\]: endpoint out of range \[0, 3\) in \(1, 3\)"),
+            (((0, 1), (2, 2)), r"edges\[1\]: self-loop \(2, 2\)"),
+            (((0, 1), (1, 2), (2, 1)), r"edges\[2\]: duplicate edge \(2, 1\)"),
+            (((0, 1),), "edges: communication graph is not connected"),
+        ],
+    )
+    def test_edge_errors_name_the_edge(self, edges, message):
+        with pytest.raises(ScenarioError, match=message):
+            make_scenario(omegas=(1.0, 1.0, 1.0), demands=(1.0, 1.0, 1.0), edges=edges)
+
+
+class TestTopologyCarried:
+    def test_built_once_per_scenario(self, build_calls, bench_path):
+        scenario = parse_scenario(bench_path.read_text())
+        assert len(build_calls) == 1
+        assert scenario.topology.adjacency == ((1,), (0, 2), (1,))
+        confirmed = admit(scenario.demands, scenario.globals.bandwidth)
+        engine.run(scenario)
+        oracle.solve(scenario, confirmed)
+        assert len(build_calls) == 1
+
+    def test_no_part_in_equality_hash_or_repr(self):
+        a, b = bench_scenario(), bench_scenario()
+        object.__setattr__(b, "topology", None)
+        assert a == b and hash(a) == hash(b)
+        assert "topology" not in repr(a) and repr(a) == repr(b)
+        with pytest.raises(TypeError):
+            Scenario(a.globals, a.devices, a.edges, a.options, a.topology)
+
+    def test_replace_rebuilds_and_validates(self, build_calls):
+        scenario = bench_scenario()
+        ring = dataclasses.replace(scenario, edges=((0, 1), (1, 2), (2, 0)))
+        assert len(build_calls) == 2
+        assert ring.topology.adjacency == ((1, 2), (0, 2), (0, 1))
+        assert scenario.topology.adjacency == ((1,), (0, 2), (1,))
+        with pytest.raises(ScenarioError, match=r"edges\[1\]: duplicate edge"):
+            dataclasses.replace(scenario, edges=((0, 1), (1, 0), (1, 2)))
 
 
 class TestRoundTrip:

@@ -29,10 +29,12 @@ def test_complete_graph_neighbors():
     assert topo.edge_count == 6
 
 
-def test_duplicate_edges_collapse():
-    topo = build(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
-    assert topo.neighbors(0) == (1,)
-    assert topo.edge_count == 2
+def test_duplicate_edges_rejected():
+    # either orientation, named by the index of the repeat
+    with pytest.raises(ValueError, match=r"edges\[2\]: duplicate edge \(0, 1\)"):
+        build(3, [(0, 1), (1, 2), (0, 1)])
+    with pytest.raises(ValueError, match=r"edges\[1\]: duplicate edge \(1, 0\)"):
+        build(3, [(0, 1), (1, 0)])
 
 
 def test_out_of_range_endpoint_rejected():
@@ -66,7 +68,9 @@ def test_connectivity():
 def random_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=8))
     possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(possible), max_size=12) if possible else st.just([]))
+    edges = draw(
+        st.lists(st.sampled_from(possible), max_size=12, unique=True) if possible else st.just([])
+    )
     return n, edges
 
 
