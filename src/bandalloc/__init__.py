@@ -13,7 +13,6 @@ from .admission import ConfirmedDemands, admit
 from .engine import NumericalError, RunResult, run
 from .oracle import OracleSolution, objective, solve
 from .scenario import (
-    DeviceParams,
     Globals,
     Scenario,
     ScenarioError,
@@ -37,7 +36,6 @@ __all__ = [
     "OracleSolution",
     "objective",
     "solve",
-    "DeviceParams",
     "Globals",
     "Scenario",
     "ScenarioError",

@@ -22,7 +22,7 @@ from .scenario import Scenario
 from .utility import capacity_coefficient
 from .utility import invert_derivative as scalar_invert_derivative
 
-__all__ = ["ArrayRounds", "invert_derivative"]
+__all__ = ["ArrayRounds", "invert_derivative", "inverse_for"]
 
 
 def invert_derivative(omega, c: float, price: float, v) -> np.ndarray:
@@ -32,9 +32,15 @@ def invert_derivative(omega, c: float, price: float, v) -> np.ndarray:
     ``inf`` in the discriminant, which :class:`ArrayRounds` and
     :func:`bandalloc.oracle.solve` detect.
     """
+    return inverse_for(omega, c, price)(np.asarray(v, dtype=float))
+
+
+def inverse_for(omega, c: float, price: float):
+    """``v -> invert_derivative(omega, c, price, v)``, with ``omega*c`` and the
+    discriminant constant computed once, here."""
     omega = np.asarray(omega, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return _inverse(omega * c, 8.0 * omega * price * c * c, c, price, v)[0]
+    omega_c, disc_const = omega * c, 8.0 * omega * price * c * c
+    return lambda v: _inverse(omega_c, disc_const, c, price, v)[0]
 
 
 def _inverse(omega_c, disc_const, c, price, v):

@@ -88,13 +88,11 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     if not global_kwargs and not option_kwargs:
         return scenario
     try:
-        return dataclasses.replace(
-            scenario,
-            globals=dataclasses.replace(scenario.globals, **global_kwargs),
-            options=dataclasses.replace(scenario.options, **option_kwargs),
-        )
+        glob = dataclasses.replace(scenario.globals, **global_kwargs)
+        options = dataclasses.replace(scenario.options, **option_kwargs)
     except ScenarioError as exc:
         raise _CliError(f"invalid override: {exc}") from None
+    return scenario.with_settings(glob, options)
 
 
 def _write_trace(path: str, states) -> None:

@@ -46,10 +46,10 @@ _DIVERGENCE_STREAK = 100
 # Device count from which ``run`` iterates with the numpy kernel in
 # ``array_kernel``, and ``oracle.solve`` bisects on its elementwise inverse,
 # when numpy imports. Below it the scalar code is faster: an array round
-# costs about 27 us at 3 devices against 10 us for ``step``, and the two
-# cross between 12 and 16 devices. One oracle evaluation crosses later, near
-# 32 devices (20 us array against 11 to 23 us scalar at 16); the oracle
-# keeps this one rule, since below 32 a solve loses under 1 ms.
+# costs about 27 us at 3 devices against 10 us for ``step``; they cross
+# between 12 and 16 devices. A solve crosses near 24 (median us on 2 shared
+# vCPUs, scalar/array: 1026/1604 at 16, 1295/1576 at 20, 1660/1645 at 24,
+# 1826/1568 at 32); the oracle keeps this one rule: below 24 it loses < 1 ms.
 ARRAY_MIN_DEVICES = 16
 
 
@@ -108,7 +108,7 @@ def _resting_state(
     zeros = (0.0,) * scenario.n
     return EngineState(
         x=xs,
-        u_prime=tuple(derivative(d.omega, c, g.price, x) for d, x in zip(scenario.devices, xs)),
+        u_prime=tuple(derivative(w, c, g.price, x) for w, x in zip(scenario.omegas, xs)),
         zeta=zeros,
         q=zeros,
         iteration=0,
@@ -158,10 +158,10 @@ def step(state: EngineState, scenario: Scenario) -> EngineState:
     k = state.iteration + 1
     out = []
     rows = zip(
-        scenario.topology.adjacency, scenario.devices, state.x, ys, state.zeta,
+        scenario.topology.adjacency, scenario.omegas, state.x, ys, state.zeta,
         state.confirmed.values, strict=True,
     )
-    for i, (nbrs, dev, x, y, zeta, dstar) in enumerate(rows):
+    for i, (nbrs, omega, x, y, zeta, dstar) in enumerate(rows):
         q = eta * math.fsum(ys[j] - y for j in nbrs)
         # grouped so a stationary state reproduces u_prime bit for bit
         u_new = y + (q - zeta + mu * (x - dstar))
@@ -169,7 +169,7 @@ def step(state: EngineState, scenario: Scenario) -> EngineState:
         if not (math.isfinite(u_new) and math.isfinite(zeta_new)):
             raise NumericalError(k, i)
         try:
-            x_new = invert_derivative(dev.omega, c, price, u_new)
+            x_new = invert_derivative(omega, c, price, u_new)
         except OverflowError:
             raise NumericalError(k, i, "arithmetic overflow") from None
         if not math.isfinite(x_new):

@@ -44,21 +44,25 @@ def objective(scenario: Scenario, allocations: tuple[float, ...]) -> float:
         )
     g = scenario.globals
     c = capacity_coefficient(g.snr)
-    terms = []
-    for i, x in enumerate(allocations):
-        try:
-            terms.append(evaluate(scenario.devices[i].omega, c, g.price, x))
-        except ValueError as exc:
-            raise ValueError(f"allocations[{i}]: {exc}") from None
+    omegas, price = scenario.omegas, g.price
+    try:  # ``evaluate`` inlined: math.log raises where its domain check would
+        terms = [w * math.log(c * x + 1.0) - price * x * x for w, x in zip(omegas, allocations)]
+    except ValueError:
+        for i, (w, x) in enumerate(zip(omegas, allocations)):
+            try:
+                evaluate(w, c, price, x)
+            except ValueError as exc:
+                raise ValueError(f"allocations[{i}]: {exc}") from None
+        raise
     return math.fsum(terms)
 
 
 def _inverse(omegas: tuple[float, ...], c: float, price: float):
-    """``v -> [x_i]``: every device's inverse derivative at the common value v.
+    """``v -> xs``: every device's inverse derivative at the common value v.
 
-    From ``engine.ARRAY_MIN_DEVICES`` devices on, when numpy imports, the
-    inverse runs elementwise in ``array_kernel``; otherwise, and as the test
-    reference, one scalar call per device.
+    From ``engine.ARRAY_MIN_DEVICES`` devices on, when numpy imports, ``xs``
+    is a float64 array from ``array_kernel``; otherwise, and as the test
+    reference, a list from one scalar call per device.
     """
 
     def scalar(v: float) -> list[float]:
@@ -69,20 +73,37 @@ def _inverse(omegas: tuple[float, ...], c: float, price: float):
         return scalar
     import numpy as np
 
-    omega = np.array(omegas)
+    with np.errstate(all="ignore"):
+        inverse = kernel.inverse_for(omegas, c, price)
 
-    def array(v: float) -> list[float]:
+    def array(v: float):
         with np.errstate(all="ignore"):
-            xs = kernel.invert_derivative(omega, c, price, v)
+            xs = inverse(v)
         # Where (2*price - v*c)**2 overflows, the scalar code raises
         # OverflowError, while the array gives every device 0 (v > 0) or inf
         # (v < 0); and np.maximum keeps a NaN that max drops. The scalar
         # code judges each such v.
         if not (np.isfinite(xs).all() and xs.any()):
             return scalar(v)
-        return xs.tolist()
+        return xs
 
     return array
+
+
+def _excess(xs, target: float) -> float:
+    """A float with the sign of ``math.fsum(xs) - target``, NaN included.
+
+    A numpy sum ``s`` of n terms is within (n-1)*(eps/2)*sum|x| of the exact
+    one, in any order (Higham 1993). Where ``|s - target|`` exceeds twice that
+    (for the rounding of ``sum|x|`` and of the difference) plus ulp(target),
+    the exact sum and its rounding lie past ``target``'s neighbor on the side
+    of ``s``. Otherwise ``fsum`` decides."""
+    if isinstance(xs, list):
+        return math.fsum(xs) - target
+    diff = float(xs.sum()) - target
+    if abs(diff) > len(xs) * math.ulp(1.0) * float(abs(xs).sum()) + math.ulp(target):
+        return diff
+    return math.fsum(xs.tolist()) - target
 
 
 def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
@@ -93,9 +114,9 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
     ``1e-12 * max(1, |v|)`` or 200 halvings. The initial bracket spans
     [min derivative at bandwidth*n, max omega*c] and is widened first if
     it does not straddle the target. From ``engine.ARRAY_MIN_DEVICES``
-    devices on, when numpy imports, the inverse runs on arrays; the totals
-    are exactly rounded sums either way, and the two paths agree to about
-    1e-15, not bit for bit.
+    devices on, when numpy imports, the inverse runs on arrays; a total is
+    compared with the target as its exactly rounded sum would be, and the
+    two paths agree to about 1e-15, not bit for bit.
     """
     n = scenario.n
     if len(confirmed.values) != n:
@@ -114,20 +135,17 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
 
     inverse = _inverse(omegas, c, g.price)
 
-    def alloc_sum(v: float) -> float:
-        return math.fsum(inverse(v))
-
     # both ends are monotone in omega, in floating point too
     lo = derivative(min(omegas), c, g.price, g.bandwidth * n)
     hi = max(omegas) * c
     for _ in range(_MAX_WIDENINGS):
-        if alloc_sum(lo) >= target:
+        if _excess(inverse(lo), target) >= 0.0:
             break
         lo -= abs(lo) + 1.0
     else:
         raise ArithmeticError("bisection bracket failure: no lower bound found")
     for _ in range(_MAX_WIDENINGS):
-        if alloc_sum(hi) <= target:
+        if _excess(inverse(hi), target) <= 0.0:
             break
         hi += abs(hi) + 1.0
     else:
@@ -137,13 +155,14 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-12 * max(1.0, abs(mid)):
             break
-        if alloc_sum(mid) > target:
+        if _excess(inverse(mid), target) > 0.0:
             lo = mid
         else:
             hi = mid
 
     lam = 0.5 * (lo + hi)
-    allocations = tuple(inverse(lam))
+    xs = inverse(lam)
+    allocations = tuple(xs if isinstance(xs, list) else xs.tolist())
     return OracleSolution(
         allocations=allocations, lam=lam, objective=objective(scenario, allocations)
     )

@@ -9,6 +9,7 @@ name.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -22,7 +23,6 @@ from .topology import Topology
 __all__ = [
     "ScenarioError",
     "Globals",
-    "DeviceParams",
     "SolverOptions",
     "Scenario",
     "INIT_MODES",
@@ -79,21 +79,6 @@ class Globals:
 
 
 @dataclass(frozen=True)
-class DeviceParams:
-    """One device: priority weight and desired bandwidth."""
-
-    omega: float
-    demand: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _positive("omega", self.omega))
-        d = _number("demand", self.demand)
-        if not (math.isfinite(d) and d >= 0):
-            raise ScenarioError(f"demand must be a finite number >= 0, got {d}")
-        object.__setattr__(self, "demand", d)
-
-
-@dataclass(frozen=True)
 class SolverOptions:
     """Stopping rule, initialization mode, and optional RNG seed."""
 
@@ -121,46 +106,65 @@ class SolverOptions:
 class Scenario:
     """A complete, validated problem instance.
 
+    Device ``k`` is ``(omegas[k], demands[k])``, two columns of floats.
     ``topology`` is the communication graph built from ``edges`` when the
     scenario is constructed; it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     globals: Globals
-    devices: tuple[DeviceParams, ...]
+    omegas: tuple[float, ...]
+    demands: tuple[float, ...]
     edges: tuple[tuple[int, int], ...]
     options: SolverOptions = field(default_factory=SolverOptions)
     topology: Topology = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "devices", tuple(self.devices))
-        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
-        if not self.devices:
+        omegas, demands = tuple(self.omegas), tuple(self.demands)
+        if not omegas:
             raise ScenarioError("devices must contain at least one entry")
+        if len(demands) != len(omegas):
+            raise ScenarioError(f"demands: {len(demands)} entries for {len(omegas)} omegas")
+        inf, converted = math.inf, False
+        for k, (w, d) in enumerate(zip(omegas, demands)):
+            # the common case, a float in range, costs a type test and a comparison
+            if not (type(w) is float and 0.0 < w < inf and type(d) is float and 0.0 <= d < inf):
+                try:
+                    _positive("omega", w)
+                    if not (math.isfinite(x := _number("demand", d)) and x >= 0):
+                        raise ScenarioError(f"demand must be a finite number >= 0, got {x}")
+                except ScenarioError as exc:
+                    raise ScenarioError(f"devices[{k}]: {exc}") from None
+                converted = True
+        if converted:  # ints and float subclasses, checked above
+            omegas, demands = tuple(map(float, omegas)), tuple(map(float, demands))
+        object.__setattr__(self, "omegas", omegas)
+        object.__setattr__(self, "demands", demands)
+        edges = tuple(self.edges)
         try:
-            topo = topology.build(len(self.devices), self.edges)
+            topo = topology.build(len(omegas), edges)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
         if not topo.is_connected():
             raise ScenarioError("edges: communication graph is not connected")
+        object.__setattr__(self, "edges", tuple(map(tuple, edges)))
         object.__setattr__(self, "topology", topo)
 
     @property
     def n(self) -> int:
-        return len(self.devices)
+        return len(self.omegas)
 
-    @property
-    def omegas(self) -> tuple[float, ...]:
-        return tuple(d.omega for d in self.devices)
-
-    @property
-    def demands(self) -> tuple[float, ...]:
-        return tuple(d.demand for d in self.devices)
+    def with_settings(self, globals: Globals, options: SolverOptions) -> Scenario:
+        """This scenario with other ``globals`` and ``options``; the rest is not checked again."""
+        new = copy.copy(self)
+        object.__setattr__(new, "globals", globals)
+        object.__setattr__(new, "options", options)
+        return new
 
 
 _GLOBAL_KEYS = [f.name for f in fields(Globals)]
 _TOP_KEYS = {*_GLOBAL_KEYS, "devices", "edges", "options"}
 _REQUIRED_TOP_KEYS = _TOP_KEYS - {"options"}
-_DEVICE_KEYS = {f.name for f in fields(DeviceParams)}
+_DEVICE_KEYS = {"omega", "demand"}
 _OPTION_KEYS = {f.name for f in fields(SolverOptions)}
 
 
@@ -186,23 +190,18 @@ def scenario_from_dict(doc: Any) -> Scenario:
     raw_devices = doc["devices"]
     if not isinstance(raw_devices, list) or not raw_devices:
         raise ScenarioError("devices: must be a non-empty array")
-    devices = []
+    omegas, demands = [], []
     for k, entry in enumerate(raw_devices):
-        where = f"devices[{k}]"
         if not isinstance(entry, dict):
-            raise ScenarioError(f"{where}: must be an object")
-        _check_keys(entry, _DEVICE_KEYS, _DEVICE_KEYS, where)
-        try:
-            devices.append(DeviceParams(**entry))
-        except ScenarioError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
+            raise ScenarioError(f"devices[{k}]: must be an object")
+        if entry.keys() != _DEVICE_KEYS:
+            _check_keys(entry, _DEVICE_KEYS, _DEVICE_KEYS, f"devices[{k}]")
+        omegas.append(entry["omega"])
+        demands.append(entry["demand"])
 
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise ScenarioError("edges: must be an array")
-    for k, pair in enumerate(raw_edges):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioError(f"edges[{k}]: must be a pair of integer indices")
 
     raw = doc.get("options", {})
     if not isinstance(raw, dict):
@@ -216,7 +215,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
     except ScenarioError as exc:
         raise ScenarioError(f"options: {exc}") from None
 
-    return Scenario(globals=glob, devices=devices, edges=raw_edges, options=options)
+    return Scenario(glob, omegas, demands, raw_edges, options)
 
 
 def _decode_json(text: str) -> Any:
@@ -273,7 +272,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "price": g.price,
         "mu": g.mu,
         "eta": g.eta,
-        "devices": [{"omega": d.omega, "demand": d.demand} for d in scenario.devices],
+        "devices": [{"omega": w, "demand": d} for w, d in zip(scenario.omegas, scenario.demands)],
         "edges": [[i, j] for i, j in scenario.edges],
         "options": options,
     }
@@ -319,7 +318,8 @@ def generate_random_scenario(n: int, seed: int) -> Scenario:
 
     return Scenario(
         globals=Globals(bandwidth=bandwidth, snr=100.0, price=0.01, mu=0.2, eta=0.2),
-        devices=tuple(DeviceParams(omega=w, demand=d) for w, d in zip(omegas, demands)),
+        omegas=tuple(omegas),
+        demands=tuple(demands),
         edges=tuple(edges),
         options=SolverOptions(seed=seed),
     )

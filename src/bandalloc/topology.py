@@ -44,14 +44,18 @@ class Topology:
 def build(n: int, edges: Iterable[tuple[int, int]]) -> Topology:
     """Build a :class:`Topology` from undirected edge pairs.
 
-    The one check of an edge list: endpoints that are not ints (bools
-    included) or lie outside ``[0, n)``, self-loops, and an edge repeated in
-    either orientation raise ``ValueError`` naming ``edges[k]``.
+    The one check of an edge list: a non-pair, endpoints that are not ints
+    (bools included) or lie outside ``[0, n)``, self-loops, and an edge
+    repeated in either orientation raise ``ValueError`` naming ``edges[k]``.
     """
     if n < 1:
         raise ValueError(f"device count must be >= 1, got {n}")
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-    for k, (i, j) in enumerate(edges):
+    for k, edge in enumerate(edges):
+        try:
+            i, j = edge
+        except (TypeError, ValueError):  # not a pair
+            i = j = None
         if type(i) is not int or type(j) is not int:
             raise ValueError(f"edges[{k}]: must be a pair of integer indices")
         if not (0 <= i < n and 0 <= j < n):

@@ -8,7 +8,6 @@ import pytest
 
 from bandalloc import engine, topology
 from bandalloc.scenario import (
-    DeviceParams,
     Globals,
     Scenario,
     SolverOptions,
@@ -33,7 +32,8 @@ def make_scenario(
 ) -> Scenario:
     return Scenario(
         globals=Globals(bandwidth=bandwidth, snr=snr, price=price, mu=mu, eta=eta),
-        devices=tuple(DeviceParams(omega=w, demand=d) for w, d in zip(omegas, demands)),
+        omegas=tuple(omegas),
+        demands=tuple(demands),
         edges=tuple(edges),
         options=SolverOptions(**option_kwargs),
     )

@@ -22,6 +22,16 @@ from conftest import BENCH_PATH
 
 # sha256 of ``run scenarios/paper_s5.json --trace F``
 BENCH_TRACE_SHA256 = "225954c42d430a2bc43bd54bf61a214edc0c4949c5635bd5b5385fc8a8fa1e55"
+# sha256 of ``oracle`` stdout on ``generate_random_scenario(1000, seed)``
+# (numpy installed), recorded before the scenario became columnar and the
+# bisection decided its comparisons from numpy sums
+ORACLE_1000_SHA256 = {
+    1: "a44ebb1ac226853b108623c3e437d1da9da7eb92f107e4615e7a732f4e7acf4a",
+    2: "2263fc2a060c45aa79aa1ee2aaeed12de66c9b2e6809c9c4b3e429fe675b0472",
+    3: "82600f00758f860266812271aa1203091a6ba6a9eb6245dfddee241e1a5d77b7",
+}
+# sha256 of ``gen --n 50 --seed 3`` stdout
+GEN_50_3_SHA256 = "46786ea305f96701a48b2bd53ccce498c07e67d00915f83de55c5b60534c7f55"
 
 
 def report_dict(output: str) -> dict[str, str]:
@@ -373,6 +383,26 @@ def test_run_builds_topology_once(capsys, build_calls):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_overrides_keep_the_topology(capsys, build_calls, command):
+    # an override validates only the settings it replaces
+    argv = [command, str(BENCH_PATH), "--eta", "0.1", "--max-iters", "5000", "--init", "uniform"]
+    assert main(argv) == ExitStatus.OK
+    assert len(build_calls) == 1
+    capsys.readouterr()
+    assert main([command, str(BENCH_PATH), "--eta", "-0.1"]) == ExitStatus.INVALID_INPUT
+    assert capsys.readouterr().err.startswith("error: invalid override: eta ")
+
+
+def test_oracle_output_pinned(capsys, tmp_path):
+    pytest.importorskip("numpy")
+    for seed, digest in ORACLE_1000_SHA256.items():
+        path = write_generated(tmp_path, 1000, seed)
+        assert main(["oracle", str(path)]) == ExitStatus.OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
 def test_numpy_not_loaded_below_threshold(tmp_path):
     # gen, and engine runs and oracle solves below the threshold, stay on the stdlib
     assert 10 < engine.ARRAY_MIN_DEVICES
@@ -420,6 +450,11 @@ class TestGenCommand:
         assert code == ExitStatus.OK
         assert captured.out == ""
         assert parse_scenario(path.read_text()) == generate_random_scenario(3, seed=9)
+
+    def test_stdout_pinned(self, capsys):
+        assert main(["gen", "--n", "50", "--seed", "3"]) == ExitStatus.OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GEN_50_3_SHA256
 
     def test_zero_devices_rejected(self, capsys):
         code = main(["gen", "--n", "0", "--seed", "1"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import fractions
 import math
 import random
 import sys
@@ -12,7 +13,7 @@ import mpmath
 import pytest
 from scipy.optimize import minimize
 
-from bandalloc import engine
+from bandalloc import engine, oracle
 from bandalloc.admission import admit
 from bandalloc.oracle import objective, solve
 from bandalloc.scenario import generate_random_scenario
@@ -176,9 +177,9 @@ class TestArrayPath:
         from bandalloc import array_kernel
 
         seen = []
-        real = array_kernel.invert_derivative
+        real = array_kernel.inverse_for
         monkeypatch.setattr(
-            array_kernel, "invert_derivative", lambda w, *args: seen.append(len(w)) or real(w, *args)
+            array_kernel, "inverse_for", lambda w, *args: seen.append(len(w)) or real(w, *args)
         )
         n = engine.ARRAY_MIN_DEVICES
         for size in (n - 1, n):
@@ -212,7 +213,7 @@ class TestArrayPath:
         scenario = generate_random_scenario(20, 1)
         scenario = dataclasses.replace(
             scenario,
-            devices=tuple(dataclasses.replace(d, demand=0.0) for d in scenario.devices),
+            demands=(0.0,) * scenario.n,
         )
         for path in ("scalar", "array"):
             solution = solve_on(path, scenario, monkeypatch)
@@ -234,7 +235,7 @@ class TestArrayPath:
         scenario = generate_random_scenario(20, 1)
         scenario = dataclasses.replace(
             scenario,
-            devices=tuple(dataclasses.replace(d, omega=omega(d.omega)) for d in scenario.devices),
+            omegas=tuple(omega(w) for w in scenario.omegas),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -281,3 +282,66 @@ class TestObjective:
     def test_length_mismatch(self, bench):
         with pytest.raises(ValueError, match="does not match"):
             objective(bench, (1.0, 2.0))
+
+
+def fsum_excess(xs, target):
+    """The reference decision: always the exactly rounded total."""
+    return math.fsum(list(xs)) - target
+
+
+def sign(x: float) -> int:
+    return (x > 0.0) - (x < 0.0)
+
+
+class TestCheapSumDecisions:
+    """``oracle._excess`` against the all-``fsum`` bisection it replaces."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        pytest.importorskip("numpy")
+
+    @pytest.mark.parametrize("n", [16, 60, 200, 1000])
+    def test_decisions_and_results_match_fsum(self, monkeypatch, n):
+        real = oracle._excess
+        for seed in range(1, 6):
+            scenario = generate_random_scenario(n, seed)
+            confirmed = admit(scenario.demands, scenario.globals.bandwidth)
+            seen = []
+            monkeypatch.setattr(
+                oracle, "_excess", lambda xs, t: seen.append((xs, t)) or real(xs, t)
+            )
+            cheap = solve(scenario, confirmed)
+            assert len(seen) > 40 and all(not isinstance(xs, list) for xs, _ in seen)
+            for xs, t in seen:
+                assert sign(real(xs, t)) == sign(fsum_excess(xs, t)), (n, seed)
+            monkeypatch.setattr(oracle, "_excess", fsum_excess)
+            exact = solve(scenario, confirmed)
+            assert cheap.lam == exact.lam, (n, seed)
+            assert cheap.allocations == exact.allocations, (n, seed)
+
+    def test_cancellation_inside_the_bound_takes_fsum(self, monkeypatch):
+        import numpy as np
+
+        # the exact total is 2 + ulp(2), one float above the target, but
+        # numpy's sum loses both ones to the 1e16 terms
+        xs = np.array([1.0, 1e16, -1e16, 1.0 + 2 * math.ulp(1.0)])
+        target = 2.0
+        exact = sum(map(fractions.Fraction, xs.tolist()))
+        assert exact - target == math.ulp(2.0)
+        assert float(xs.sum()) < target
+        calls = []
+        real_fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda v: calls.append(v) or real_fsum(v))
+        assert oracle._excess(xs, target) > 0.0
+        assert calls
+
+    def test_clear_comparison_skips_fsum(self, monkeypatch):
+        import numpy as np
+
+        calls = []
+        real_fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda v: calls.append(v) or real_fsum(v))
+        xs = np.arange(1.0, 101.0)
+        assert oracle._excess(xs, 5050.0 - 1e-9) > 0.0
+        assert oracle._excess(xs, 5050.0 + 1e-9) < 0.0
+        assert not calls

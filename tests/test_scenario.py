@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from bandalloc import engine, oracle
 from bandalloc.admission import admit
 from bandalloc.scenario import (
-    DeviceParams,
     Globals,
     Scenario,
     ScenarioError,
@@ -210,28 +209,41 @@ class TestDirectConstruction:
             SolverOptions(tol_consensus=0.0)
 
     def test_device_params_validation(self):
-        with pytest.raises(ScenarioError, match="omega"):
-            DeviceParams(omega=0.0, demand=1.0)
+        with pytest.raises(
+            ScenarioError, match=r"^devices\[1\]: omega must be a positive finite number, got 0.0$"
+        ):
+            make_scenario(omegas=(1.0, 0.0), demands=(1.0, 1.0), edges=((0, 1),))
+        with pytest.raises(
+            ScenarioError, match=r"^devices\[0\]: demand must be a finite number >= 0, got -1.0$"
+        ):
+            make_scenario(omegas=(1.0, 1.0), demands=(-1.0, 1.0), edges=((0, 1),))
 
     def test_oversized_integer_names_field(self):
         with pytest.raises(ScenarioError, match="bandwidth"):
             Globals(bandwidth=10**400, snr=100.0, price=0.01, mu=0.2, eta=0.2)
-        with pytest.raises(ScenarioError, match="demand"):
-            DeviceParams(omega=1.0, demand=10**400)
+        with pytest.raises(ScenarioError, match=r"devices\[0\]: demand"):
+            make_scenario(omegas=(1.0,), demands=(10**400,), edges=())
         with pytest.raises(ScenarioError, match="tol_constraint"):
             SolverOptions(tol_constraint=10**400)
 
     def test_numbers_stored_as_floats(self):
         g = Globals(bandwidth=5, snr=100, price=1, mu=1, eta=1)
-        d = DeviceParams(omega=2, demand=0)
+        d = make_scenario(omegas=(2,), demands=(0,), edges=())
         o = SolverOptions(tol_consensus=1, tol_constraint=1)
-        values = (*dataclasses.astuple(g), *dataclasses.astuple(d))
+        values = (*dataclasses.astuple(g), *d.omegas, *d.demands)
         assert all(type(v) is float for v in (*values, o.tol_consensus, o.tol_constraint))
 
-    @pytest.mark.parametrize("edge", [(0, 1.7), (0.0, 1), (False, True), (0, "1")])
+    # the last four are not pairs at all
+    @pytest.mark.parametrize(
+        "edge", [(0, 1.7), (0.0, 1), (False, True), (0, "1"), (0, 1, 1), 5, (0,), None]
+    )
     def test_non_integer_endpoint_rejected(self, edge):
         with pytest.raises(ScenarioError, match=r"edges\[1\]: must be a pair of integer indices"):
             make_scenario(omegas=(1.0, 1.0, 1.0), demands=(1.0, 1.0, 1.0), edges=((1, 2), edge))
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(ScenarioError, match=r"^demands: 2 entries for 3 omegas$"):
+            make_scenario(omegas=(1.0, 1.0, 1.0), demands=(1.0, 1.0), edges=((0, 1), (1, 2)))
 
     @pytest.mark.parametrize(
         "edges, message",
@@ -263,7 +275,18 @@ class TestTopologyCarried:
         assert a == b and hash(a) == hash(b)
         assert "topology" not in repr(a) and repr(a) == repr(b)
         with pytest.raises(TypeError):
-            Scenario(a.globals, a.devices, a.edges, a.options, a.topology)
+            Scenario(a.globals, a.omegas, a.demands, a.edges, a.options, a.topology)
+
+    def test_with_settings_carries_columns_and_topology(self, build_calls):
+        scenario = bench_scenario()
+        glob = dataclasses.replace(scenario.globals, eta=0.1)
+        options = dataclasses.replace(scenario.options, max_iters=50)
+        changed = scenario.with_settings(glob, options)
+        assert len(build_calls) == 1
+        assert changed.topology is scenario.topology
+        assert changed.omegas is scenario.omegas and changed.demands is scenario.demands
+        assert changed == dataclasses.replace(scenario, globals=glob, options=options)
+        assert scenario.globals.eta == 0.2 and scenario.options.max_iters == 10000
 
     def test_replace_rebuilds_and_validates(self, build_calls):
         scenario = bench_scenario()
