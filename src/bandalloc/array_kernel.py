@@ -9,6 +9,10 @@ operation, with two exceptions: gossip adds the neighbor differences in
 sequence where ``step`` uses ``math.fsum``, and the discriminant squares by
 multiplication where the scalar code calls libm ``pow``. The two kernels
 therefore agree to rounding, not bit for bit.
+
+An array result is used only where it and its discriminant are finite.
+Anything else goes to the scalar code, which raises as it would on its own
+or returns the values to continue with: it alone judges numerical failures.
 """
 
 from __future__ import annotations
@@ -17,30 +21,36 @@ import math
 
 import numpy as np
 
-from .engine import EngineState, NumericalError
+from . import engine
 from .scenario import Scenario
 from .utility import capacity_coefficient
-from .utility import invert_derivative as scalar_invert_derivative
 
-__all__ = ["ArrayRounds", "invert_derivative", "inverse_for"]
-
-
-def invert_derivative(omega, c: float, price: float, v) -> np.ndarray:
-    """:func:`bandalloc.utility.invert_derivative` elementwise over ``omega`` and ``v``.
-
-    No argument checks and no overflow error: an overflowing square yields
-    ``inf`` in the discriminant, which :class:`ArrayRounds` and
-    :func:`bandalloc.oracle.solve` detect.
-    """
-    return inverse_for(omega, c, price)(np.asarray(v, dtype=float))
+__all__ = ["ArrayRounds", "inverse_for"]
 
 
-def inverse_for(omega, c: float, price: float):
-    """``v -> invert_derivative(omega, c, price, v)``, with ``omega*c`` and the
-    discriminant constant computed once, here."""
+def _constants(omega, c: float, price: float):
+    """``omega*c`` and the discriminant constant ``8*omega*price*c*c``, elementwise."""
     omega = np.asarray(omega, dtype=float)
-    omega_c, disc_const = omega * c, 8.0 * omega * price * c * c
-    return lambda v: _inverse(omega_c, disc_const, c, price, v)[0]
+    with np.errstate(all="ignore"):
+        return omega * c, 8.0 * omega * price * c * c
+
+
+def inverse_for(omega, c: float, price: float, scalar):
+    """``v -> xs``: :func:`bandalloc.utility.invert_derivative` of every device at ``v``.
+
+    ``xs`` is a float64 array where it and its discriminant are finite;
+    otherwise ``scalar(v)`` computes it, or raises.
+    """
+    omega_c, disc_const = _constants(omega, c, price)
+
+    def inverse(v):
+        with np.errstate(all="ignore"):
+            xs, disc = _inverse(omega_c, disc_const, c, price, v)
+            if np.isfinite(xs + disc).all():
+                return xs
+        return scalar(v)
+
+    return inverse
 
 
 def _inverse(omega_c, disc_const, c, price, v):
@@ -62,14 +72,12 @@ class ArrayRounds:
     :meth:`state` builds the current :class:`EngineState` on request.
     """
 
-    def __init__(self, state: EngineState, scenario: Scenario) -> None:
+    def __init__(self, state: engine.EngineState, scenario: Scenario) -> None:
         g = scenario.globals
+        self._scenario = scenario
         self._c = capacity_coefficient(g.snr)
         self._eta, self._mu, self._price = g.eta, g.mu, g.price
-        omega = np.array(scenario.omegas)
-        self._omega = omega
-        self._omega_c = omega * self._c
-        self._disc_const = 8.0 * omega * g.price * self._c * self._c
+        self._omega_c, self._disc_const = _constants(scenario.omegas, self._c, g.price)
         # directed edge list: device src[e] hears from device dst[e]
         adjacency = scenario.topology.adjacency
         degrees = [len(nbrs) for nbrs in adjacency]
@@ -90,8 +98,8 @@ class ArrayRounds:
     def advance(self) -> tuple[float, float]:
         """One synchronous round; returns the consensus and constraint residuals.
 
-        Raises :class:`NumericalError` naming the same iteration, device and
-        detail as :func:`bandalloc.engine.step` would.
+        A round with a non-finite value is run again by ``engine.step`` from
+        the same state, which raises its ``NumericalError`` or returns the round.
         """
         k = self._iteration + 1
         with np.errstate(all="ignore"):
@@ -103,34 +111,16 @@ class ArrayRounds:
             zeta = self._zeta - self._mu * q
             x, disc = _inverse(self._omega_c, self._disc_const, self._c, self._price, u)
             # one sum flags every non-finite value, an overflowed square included
-            flagged = ~np.isfinite(u + zeta + x + disc)
-            if flagged.any():
-                self._check(k, flagged, u, zeta, x)
+            trusted = np.isfinite(u + zeta + x + disc).all()
+        if not trusted:
+            state = engine.step(self.state(), self._scenario)
+            x, u, zeta, q = map(np.array, (state.x, state.u_prime, state.zeta, state.q))
         self._iteration, self._x, self._u, self._zeta, self._q = k, x, u, zeta, q
         return float(u.max()) - float(u.min()), abs(math.fsum(x.tolist()) - self._total)
 
-    def _check(self, k: int, flagged, u, zeta, x) -> None:
-        """Raise as ``step`` would for the first failing device among ``flagged``.
-
-        A flag can be spurious (a sum of large finite values, or an infinite
-        discriminant that ``pow`` reached without overflowing), so each
-        flagged device is judged by the scalar checks in device order.
-        """
-        for i in np.flatnonzero(flagged).tolist():
-            if not (math.isfinite(u[i]) and math.isfinite(zeta[i])):
-                raise NumericalError(k, i)
-            try:
-                x_i = scalar_invert_derivative(
-                    float(self._omega[i]), self._c, self._price, float(u[i])
-                )
-            except OverflowError:
-                raise NumericalError(k, i, "arithmetic overflow") from None
-            if not (math.isfinite(x_i) and math.isfinite(x[i])):
-                raise NumericalError(k, i)
-
-    def state(self) -> EngineState:
+    def state(self) -> engine.EngineState:
         """The current round's state as tuples."""
-        return EngineState(
+        return engine.EngineState(
             x=tuple(self._x.tolist()),
             u_prime=tuple(self._u.tolist()),
             zeta=tuple(self._zeta.tolist()),

@@ -127,11 +127,7 @@ def _emit_common_header(scenario: Scenario, confirmed: ConfirmedDemands) -> None
 
 def cmd_run(args: argparse.Namespace) -> ExitStatus:
     scenario = _apply_overrides(_load_scenario_file(args.scenario), args)
-    try:
-        result = _run_engine(scenario, args)
-    except engine.NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return ExitStatus.NUMERICAL_FAILURE
+    result = _run_engine(scenario, args)
     _emit("command", "run")
     _emit_common_header(scenario, result.confirmed)
     _emit("converged", "true" if result.converged else "false")
@@ -149,11 +145,7 @@ def cmd_run(args: argparse.Namespace) -> ExitStatus:
 def cmd_oracle(args: argparse.Namespace) -> ExitStatus:
     scenario = _load_scenario_file(args.scenario)
     confirmed = admit(scenario.demands, scenario.globals.bandwidth)
-    try:
-        solution = oracle.solve(scenario, confirmed)
-    except ArithmeticError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return ExitStatus.NUMERICAL_FAILURE
+    solution = oracle.solve(scenario, confirmed)
     _emit("command", "oracle")
     _emit_common_header(scenario, confirmed)
     _emit("allocations", _fmt_vec(solution.allocations))
@@ -171,16 +163,8 @@ def cmd_oracle(args: argparse.Namespace) -> ExitStatus:
 
 def cmd_compare(args: argparse.Namespace) -> ExitStatus:
     scenario = _apply_overrides(_load_scenario_file(args.scenario), args)
-    try:
-        result = _run_engine(scenario, args)
-    except engine.NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return ExitStatus.NUMERICAL_FAILURE
-    try:
-        solution = oracle.solve(scenario, result.confirmed)
-    except ArithmeticError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return ExitStatus.NUMERICAL_FAILURE
+    result = _run_engine(scenario, args)
+    solution = oracle.solve(scenario, result.confirmed)
     gaps = [abs(a - b) for a, b in zip(result.allocations, solution.allocations)]
     max_gap = max(gaps)
     threshold = 10.0 * (scenario.options.tol_consensus + scenario.options.tol_constraint)
@@ -287,6 +271,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return int(ExitStatus.INVALID_INPUT)
+    except (engine.NumericalError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return int(ExitStatus.NUMERICAL_FAILURE)
 
 
 def entrypoint() -> None:

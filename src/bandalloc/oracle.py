@@ -61,33 +61,16 @@ def _inverse(omegas: tuple[float, ...], c: float, price: float):
     """``v -> xs``: every device's inverse derivative at the common value v.
 
     From ``engine.ARRAY_MIN_DEVICES`` devices on, when numpy imports, ``xs``
-    is a float64 array from ``array_kernel``; otherwise, and as the test
-    reference, a list from one scalar call per device.
+    is a float64 array from ``array_kernel``, which hands any value it cannot
+    trust to the scalar loop; otherwise, and as the test reference, a list
+    from one scalar call per device.
     """
 
     def scalar(v: float) -> list[float]:
         return [invert_derivative(w, c, price, v) for w in omegas]
 
     kernel = engine.array_kernel_for(len(omegas))
-    if kernel is None:
-        return scalar
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        inverse = kernel.inverse_for(omegas, c, price)
-
-    def array(v: float):
-        with np.errstate(all="ignore"):
-            xs = inverse(v)
-        # Where (2*price - v*c)**2 overflows, the scalar code raises
-        # OverflowError, while the array gives every device 0 (v > 0) or inf
-        # (v < 0); and np.maximum keeps a NaN that max drops. The scalar
-        # code judges each such v.
-        if not (np.isfinite(xs).all() and xs.any()):
-            return scalar(v)
-        return xs
-
-    return array
+    return scalar if kernel is None else kernel.inverse_for(omegas, c, price, scalar)
 
 
 def _excess(xs, target: float) -> float:
@@ -163,6 +146,8 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
     lam = 0.5 * (lo + hi)
     xs = inverse(lam)
     allocations = tuple(xs if isinstance(xs, list) else xs.tolist())
-    return OracleSolution(
-        allocations=allocations, lam=lam, objective=objective(scenario, allocations)
-    )
+    try:
+        value = objective(scenario, allocations)
+    except ValueError as exc:  # rounding put an allocation on the domain boundary
+        raise ArithmeticError(str(exc)) from None
+    return OracleSolution(allocations=allocations, lam=lam, objective=value)

@@ -9,10 +9,12 @@ name.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import json
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -76,6 +78,8 @@ class Globals:
     def __post_init__(self) -> None:
         for f in fields(self):
             object.__setattr__(self, f.name, _positive(f.name, getattr(self, f.name)))
+        if 1.0 + self.snr == 1.0:
+            raise ScenarioError(f"snr is too small: log2(1 + snr) rounds to 0, got {self.snr}")
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,13 @@ class Scenario:
                 converted = True
         if converted:  # ints and float subclasses, checked above
             omegas, demands = tuple(map(float, omegas)), tuple(map(float, demands))
+        # admission sums the demands exactly; a plain sum of non-negative
+        # floats is within a factor 1 +- n*eps of that, so only a large one needs fsum
+        if sum(demands) >= 2.0**1023:
+            try:
+                math.fsum(demands)
+            except OverflowError:
+                raise ScenarioError("demands: the total overflows a float") from None
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "demands", demands)
         edges = tuple(self.edges)
@@ -288,6 +299,29 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
+class _PairsOutside(Sequence):
+    """The pairs ``(i, j)``, ``i < j < n``, not in ``tree``, in lexicographic
+    order, each computed when it is read: O(n) memory, not O(n**2)."""
+
+    def __init__(self, n: int, tree: list[tuple[int, int]]) -> None:
+        # pair (i, j) has rank row_starts[i] + j - i - 1 among all pairs
+        self._row_starts = [i * (2 * n - i - 1) // 2 for i in range(n)]
+        ranks = sorted(self._row_starts[i] + j - i - 1 for i, j in tree)
+        # the k-th pair kept has rank k + (the number of m with ranks[m] - m <= k)
+        self._gaps = [r - m for m, r in enumerate(ranks)]
+        self._len = n * (n - 1) // 2 - len(ranks)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        if not 0 <= k < self._len:
+            raise IndexError(k)
+        rank = k + bisect.bisect_right(self._gaps, k)
+        i = bisect.bisect_right(self._row_starts, rank) - 1
+        return (i, rank - self._row_starts[i] + i + 1)
+
+
 def generate_random_scenario(n: int, seed: int) -> Scenario:
     """Deterministic random instance with ``n`` devices.
 
@@ -309,10 +343,7 @@ def generate_random_scenario(n: int, seed: int) -> Scenario:
     edges: list[tuple[int, int]] = []
     for v in range(1, n):
         edges.append((rng.randrange(v), v))
-    tree = set(edges)
-    candidates = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree
-    ]
+    candidates = _PairsOutside(n, edges)
     n_extra = rng.randint(0, min(n, len(candidates)))
     edges += rng.sample(candidates, n_extra)
 

@@ -291,7 +291,10 @@ def test_criterion_7_fixed_point(capsys):
 
 def test_criterion_7_fixed_point_array_kernel(capsys):
     pytest.importorskip("numpy")
-    from bandalloc.array_kernel import ArrayRounds, invert_derivative as array_inverse
+    from bandalloc.array_kernel import ArrayRounds, inverse_for
+
+    def array_inverse(omegas, c, price, level):
+        return inverse_for(omegas, c, price, None)(level)
 
     def states(scenario, level):
         # x from the array inverse, which may differ from the scalar one by an ulp

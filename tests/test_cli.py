@@ -436,6 +436,55 @@ def test_oracle_loads_array_kernel_from_threshold(tmp_path):
     assert child.stderr == "True\n"
 
 
+def write_bench_with(tmp_path, **changes) -> pathlib.Path:
+    doc = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+    doc.update(changes)
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "oracle", "compare"])
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (
+            {"devices": [{"omega": 1.0, "demand": 1e308}] * 2, "edges": [[0, 1]]},
+            "demands: the total overflows a float",
+        ),
+        ({"snr": 1e-300}, "snr is too small: log2(1 + snr) rounds to 0, got 1e-300"),
+    ],
+    ids=["demand-total", "snr"],
+)
+def test_unusable_scenario_is_invalid_input(capsys, tmp_path, command, changes, message):
+    path = write_bench_with(tmp_path, **changes)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == ExitStatus.INVALID_INPUT
+    assert captured.err == f"error: invalid scenario {path}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_oracle_domain_boundary_is_numerical_failure(capsys, tmp_path, command):
+    path = write_bench_with(
+        tmp_path,
+        bandwidth=1.0,
+        snr=1.0,
+        price=1.0,
+        devices=[{"omega": 1e150, "demand": 0.0}, {"omega": 1e-300, "demand": 1.0}],
+        edges=[[0, 1]],
+    )
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == ExitStatus.NUMERICAL_FAILURE
+    assert captured.err == (
+        "numerical failure: allocations[1]: bandwidth -1.0 is outside the utility domain "
+        "(requires x > -1.0)\n"
+    )
+    assert captured.out == ""
+
+
 class TestGenCommand:
     def test_stdout_matches_library(self, capsys):
         code = main(["gen", "--n", "5", "--seed", "1"])

@@ -469,6 +469,48 @@ class TestArrayKernel:
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
 
+    def test_flagged_round_is_run_by_step(self, monkeypatch):
+        # No known input flags a round that step then finishes, so force one:
+        # an infinite discriminant for one device in one round.
+        from bandalloc import array_kernel
+
+        real = array_kernel._inverse
+        flagged = []
+
+        def flag_once(*args):
+            x, disc = real(*args)
+            if not flagged:
+                flagged.append(True)
+                disc = disc.copy()
+                disc[3] = math.inf
+            return x, disc
+
+        scenario = generate_random_scenario(20, 1)
+        confirmed = admit(scenario.demands, scenario.globals.bandwidth)
+        rounds = array_kernel.ArrayRounds(init(scenario, confirmed), scenario)
+        for _ in range(4):
+            rounds.advance()
+        before = rounds.state()
+        stepped = []
+        monkeypatch.setattr(array_kernel, "_inverse", flag_once)
+        monkeypatch.setattr(engine, "step", lambda *a: stepped.append(a) or step(*a))
+        residuals = rounds.advance()
+        assert flagged
+        assert stepped == [(before, scenario)]
+        want = step(before, scenario)
+        assert rounds.state() == want
+        assert residuals == (consensus_residual(want), constraint_residual(want))
+        # a whole run goes on from step's round
+        flagged.clear()
+        forced = run_on("array", scenario, monkeypatch)
+        assert flagged
+        monkeypatch.setattr(array_kernel, "_inverse", real)
+        plain = run_on("array", scenario, monkeypatch)
+        assert forced.converged and plain.converged
+        assert forced.iterations_used == plain.iterations_used
+        gap = max(abs(a - b) for a, b in zip(forced.allocations, plain.allocations))
+        assert gap <= 1e-12
+
     def test_trace_stride(self, monkeypatch):
         scenario = with_eta(generate_random_scenario(20, 2), 0.05)
         scalar = run_on("scalar", scenario, monkeypatch, trace_stride=7)
@@ -485,7 +527,9 @@ class TestArrayKernel:
         assert run_on("array", scenario, monkeypatch).trace == ()
 
     def test_inverse_matches_scalar(self):
-        from bandalloc.array_kernel import invert_derivative as array_inverse
+        import numpy as np
+
+        from bandalloc.array_kernel import inverse_for
 
         rng = random.Random(7)
         for _ in range(20):
@@ -493,6 +537,7 @@ class TestArrayKernel:
             c = capacity_coefficient(rng.uniform(10.0, 500.0))
             price = rng.uniform(0.002, 0.05)
             vs = [rng.uniform(-50.0, 50.0) for _ in range(100)] + [0.0, -2.0 * price / c]
-            got = array_inverse([omega] * len(vs), c, price, vs)
+            # every value is finite: a call of the scalar fallback would fail
+            got = inverse_for([omega] * len(vs), c, price, None)(np.array(vs))
             want = [invert_derivative(omega, c, price, v) for v in vs]
             assert got.tolist() == pytest.approx(want, rel=1e-15, abs=1e-15)

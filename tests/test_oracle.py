@@ -221,6 +221,22 @@ class TestArrayPath:
             assert solution.allocations == (0.0,) * 20, path
             assert solution.objective == 0.0, path
 
+    def test_equal_omegas_stay_on_the_array_path(self, monkeypatch):
+        # every x is 0 at the upper bracket end max(omegas)*c; its
+        # discriminant is finite, so the array value is used as it is
+        scenario = dataclasses.replace(generate_random_scenario(20, 1), omegas=(2.0,) * 20)
+        calls = []
+        real = oracle.invert_derivative
+        monkeypatch.setattr(oracle, "invert_derivative", lambda *a: calls.append(a) or real(*a))
+        array = solve_on("array", scenario, monkeypatch)
+        assert calls == []
+        scalar = solve_on("scalar", scenario, monkeypatch)
+        assert calls
+        assert abs(array.lam - scalar.lam) <= 1e-12 * max(1.0, abs(scalar.lam))
+        gap = max(abs(a - b) for a, b in zip(array.allocations, scalar.allocations))
+        assert gap <= 1e-12
+        assert array.objective == pytest.approx(scalar.objective, rel=1e-12)
+
     @pytest.mark.parametrize(
         "omega, error",
         [
@@ -242,6 +258,20 @@ class TestArrayPath:
             for path in ("scalar", "array"):
                 with pytest.raises(ArithmeticError, match=error):
                     solve_on(path, scenario, monkeypatch)
+
+
+def test_allocation_on_the_domain_boundary_is_an_arithmetic_error():
+    # under this omega ratio the solve rounds device 1 onto x = -1/c, where
+    # the utility is undefined: a numerical failure, not a bad argument
+    scenario = make_scenario(
+        omegas=(1e150, 1e-300), demands=(0.0, 1.0), edges=((0, 1),),
+        bandwidth=1.0, snr=1.0, price=1.0,
+    )
+    with pytest.raises(ArithmeticError) as excinfo:
+        solve(scenario, admit(scenario.demands, 1.0))
+    assert str(excinfo.value) == (
+        "allocations[1]: bandwidth -1.0 is outside the utility domain (requires x > -1.0)"
+    )
 
 
 class TestObjective:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,7 @@ from bandalloc.scenario import (
     scenario_to_dict,
     serialize_scenario,
 )
+from bandalloc.utility import capacity_coefficient
 
 from conftest import bench_scenario, make_scenario
 
@@ -241,6 +244,31 @@ class TestDirectConstruction:
         with pytest.raises(ScenarioError, match=r"edges\[1\]: must be a pair of integer indices"):
             make_scenario(omegas=(1.0, 1.0, 1.0), demands=(1.0, 1.0, 1.0), edges=((1, 2), edge))
 
+    def test_demand_total_overflow_rejected(self):
+        # admission sums the demands exactly, and this sum overflows
+        with pytest.raises(ScenarioError, match=r"^demands: the total overflows a float$"):
+            make_scenario(omegas=(1.0, 2.0), demands=(1e308, 1e308), edges=((0, 1),))
+
+    def test_demand_total_summed_exactly_only_near_overflow(self, monkeypatch):
+        calls = []
+        real = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda v: calls.append(v) or real(v))
+        make_scenario(omegas=(1.0, 2.0, 3.0), demands=(1.0, 2.0, 2.0), edges=((0, 1), (1, 2)))
+        assert not calls
+        scenario = make_scenario(omegas=(1.0, 2.0), demands=(1e308, 7e307), edges=((0, 1),))
+        assert len(calls) == 1
+        assert admit(scenario.demands, 1.0).total <= 1.0
+
+    def test_snr_without_capacity_rejected(self):
+        with pytest.raises(
+            ScenarioError, match=r"^snr is too small: log2\(1 \+ snr\) rounds to 0, got 1e-300$"
+        ):
+            Globals(bandwidth=5.0, snr=1e-300, price=0.01, mu=0.2, eta=0.2)
+        with pytest.raises(ScenarioError, match="^snr"):
+            Globals(bandwidth=5.0, snr=2.0**-53, price=0.01, mu=0.2, eta=0.2)
+        g = Globals(bandwidth=5.0, snr=2.0**-52, price=0.01, mu=0.2, eta=0.2)
+        assert capacity_coefficient(g.snr) > 0.0
+
     def test_column_lengths_must_match(self):
         with pytest.raises(ScenarioError, match=r"^demands: 2 entries for 3 omegas$"):
             make_scenario(omegas=(1.0, 1.0, 1.0), demands=(1.0, 1.0), edges=((0, 1), (1, 2)))
@@ -342,7 +370,42 @@ class TestRoundTrip:
         assert parse_scenario(serialize_scenario(scenario)) == scenario
 
 
+def list_drawn_scenario(n: int, seed: int) -> Scenario:
+    """The generator as it was, drawing extra edges from a list of every non-tree pair."""
+    rng = random.Random(seed)
+    omegas = [rng.uniform(0.5, 5.0) for _ in range(n)]
+    demands = [rng.uniform(0.5, 3.0) for _ in range(n)]
+    ratio = rng.uniform(0.5, 2.0)
+    bandwidth = math.fsum(demands) / ratio
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    tree = set(edges)
+    candidates = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+    edges += rng.sample(candidates, rng.randint(0, min(n, len(candidates))))
+    return Scenario(
+        globals=Globals(bandwidth=bandwidth, snr=100.0, price=0.01, mu=0.2, eta=0.2),
+        omegas=tuple(omegas),
+        demands=tuple(demands),
+        edges=tuple(edges),
+        options=SolverOptions(seed=seed),
+    )
+
+
 class TestGenerator:
+    def test_matches_list_drawn_reference(self):
+        for n in [*range(1, 40), 60, 200]:
+            for seed in range(1, 8):
+                assert generate_random_scenario(n, seed) == list_drawn_scenario(n, seed), (n, seed)
+
+    def test_memory_linear_in_devices(self):
+        # a list of every non-tree pair peaked near 190 MB at this size
+        tracemalloc.start()
+        try:
+            generate_random_scenario(2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_single_device(self):
         scenario = generate_random_scenario(1, seed=7)
         assert scenario.n == 1
