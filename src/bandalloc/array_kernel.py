@@ -69,7 +69,8 @@ class ArrayRounds:
     """Engine rounds on float64 arrays, starting from ``state``.
 
     :meth:`advance` runs one round and returns the two residuals;
-    :meth:`state` builds the current :class:`EngineState` on request.
+    :meth:`columns` hands over the current round as lists and :meth:`state`
+    builds it as an :class:`EngineState`, both on request.
     """
 
     def __init__(self, state: engine.EngineState, scenario: Scenario) -> None:
@@ -118,13 +119,17 @@ class ArrayRounds:
         self._iteration, self._x, self._u, self._zeta, self._q = k, x, u, zeta, q
         return float(u.max()) - float(u.min()), abs(math.fsum(x.tolist()) - self._total)
 
+    def columns(self) -> tuple:
+        """The current round as ``(iteration, x, u_prime, zeta, q)``, fields as lists."""
+        return (
+            self._iteration, self._x.tolist(), self._u.tolist(), self._zeta.tolist(),
+            self._q.tolist(),
+        )
+
     def state(self) -> engine.EngineState:
         """The current round's state as tuples."""
+        k, x, u, zeta, q = self.columns()
         return engine.EngineState(
-            x=tuple(self._x.tolist()),
-            u_prime=tuple(self._u.tolist()),
-            zeta=tuple(self._zeta.tolist()),
-            q=tuple(self._q.tolist()),
-            iteration=self._iteration,
+            x=tuple(x), u_prime=tuple(u), zeta=tuple(zeta), q=tuple(q), iteration=k,
             confirmed=self._confirmed,
         )

@@ -5,11 +5,13 @@ lines; warnings and errors go to standard error."""
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
+import os
 import sys
+import tempfile
 from enum import IntEnum
+from itertools import repeat
 from pathlib import Path
 
 from . import engine, oracle
@@ -95,17 +97,50 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return scenario.with_settings(glob, options)
 
 
-def _write_trace(path: str, states) -> None:
-    """One CSV row per device per recorded engine state."""
+def _csv_sink(fh, n: int):
+    """Engine trace sink: one ``write`` of CSV rows per recorded round.
+
+    The rows are ``iter,device,x,u_prime,zeta,q`` with ``\\r\\n`` endings,
+    byte for byte what ``csv.writer`` writes for them.
+    """
+    idx = [str(i) for i in range(n)]
+    write = fh.write
+
+    def record(k, x, u_prime, zeta, q) -> None:
+        fields = zip(
+            repeat(str(k)), idx, map(repr, x), map(repr, u_prime), map(repr, zeta), map(repr, q)
+        )
+        write("\r\n".join(map(",".join, fields)) + "\r\n")
+
+    return record
+
+
+def _run_traced(scenario: Scenario, path: str, stride: int) -> engine.RunResult:
+    """Run the engine, streaming its trace to a temporary sibling of ``path``.
+
+    The file replaces ``path`` once the run returns; on any exception it is
+    removed and ``path`` is left as it was.
+    """
+    target = Path(path)
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "device", "x", "u_prime", "zeta", "q"])
-            for state in states:
-                rows = zip(state.x, state.u_prime, state.zeta, state.q)
-                writer.writerows((state.iteration, i, *row) for i, row in enumerate(rows))
+        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
     except OSError as exc:
         raise _CliError(f"cannot write trace file {path}: {exc}") from None
+    try:
+        with open(fd, "w", newline="", encoding="utf-8") as fh:
+            fh.write("iter,device,x,u_prime,zeta,q\r\n")
+            result = engine.run(scenario, trace=_csv_sink(fh, scenario.n), trace_stride=stride)
+        # the bits ``open(path, "w")`` gives a new file, not mkstemp's 0600
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, target)
+    except BaseException as exc:
+        Path(tmp).unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise _CliError(f"cannot write trace file {path}: {exc}") from None
+        raise
+    return result
 
 
 def _run_engine(scenario: Scenario, args: argparse.Namespace) -> engine.RunResult:
@@ -113,9 +148,7 @@ def _run_engine(scenario: Scenario, args: argparse.Namespace) -> engine.RunResul
         raise _CliError(f"--stride must be >= 1, got {args.stride}")
     if args.trace is None:
         return engine.run(scenario)
-    result = engine.run(scenario, trace_stride=args.stride)
-    _write_trace(args.trace, result.trace)
-    return result
+    return _run_traced(scenario, args.trace, args.stride)
 
 
 def _emit_common_header(scenario: Scenario, confirmed: ConfirmedDemands) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .admission import ConfirmedDemands, admit
@@ -94,7 +95,8 @@ class RunResult:
     consensus_value: float
     iterations_used: int
     converged: bool
-    trace: tuple[EngineState, ...]
+    # iterations handed to the trace sink, in order; () without one
+    trace: tuple[int, ...]
     diagnostics: Diagnostics
     confirmed: ConfirmedDemands
 
@@ -202,6 +204,11 @@ class _ScalarRounds:
         state = self._state = step(self._state, self._scenario)
         return consensus_residual(state), constraint_residual(state)
 
+    def columns(self) -> tuple:
+        """The current round as ``(iteration, x, u_prime, zeta, q)``."""
+        s = self._state
+        return s.iteration, s.x, s.u_prime, s.zeta, s.q
+
     def state(self) -> EngineState:
         return self._state
 
@@ -230,36 +237,60 @@ def _rounds(state: EngineState, scenario: Scenario):
     return kernel.ArrayRounds(state, scenario)
 
 
-def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
+def _check_domain(state: EngineState, c: float) -> None:
+    """Raise :class:`NumericalError` for an allocation with ``c*x + 1 <= 0``."""
+    for i, x in enumerate(state.x):
+        if c * x + 1.0 <= 0.0:
+            raise NumericalError(
+                state.iteration, i, f"allocation {x!r} outside the utility domain"
+            )
+
+
+def run(
+    scenario: Scenario, trace: Callable[..., None] | None = None, trace_stride: int = 1
+) -> RunResult:
     """Admit demands once, initialize, and iterate to the stated tolerances.
 
     Stops as soon as both the consensus residual and the constraint
     residual are inside their tolerances, or at the iteration cap, or
     when the combined residual has grown for 100 consecutive rounds
     (divergence). A zero confirmed total short-circuits to the all-zero
-    allocation. With a ``trace_stride`` K, the trace holds the state of
-    every K-th iteration plus the final one; without, it stays empty.
+    allocation.
+
+    ``trace``, when given, is called as ``trace(iteration, x, u_prime, zeta,
+    q)`` with one sequence of floats per field, at iteration 0, at every
+    ``trace_stride``-th iteration and at the final one; ``run`` keeps none
+    of it, and ``result.trace`` lists the iterations handed over.
 
     From ``ARRAY_MIN_DEVICES`` devices on, and when numpy imports, the
     rounds run in the numpy kernel of ``array_kernel``; its results agree
     with :func:`step`'s to rounding (about 1e-15), not bit for bit.
 
-    Raises :class:`NumericalError` on non-finite arithmetic and
-    ``ValueError`` for a non-positive stride.
+    Raises :class:`NumericalError` on non-finite arithmetic and when a run
+    that did not diverge ends outside the utility domain ``c*x + 1 > 0``,
+    and ``ValueError`` for a non-positive stride.
     """
-    if trace_stride is not None and trace_stride < 1:
+    if trace_stride < 1:
         raise ValueError(f"trace_stride must be >= 1, got {trace_stride}")
     opts = scenario.options
     confirmed = admit(scenario.demands, scenario.globals.bandwidth)
+    zero_demand = confirmed.total == 0.0
+    if zero_demand:
+        state = _resting_state(scenario, confirmed, (0.0,) * scenario.n)
+    else:
+        state = init(scenario, confirmed)
+    recorded: list[int] = []
+    if trace is not None:
+        trace(0, state.x, state.u_prime, state.zeta, state.q)
+        recorded.append(0)
 
-    if confirmed.total == 0.0:
-        zero = _resting_state(scenario, confirmed, (0.0,) * scenario.n)
+    if zero_demand:
         return RunResult(
-            allocations=zero.x,
+            allocations=state.x,
             consensus_value=math.nan,
             iterations_used=0,
             converged=True,
-            trace=() if trace_stride is None else (zero,),
+            trace=tuple(recorded),
             diagnostics=Diagnostics(
                 consensus_residual=0.0,
                 constraint_residual=0.0,
@@ -267,9 +298,6 @@ def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
             ),
             confirmed=confirmed,
         )
-
-    state = init(scenario, confirmed)
-    trace: list[EngineState] = [] if trace_stride is None else [state]
 
     cons = consensus_residual(state)
     constr = constraint_residual(state)
@@ -284,8 +312,9 @@ def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
     while not converged and not diverged and k < opts.max_iters:
         cons, constr = rounds.advance()
         k += 1
-        if trace_stride is not None and k % trace_stride == 0:
-            trace.append(rounds.state())
+        if trace is not None and k % trace_stride == 0:
+            trace(*rounds.columns())
+            recorded.append(k)
         if cons <= opts.tol_consensus and constr <= opts.tol_constraint:
             converged = True
             continue
@@ -303,8 +332,11 @@ def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
             )
 
     state = rounds.state()
-    if trace_stride is not None and trace[-1].iteration != k:
-        trace.append(state)
+    if not diverged:  # a diverged run is reported as such, wherever it ended
+        _check_domain(state, capacity_coefficient(scenario.globals.snr))
+    if trace is not None and recorded[-1] != k:
+        trace(*rounds.columns())
+        recorded.append(k)
 
     negatives = [i for i, x in enumerate(state.x) if x < 0.0]
     if negatives:
@@ -318,7 +350,7 @@ def run(scenario: Scenario, trace_stride: int | None = None) -> RunResult:
         consensus_value=math.fsum(state.u_prime) / scenario.n,
         iterations_used=state.iteration,
         converged=converged,
-        trace=tuple(trace),
+        trace=tuple(recorded),
         diagnostics=Diagnostics(
             consensus_residual=cons,
             constraint_residual=constr,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+from typing import NamedTuple
 
 import pytest
 
@@ -52,6 +53,26 @@ def bench_scenario(**option_kwargs) -> Scenario:
 def generated_scenario(seed: int) -> Scenario:
     """The generated instances of acceptance criteria 2, 3 and 7: 2 to 20 devices."""
     return generate_random_scenario(2 + (seed - 1) % 19, seed=seed)
+
+
+class Recorded(NamedTuple):
+    """One round handed to an engine trace sink, its fields as tuples."""
+
+    iteration: int
+    x: tuple[float, ...]
+    u_prime: tuple[float, ...]
+    zeta: tuple[float, ...]
+    q: tuple[float, ...]
+
+
+def recording():
+    """``(sink, rounds)``: a trace sink for ``engine.run`` and the list it fills."""
+    rounds: list[Recorded] = []
+
+    def sink(iteration, *fields):
+        rounds.append(Recorded(iteration, *map(tuple, fields)))
+
+    return sink, rounds
 
 
 @pytest.fixture

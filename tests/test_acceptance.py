@@ -21,7 +21,7 @@ from bandalloc.engine import NumericalError, run, step
 from bandalloc.oracle import solve
 from bandalloc.utility import capacity_coefficient, derivative, evaluate, invert_derivative
 
-from conftest import BENCH_PATH, bench_scenario, generated_scenario as _generated
+from conftest import BENCH_PATH, bench_scenario, generated_scenario as _generated, recording
 from test_engine import run_on, stationary_state, vectors
 from test_cli import report_dict, floats
 
@@ -76,8 +76,9 @@ def test_criterion_1_benchmark_allocations(capsys):
     max_err = max(abs(a - t) for a, t in zip(allocations, BENCH_TARGET))
     total_err = abs(math.fsum(allocations) - 5.0)
 
-    result = run(bench_scenario(), trace_stride=1)
-    first = result.trace[0].u_prime
+    sink, rounds = recording()
+    result = run(bench_scenario(), trace=sink)
+    first = rounds[0].u_prime
     initial_spread = max(first) - min(first)
     decay = result.converged and (
         result.diagnostics.consensus_residual <= initial_spread
@@ -234,9 +235,10 @@ def _criterion_6(capsys, run_scenario, kernel: str) -> None:
     scenario = bench_scenario(
         max_iters=10000, tol_consensus=1e-300, tol_constraint=1e-300
     )
-    result = run_scenario(scenario, trace_stride=1)
-    iterations_seen = {state.iteration for state in result.trace}
-    worst = max(abs(sum(state.zeta)) for state in result.trace)
+    sink, rounds = recording()
+    result = run_scenario(scenario, trace=sink)
+    iterations_seen = {state.iteration for state in rounds}
+    worst = max(abs(sum(state.zeta)) for state in rounds)
     passed = (
         result.iterations_used == 10000
         and len(iterations_seen) == 10001

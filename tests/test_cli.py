@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import warnings
@@ -22,6 +23,13 @@ from conftest import BENCH_PATH
 
 # sha256 of ``run scenarios/paper_s5.json --trace F``
 BENCH_TRACE_SHA256 = "225954c42d430a2bc43bd54bf61a214edc0c4949c5635bd5b5385fc8a8fa1e55"
+# sha256 of ``compare G --trace F --stride K`` on ``generate_random_scenario(n, seed)``,
+# keyed (n, seed, K), with numpy installed; recorded while the CLI still kept
+# every round in memory and wrote it with ``csv.writer``
+ARRAY_TRACE_SHA256 = {
+    (20, 1, 1): "1a36757028e8681435233add5848368aaf528057b3272b311e5753a3593d4604",
+    (60, 3, 7): "2528d721317e5b548806f792aae5bebb6346502ae551972acb855444cb572974",
+}
 # sha256 of ``oracle`` stdout on ``generate_random_scenario(1000, seed)``
 # (numpy installed), recorded before the scenario became columnar and the
 # bisection decided its comparisons from numpy sums
@@ -174,7 +182,45 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == ExitStatus.NUMERICAL_FAILURE
         assert err.startswith("numerical failure")
-        assert not trace.exists()
+        assert list(tmp_path.iterdir()) == []  # no trace, no temporary file
+
+    def test_failed_run_keeps_existing_trace(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"an earlier trace\n")
+        code = main(["run", str(BENCH_PATH), "--trace", str(trace), "--eta", "50"])
+        capsys.readouterr()
+        assert code == ExitStatus.NUMERICAL_FAILURE
+        assert trace.read_bytes() == b"an earlier trace\n"
+        assert list(tmp_path.iterdir()) == [trace]
+        code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
+        capsys.readouterr()
+        assert code == ExitStatus.OK
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == BENCH_TRACE_SHA256
+        assert list(tmp_path.iterdir()) == [trace]
+
+    def test_trace_in_missing_directory(self, capsys, tmp_path):
+        trace = tmp_path / "missing" / "trace.csv"
+        code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == ExitStatus.INVALID_INPUT
+        assert captured.err.startswith(f"error: cannot write trace file {trace}: ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002], ids=["umask-022", "umask-002"])
+    def test_trace_mode_is_that_of_a_new_file(self, capsys, tmp_path, umask):
+        # the temporary file is created 0600; the trace must not keep that
+        trace, reference = tmp_path / "trace.csv", tmp_path / "reference"
+        previous = os.umask(umask)
+        try:
+            with open(reference, "w"):
+                pass
+            code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
+        finally:
+            os.umask(previous)
+        capsys.readouterr()
+        assert code == ExitStatus.OK
+        assert stat.S_IMODE(trace.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
 
     def test_zero_demand_trace_holds_initial_state(self, capsys, tmp_path):
         doc = json.loads(BENCH_PATH.read_text())
@@ -321,6 +367,17 @@ class TestCompareCommand:
         final = [f"{float(r['x']):.12g}" for r in rows[-20:]]
         assert report["engine_allocations"].split() == final
 
+    @pytest.mark.parametrize("n, seed, stride", sorted(ARRAY_TRACE_SHA256))
+    def test_array_kernel_trace_bytes_pinned(self, capsys, tmp_path, n, seed, stride):
+        pytest.importorskip("numpy")
+        assert n >= engine.ARRAY_MIN_DEVICES
+        trace = tmp_path / "trace.csv"
+        argv = ["compare", str(write_generated(tmp_path, n, seed)), "--trace", str(trace)]
+        code = main([*argv, "--stride", str(stride)])
+        capsys.readouterr()
+        assert code == ExitStatus.OK
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == ARRAY_TRACE_SHA256[n, seed, stride]
+
     def test_array_kernel_failure_leaves_no_trace_and_no_warning(self, capsys, tmp_path):
         pytest.importorskip("numpy")
         trace = tmp_path / "trace.csv"
@@ -334,7 +391,7 @@ class TestCompareCommand:
         assert err == (
             "numerical failure: arithmetic overflow at iteration 309, device 1\n"
         )
-        assert not trace.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["g20-14.json"]
 
     def test_stdlib_fallback_agrees(self, capsys, tmp_path):
         # without numpy the scalar kernel runs at every size
@@ -465,9 +522,9 @@ def test_unusable_scenario_is_invalid_input(capsys, tmp_path, command, changes, 
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["oracle", "compare"])
-def test_oracle_domain_boundary_is_numerical_failure(capsys, tmp_path, command):
-    path = write_bench_with(
+def write_domain_boundary(tmp_path) -> pathlib.Path:
+    """An input whose engine and oracle allocations both end at x = -1/c for device 1."""
+    return write_bench_with(
         tmp_path,
         bandwidth=1.0,
         snr=1.0,
@@ -475,14 +532,34 @@ def test_oracle_domain_boundary_is_numerical_failure(capsys, tmp_path, command):
         devices=[{"omega": 1e150, "demand": 0.0}, {"omega": 1e-300, "demand": 1.0}],
         edges=[[0, 1]],
     )
-    code = main([command, str(path)])
+
+
+# compare fails in the engine's final-allocation check, before the oracle runs
+DOMAIN_BOUNDARY_ERRORS = {
+    "oracle": "allocations[1]: bandwidth -1.0 is outside the utility domain (requires x > -1.0)",
+    "compare": "allocation -1.0 outside the utility domain at iteration 10000, device 1",
+    "run": "allocation -1.0 outside the utility domain at iteration 10000, device 1",
+}
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_oracle_domain_boundary_is_numerical_failure(capsys, tmp_path, command):
+    code = main([command, str(write_domain_boundary(tmp_path))])
     captured = capsys.readouterr()
     assert code == ExitStatus.NUMERICAL_FAILURE
-    assert captured.err == (
-        "numerical failure: allocations[1]: bandwidth -1.0 is outside the utility domain "
-        "(requires x > -1.0)\n"
-    )
+    assert captured.err == f"numerical failure: {DOMAIN_BOUNDARY_ERRORS[command]}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_engine_domain_boundary_writes_no_trace(capsys, tmp_path, command):
+    trace = tmp_path / "trace.csv"
+    code = main([command, str(write_domain_boundary(tmp_path)), "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert code == ExitStatus.NUMERICAL_FAILURE
+    assert captured.err == f"numerical failure: {DOMAIN_BOUNDARY_ERRORS[command]}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["changed.json"]
 
 
 class TestGenCommand:

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -25,7 +26,7 @@ from bandalloc.scenario import generate_random_scenario
 from bandalloc.topology import build
 from bandalloc.utility import capacity_coefficient, derivative, invert_derivative
 
-from conftest import bench_scenario, generated_scenario, make_scenario
+from conftest import bench_scenario, generated_scenario, make_scenario, recording
 
 # engine limit for the bundled benchmark, pinned after first computation
 BENCH_ALLOCATIONS = (0.778061243179723, 1.6758758193188736, 2.5460632790013853)
@@ -226,9 +227,10 @@ class TestRun:
         assert not result.diagnostics.diverged
 
     def test_final_state_marginals_consistent(self, bench):
-        result = run(bench, trace_stride=1)
+        sink, rounds = recording()
+        result = run(bench, trace=sink)
         c = capacity_coefficient(100.0)
-        final = result.trace[-1]
+        final = rounds[-1]
         assert final.iteration == result.iterations_used
         for i, (x, y) in enumerate(zip(final.x, final.u_prime)):
             assert y == pytest.approx(derivative(bench.omegas[i], c, 0.01, x), rel=1e-9)
@@ -276,38 +278,45 @@ class TestRun:
             assert abs(got - want) <= gate
 
     def test_deterministic_traces(self, bench):
-        first = run(bench, trace_stride=1)
-        second = run(bench, trace_stride=1)
-        assert first.trace == second.trace
+        sink, first_rounds = recording()
+        first = run(bench, trace=sink)
+        sink, second_rounds = recording()
+        second = run(bench, trace=sink)
+        assert first_rounds == second_rounds
         assert first.allocations == second.allocations
 
     def test_trace_empty_unless_requested(self, bench):
         assert run(bench).trace == ()
-        result = run(bench, trace_stride=1)
-        iterations = [state.iteration for state in result.trace]
+        sink, rounds = recording()
+        result = run(bench, trace=sink)
+        iterations = [state.iteration for state in rounds]
         assert iterations == list(range(result.iterations_used + 1))
+        assert result.trace == tuple(iterations)
 
     def test_trace_stride_keeps_final_iteration(self, bench):
-        result = run(bench, trace_stride=10)
-        recorded = [state.iteration for state in result.trace]
+        sink, rounds = recording()
+        result = run(bench, trace=sink, trace_stride=10)
+        recorded = [state.iteration for state in rounds]
         assert recorded[0] == 0
         assert recorded[-1] == result.iterations_used
         assert recorded == sorted(set(recorded))
         assert all(k % 10 == 0 for k in recorded[:-1])
-        assert all(len(field) == 3 for state in result.trace for field in vectors(state))
+        assert all(len(field) == 3 for state in rounds for field in vectors(state))
+        assert result.trace == tuple(recorded)
 
     def test_bad_stride_rejected(self, bench):
         with pytest.raises(ValueError, match="trace_stride"):
-            run(bench, trace_stride=0)
+            run(bench, trace=recording()[0], trace_stride=0)
 
     def test_correction_sum_conserved(self):
         scenario = bench_scenario(
             max_iters=1000, tol_consensus=1e-300, tol_constraint=1e-300
         )
-        result = run(scenario, trace_stride=1)
+        sink, rounds = recording()
+        result = run(scenario, trace=sink)
         assert not result.converged
-        assert len(result.trace) == 1001
-        for state in result.trace:
+        assert len(rounds) == 1001
+        for state in rounds:
             assert abs(math.fsum(state.zeta)) <= 1e-10, f"iteration {state.iteration}"
 
     def test_zero_demand_short_circuit(self):
@@ -323,7 +332,9 @@ class TestRun:
         assert result.diagnostics.constraint_residual == 0.0
         assert any("zero" in w for w in result.diagnostics.warnings)
         assert result.trace == ()
-        (only,) = run(scenario, trace_stride=5).trace
+        sink, rounds = recording()
+        assert run(scenario, trace=sink, trace_stride=5).trace == (0,)
+        (only,) = rounds
         assert only.iteration == 0
         assert only.x == only.zeta == only.q == (0.0, 0.0)
 
@@ -380,6 +391,24 @@ def outcome(kernel: str, scenario, monkeypatch):
     else:
         stop = "cap"
     return stop, result.iterations_used, result
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "array"])
+def test_final_allocation_outside_domain_raises(kernel, monkeypatch):
+    # device 1 settles at x = -1/c, where c*x + 1 == 0 and its utility is undefined;
+    # the residuals stay flat, so the run reaches the cap without diverging
+    if kernel == "array":
+        pytest.importorskip("numpy")
+    scenario = make_scenario(
+        omegas=(1e150, 1e-300), demands=(0.0, 1.0), edges=((0, 1),),
+        bandwidth=1.0, snr=1.0, price=1.0,
+    )
+    with pytest.raises(NumericalError) as excinfo:
+        run_on(kernel, scenario, monkeypatch)
+    assert (excinfo.value.iteration, excinfo.value.device) == (10000, 1)
+    assert str(excinfo.value) == (
+        "allocation -1.0 outside the utility domain at iteration 10000, device 1"
+    )
 
 
 def with_eta(scenario, eta: float):
@@ -513,18 +542,45 @@ class TestArrayKernel:
 
     def test_trace_stride(self, monkeypatch):
         scenario = with_eta(generate_random_scenario(20, 2), 0.05)
-        scalar = run_on("scalar", scenario, monkeypatch, trace_stride=7)
-        array = run_on("array", scenario, monkeypatch, trace_stride=7)
-        recorded = [state.iteration for state in array.trace]
+        sink, scalar_rounds = recording()
+        scalar = run_on("scalar", scenario, monkeypatch, trace=sink, trace_stride=7)
+        sink, array_rounds = recording()
+        array = run_on("array", scenario, monkeypatch, trace=sink, trace_stride=7)
+        recorded = [state.iteration for state in array_rounds]
         final = array.iterations_used
         assert final % 7 != 0
         assert recorded == [*range(0, final, 7), final]
-        assert recorded == [state.iteration for state in scalar.trace]
-        assert array.trace[-1].x == array.allocations
-        for got, want in zip(array.trace, scalar.trace):
+        assert recorded == [state.iteration for state in scalar_rounds]
+        assert array.trace == scalar.trace == tuple(recorded)
+        assert array_rounds[-1].x == array.allocations
+        for got, want in zip(array_rounds, scalar_rounds):
             for a, b in zip(vectors(got), vectors(want)):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
         assert run_on("array", scenario, monkeypatch).trace == ()
+
+    def test_trace_memory_flat_in_rounds(self):
+        # a sink that drops its rows leaves run holding one round at a time
+        scenario = with_eta(generate_random_scenario(1000, 1), 0.05)
+
+        def capped(rounds: int):
+            options = dataclasses.replace(
+                scenario.options, max_iters=rounds, tol_consensus=1e-300, tol_constraint=1e-300
+            )
+            return scenario.with_settings(scenario.globals, options)
+
+        def traced_peak(rounds: int) -> int:
+            limited = capped(rounds)
+            tracemalloc.start()
+            try:
+                result = run(limited, trace=lambda *row: None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(result.trace) == rounds + 1
+            return peak
+
+        run(capped(1))  # imports the kernel outside the measure
+        assert traced_peak(2000) <= 1.5 * traced_peak(200)
 
     def test_inverse_matches_scalar(self):
         import numpy as np
