@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["ConfirmedDemands", "admit"]
 
@@ -20,8 +21,9 @@ class ConfirmedDemands:
 
     values: tuple[float, ...]
 
-    @property
+    @cached_property
     def total(self) -> float:
+        """``math.fsum(values)``, computed on first access."""
         return math.fsum(self.values)
 
 

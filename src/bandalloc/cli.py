@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -265,7 +266,13 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, metavar="S", help="seed for random init")
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    ``parse_args`` leaves a parser unchanged, so one parser serves every
+    ``main`` call in a process.
+    """
     parser = _ArgumentParser(
         prog="bandalloc",
         description="Distributed bandwidth allocation: consensus engine, "

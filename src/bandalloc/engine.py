@@ -47,10 +47,14 @@ _DIVERGENCE_STREAK = 100
 # Device count from which ``run`` iterates with the numpy kernel in
 # ``array_kernel``, and ``oracle.solve`` bisects on its elementwise inverse,
 # when numpy imports. Below it the scalar code is faster: an array round
-# costs about 27 us at 3 devices against 10 us for ``step``; they cross
-# between 12 and 16 devices. A solve crosses near 24 (median us on 2 shared
-# vCPUs, scalar/array: 1026/1604 at 16, 1295/1576 at 20, 1660/1645 at 24,
-# 1826/1568 at 32); the oracle keeps this one rule: below 24 it loses < 1 ms.
+# costs about 28 us at 3 devices against 7 us for a ``_ScalarRounds`` round;
+# they cross near 16 (median us per round on 2 shared vCPUs, scalar/array:
+# 16/28 at 8, 22/31 at 12, 30/29 at 16, 42/29 at 20). The threshold stays
+# at 16 wherever the crossover moves, because the two kernels agree only to
+# rounding: moving it would change the printed results of every size it
+# moves over. A solve crosses near 24 (median us, scalar/array: 1026/1604
+# at 16, 1295/1576 at 20, 1660/1645 at 24, 1826/1568 at 32); the oracle
+# keeps this one rule: below 24 it loses < 1 ms.
 ARRAY_MIN_DEVICES = 16
 
 
@@ -147,40 +151,13 @@ def init(scenario: Scenario, confirmed: ConfirmedDemands) -> EngineState:
 def step(state: EngineState, scenario: Scenario) -> EngineState:
     """Advance one synchronous round; reads only round-k values.
 
+    The round is that of ``run``'s scalar kernel, ``_ScalarRounds.advance``.
     Raises :class:`NumericalError` when any update produces a non-finite
     value or overflows the inverse-derivative arithmetic.
     """
-    n = scenario.n
-    if len(state.x) != n:
-        raise ValueError(f"state holds {len(state.x)} devices, scenario has {n}")
-    g = scenario.globals
-    c = capacity_coefficient(g.snr)
-    eta, mu, price = g.eta, g.mu, g.price
-    ys = state.u_prime
-    k = state.iteration + 1
-    out = []
-    rows = zip(
-        scenario.topology.adjacency, scenario.omegas, state.x, ys, state.zeta,
-        state.confirmed.values, strict=True,
-    )
-    for i, (nbrs, omega, x, y, zeta, dstar) in enumerate(rows):
-        q = eta * math.fsum(ys[j] - y for j in nbrs)
-        # grouped so a stationary state reproduces u_prime bit for bit
-        u_new = y + (q - zeta + mu * (x - dstar))
-        zeta_new = zeta - mu * q
-        if not (math.isfinite(u_new) and math.isfinite(zeta_new)):
-            raise NumericalError(k, i)
-        try:
-            x_new = invert_derivative(omega, c, price, u_new)
-        except OverflowError:
-            raise NumericalError(k, i, "arithmetic overflow") from None
-        if not math.isfinite(x_new):
-            raise NumericalError(k, i)
-        out.append((x_new, u_new, zeta_new, q))
-    xs_new, ys_new, zetas_new, qs_new = zip(*out)
-    return EngineState(
-        x=xs_new, u_prime=ys_new, zeta=zetas_new, q=qs_new, iteration=k, confirmed=state.confirmed
-    )
+    rounds = _ScalarRounds(state, scenario)
+    rounds.advance()
+    return rounds.state()
 
 
 def consensus_residual(state: EngineState) -> float:
@@ -194,23 +171,70 @@ def constraint_residual(state: EngineState) -> float:
 
 
 class _ScalarRounds:
-    """Rounds of :func:`step` on tuples, the interface of ``ArrayRounds``."""
+    """Engine rounds on lists of floats, with the interface of ``ArrayRounds``.
+
+    The constants of a run (``c``, the gains, and each device's neighbors,
+    omega and confirmed target) are gathered once. :meth:`advance` is the
+    one definition of a scalar round, :func:`step` included; :meth:`columns`
+    hands over the current round's lists and :meth:`state` builds it as an
+    :class:`EngineState`.
+    """
 
     def __init__(self, state: EngineState, scenario: Scenario) -> None:
-        self._state, self._scenario = state, scenario
+        n = scenario.n
+        if len(state.x) != n:
+            raise ValueError(f"state holds {len(state.x)} devices, scenario has {n}")
+        g = scenario.globals
+        self._c = capacity_coefficient(g.snr)
+        self._eta, self._mu, self._price = g.eta, g.mu, g.price
+        self._rows = tuple(
+            zip(scenario.topology.adjacency, scenario.omegas, state.confirmed.values, strict=True)
+        )
+        self._confirmed = state.confirmed
+        self._iteration = state.iteration
+        self._x, self._u, self._zeta, self._q = (
+            list(state.x), list(state.u_prime), list(state.zeta), list(state.q)
+        )
 
     def advance(self) -> tuple[float, float]:
         """One round; returns the consensus and constraint residuals."""
-        state = self._state = step(self._state, self._scenario)
-        return consensus_residual(state), constraint_residual(state)
+        c, eta, mu, price = self._c, self._eta, self._mu, self._price
+        inverse, fsum, isfinite = invert_derivative, math.fsum, math.isfinite
+        k = self._iteration + 1
+        ys = self._u
+        xs_new, ys_new, zetas_new, qs_new = [], [], [], []
+        columns = zip(self._rows, self._x, ys, self._zeta, strict=True)
+        for i, ((nbrs, omega, dstar), x, y, zeta) in enumerate(columns):
+            q = eta * fsum([ys[j] - y for j in nbrs])
+            # grouped so a stationary state reproduces u_prime bit for bit
+            u_new = y + (q - zeta + mu * (x - dstar))
+            zeta_new = zeta - mu * q
+            if not (isfinite(u_new) and isfinite(zeta_new)):
+                raise NumericalError(k, i)
+            try:
+                x_new = inverse(omega, c, price, u_new)
+            except OverflowError:
+                raise NumericalError(k, i, "arithmetic overflow") from None
+            if not isfinite(x_new):
+                raise NumericalError(k, i)
+            xs_new.append(x_new)
+            ys_new.append(u_new)
+            zetas_new.append(zeta_new)
+            qs_new.append(q)
+        self._iteration = k
+        self._x, self._u, self._zeta, self._q = xs_new, ys_new, zetas_new, qs_new
+        return max(ys_new) - min(ys_new), abs(fsum(xs_new) - self._confirmed.total)
 
     def columns(self) -> tuple:
-        """The current round as ``(iteration, x, u_prime, zeta, q)``."""
-        s = self._state
-        return s.iteration, s.x, s.u_prime, s.zeta, s.q
+        """The current round as ``(iteration, x, u_prime, zeta, q)``, fields as lists."""
+        return self._iteration, self._x, self._u, self._zeta, self._q
 
     def state(self) -> EngineState:
-        return self._state
+        """The current round's state as tuples."""
+        return EngineState(
+            x=tuple(self._x), u_prime=tuple(self._u), zeta=tuple(self._zeta),
+            q=tuple(self._q), iteration=self._iteration, confirmed=self._confirmed,
+        )
 
 
 def array_kernel_for(n: int):

@@ -16,6 +16,15 @@ def test_exact_fit_confirmed_unchanged():
     assert confirmed.total == 5.0
 
 
+def test_total_computed_once_outside_equality_and_repr():
+    confirmed, fresh = admit((0.1, 0.2, 0.3), 5.0), admit((0.1, 0.2, 0.3), 5.0)
+    total = confirmed.total
+    assert total == math.fsum((0.1, 0.2, 0.3))
+    assert confirmed.total is total  # fsum would return a new float
+    assert confirmed == fresh and hash(confirmed) == hash(fresh)
+    assert repr(confirmed) == repr(fresh) == "ConfirmedDemands(values=(0.1, 0.2, 0.3))"
+
+
 def test_under_capacity_confirmed_unchanged():
     confirmed = admit((1.0, 1.0), 5.0)
     assert confirmed.values == (1.0, 1.0)

@@ -605,6 +605,58 @@ class TestUsageErrors:
         assert code == ExitStatus.INVALID_INPUT
 
 
+class TestRepeatedCalls:
+    """``main`` calls in one process share one parser and nothing else."""
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_failed_run_leaves_no_state(self, capsys):
+        assert main(["run", str(BENCH_PATH), "--eta", "50"]) == ExitStatus.NUMERICAL_FAILURE
+        capsys.readouterr()
+        assert main(["run", str(BENCH_PATH)]) == ExitStatus.OK
+        again = capsys.readouterr()
+        first = run_child("-m", "bandalloc", "run", str(BENCH_PATH))
+        assert first.returncode == ExitStatus.OK, first.stderr
+        assert (again.out, again.err) == (first.stdout, first.stderr)
+
+    def test_trace_option_not_kept(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        assert main(["compare", str(BENCH_PATH), "--trace", str(trace)]) == ExitStatus.OK
+        trace.unlink()
+        assert main(["compare", str(BENCH_PATH)]) == ExitStatus.OK
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["main", "run"])
+    def test_help_unchanged_by_other_calls(self, capsys, argv):
+        def help_text():
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 0
+            return capsys.readouterr()
+
+        cli._build_parser.cache_clear()
+        before = help_text()
+        assert before.out.startswith("usage: bandalloc") and before.err == ""
+        for other in (
+            ["run", str(BENCH_PATH), "--eta", "50", "--stride", "3"],
+            ["compare", str(BENCH_PATH), "--max-iters", "5"],
+            ["run", str(BENCH_PATH), "--warp", "9"],
+            ["gen", "--n", "3", "--seed", "1"],
+        ):
+            main(other)
+        capsys.readouterr()
+        assert help_text() == before
+
+    def test_usage_error_text_repeats(self, capsys):
+        errors = []
+        for _ in range(2):
+            assert main(["run", str(BENCH_PATH), "--warp", "9"]) == ExitStatus.INVALID_INPUT
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "error: unrecognized arguments: --warp 9\n"
+
+
 def test_module_entry_point():
     # the child imports the same package as this process, installed or not
     result = run_child("-m", "bandalloc", "run", str(BENCH_PATH))

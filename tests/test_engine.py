@@ -22,11 +22,11 @@ from bandalloc.engine import (
     step,
 )
 from bandalloc.oracle import solve
-from bandalloc.scenario import generate_random_scenario
+from bandalloc.scenario import generate_random_scenario, parse_scenario
 from bandalloc.topology import build
 from bandalloc.utility import capacity_coefficient, derivative, invert_derivative
 
-from conftest import bench_scenario, generated_scenario, make_scenario, recording
+from conftest import BENCH_PATH, bench_scenario, generated_scenario, make_scenario, recording
 
 # engine limit for the bundled benchmark, pinned after first computation
 BENCH_ALLOCATIONS = (0.778061243179723, 1.6758758193188736, 2.5460632790013853)
@@ -436,6 +436,113 @@ def parity_scenarios():
             scenario = generate_random_scenario(n, seed)
             yield f"n={n} seed {seed}", scenario
             yield f"n={n} seed {seed} eta=1/lambda_max", with_eta(scenario, stable_eta(scenario))
+
+
+def failure(exc: NumericalError) -> tuple:
+    return ("numerical", exc.iteration, exc.device, str(exc))
+
+
+def initial_state(scenario) -> EngineState:
+    return init(scenario, admit(scenario.demands, scenario.globals.bandwidth))
+
+
+def kernel_rounds(scenario, k: int) -> list:
+    """Up to ``k`` rounds of the run's scalar kernel from ``init``.
+
+    One entry per round, its residuals and state, then the
+    ``NumericalError`` that ended the rounds early, if one did.
+    """
+    rounds = engine._rounds(initial_state(scenario), scenario)
+    assert type(rounds) is engine._ScalarRounds
+    out = []
+    try:
+        for _ in range(k):
+            residuals = rounds.advance()
+            state = rounds.state()
+            iteration, *fields = rounds.columns()
+            assert (iteration, *map(tuple, fields)) == (state.iteration, *vectors(state))
+            out.append((residuals, state))
+    except NumericalError as exc:
+        out.append(failure(exc))
+    return out
+
+
+def stepped_rounds(scenario, k: int, advance=step) -> list:
+    """``kernel_rounds`` by ``k`` chained calls of ``advance``."""
+    state = initial_state(scenario)
+    out = []
+    try:
+        for _ in range(k):
+            state = advance(state, scenario)
+            out.append(((consensus_residual(state), constraint_residual(state)), state))
+    except NumericalError as exc:
+        out.append(failure(exc))
+    return out
+
+
+def kernel_parity_scenarios():
+    yield pytest.param(parse_scenario(BENCH_PATH.read_text()), id="paper_s5")
+    for n in (1, 2, 5, 8, 15, 20, 60):
+        for seed in (1, 2, 3):
+            yield pytest.param(generate_random_scenario(n, seed), id=f"n={n}-seed={seed}")
+
+
+class TestScalarKernel:
+    """The run's scalar kernel against chained ``step`` calls, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _scalar_at_every_size(self, monkeypatch):
+        # without numpy, or below the threshold, the scalar kernel runs
+        monkeypatch.setattr(engine, "ARRAY_MIN_DEVICES", sys.maxsize)
+
+    @pytest.mark.parametrize("scenario", list(kernel_parity_scenarios()))
+    def test_rounds_match_chained_step(self, scenario):
+        lean = kernel_rounds(scenario, 150)
+        assert len(lean) == 150
+        assert lean == stepped_rounds(scenario, 150)
+        # step runs the kernel's round: check both against the two-phase reference
+        assert lean == stepped_rounds(scenario, 150, reference_step)
+
+    def test_numerical_failure_matches_step(self):
+        unstable = with_eta(parse_scenario(BENCH_PATH.read_text()), 50.0)
+        lean = kernel_rounds(unstable, 150)
+        assert lean == stepped_rounds(unstable, 150)
+        assert lean[-1][0] == "numerical"
+        with pytest.raises(NumericalError) as excinfo:
+            run(unstable)
+        assert failure(excinfo.value) == lean[-1]
+
+    def test_domain_failure_matches_step(self):
+        # device 1 ends at x = -1/c; run rejects it after its last round
+        scenario = make_scenario(
+            omegas=(1e150, 1e-300), demands=(0.0, 1.0), edges=((0, 1),),
+            bandwidth=1.0, snr=1.0, price=1.0,
+        )
+        k = scenario.options.max_iters
+        lean, stepped = kernel_rounds(scenario, k), stepped_rounds(scenario, k)
+        assert lean == stepped
+        errors = []
+        for rounds in (lean, stepped):
+            with pytest.raises(NumericalError) as excinfo:
+                engine._check_domain(rounds[-1][1], capacity_coefficient(scenario.globals.snr))
+            errors.append(failure(excinfo.value))
+        with pytest.raises(NumericalError) as excinfo:
+            run(scenario)
+        assert errors == [failure(excinfo.value)] * 2
+        assert errors[0][1:3] == (k, 1)
+
+    def test_columns_hand_over_lists_uncopied(self, bench):
+        rounds = engine._ScalarRounds(initial_state(bench), bench)
+        rounds.advance()
+        first, second = rounds.columns(), rounds.columns()
+        assert all(type(field) is list for field in first[1:])
+        assert all(a is b for a, b in zip(first[1:], second[1:]))
+        kept = [tuple(field) for field in first[1:]]
+        rounds.advance()
+        # a round replaces the lists; those handed over keep their values
+        assert first[0] == 1 and rounds.columns()[0] == 2
+        assert all(a is not b for a, b in zip(first[1:], rounds.columns()[1:]))
+        assert [tuple(field) for field in first[1:]] == kept
 
 
 class TestArrayKernel:
