@@ -13,6 +13,9 @@ therefore agree to rounding, not bit for bit.
 An array result is used only where it and its discriminant are finite.
 Anything else goes to the scalar code, which raises as it would on its own
 or returns the values to continue with: it alone judges numerical failures.
+
+A round's constraint residual comes from a numpy sum, with a bound on its
+error; :meth:`ArrayRounds.constraint_residual` gives ``math.fsum``'s value.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def inverse_for(omega, c: float, price: float, scalar):
     def inverse(v):
         with np.errstate(all="ignore"):
             xs, disc = _inverse(omega_c, disc_const, c, price, v)
-            if np.isfinite(xs + disc).all():
+            if np.logical_and.reduce(np.isfinite(xs + disc)):
                 return xs
         return scalar(v)
 
@@ -61,16 +64,17 @@ def _inverse(omega_c, disc_const, c, price, v):
     t = 2.0 * price - vc
     disc = t * t + disc_const
     root = np.sqrt(disc)
-    q = np.where(b != 0.0, -0.5 * (b + np.copysign(root, b)), -0.5 * root)
+    # b = 2*price + v*c is never -0.0, so copysign pairs b == 0 with +root
+    q = -0.5 * (b + np.copysign(root, b))
     return np.maximum(q / (2.0 * price * c), const / q), disc
 
 
 class ArrayRounds:
     """Engine rounds on float64 arrays, starting from ``state``.
 
-    :meth:`advance` runs one round and returns the two residuals;
-    :meth:`columns` hands over the current round as lists and :meth:`state`
-    builds it as an :class:`EngineState`, both on request.
+    :meth:`advance` runs one round and returns its residuals;
+    :meth:`constraint_residual`, :meth:`columns` (the round as lists) and
+    :meth:`state` (as an :class:`EngineState`) compute on request.
     """
 
     def __init__(self, state: engine.EngineState, scenario: Scenario) -> None:
@@ -90,14 +94,26 @@ class ArrayRounds:
         self._confirmed = state.confirmed
         self._dstar = np.array(state.confirmed.values)
         self._total = state.confirmed.total
+        # the bound of oracle._excess: n*eps*sum|x| + ulp(total)
+        self._sum_error = scenario.n * math.ulp(1.0)
+        self._ulp_total = math.ulp(self._total)
         self._iteration = state.iteration
         self._x = np.array(state.x)
         self._u = np.array(state.u_prime)
         self._zeta = np.array(state.zeta)
         self._q = np.array(state.q)
+        # [x, exact residual once computed] of the round before and of this one
+        self._held = (None, [self._x, None])
 
-    def advance(self) -> tuple[float, float]:
-        """One synchronous round; returns the consensus and constraint residuals.
+    def advance(self) -> tuple[float, float, float]:
+        """One synchronous round; returns its consensus and constraint residuals and a bound.
+
+        The constraint residual is ``|s - total|`` for numpy's sum ``s`` of
+        the allocations, within ``(n-1)*(eps/2)*sum|x|`` of the exact sum in
+        any order (Higham 1993, "The accuracy of floating point summation").
+        The bound ``n*eps*sum|x| + ulp(total)`` covers that twice over and
+        the rounding of ``math.fsum``; ``engine._exceeds`` allows for the
+        roundings of the differences, a few ulps of the residual.
 
         A round with a non-finite value is run again by ``engine.step`` from
         the same state, which raises its ``NumericalError`` or returns the round.
@@ -112,12 +128,28 @@ class ArrayRounds:
             zeta = self._zeta - self._mu * q
             x, disc = _inverse(self._omega_c, self._disc_const, self._c, self._price, u)
             # one sum flags every non-finite value, an overflowed square included
-            trusted = np.isfinite(u + zeta + x + disc).all()
+            trusted = np.logical_and.reduce(np.isfinite(u + zeta + x + disc))
         if not trusted:
             state = engine.step(self.state(), self._scenario)
             x, u, zeta, q = map(np.array, (state.x, state.u_prime, state.zeta, state.q))
+        self._held = (self._held[1], [x, None])
         self._iteration, self._x, self._u, self._zeta, self._q = k, x, u, zeta, q
-        return float(u.max()) - float(u.min()), abs(math.fsum(x.tolist()) - self._total)
+        bound = self._sum_error * float(np.add.reduce(np.abs(x))) + self._ulp_total
+        return (
+            float(np.maximum.reduce(u)) - float(np.minimum.reduce(u)),
+            abs(float(np.add.reduce(x)) - self._total),
+            bound,
+        )
+
+    def constraint_residual(self, before: bool = False) -> float:
+        """``engine.constraint_residual`` of the current round, or of the one before it.
+
+        Computed by ``math.fsum`` at most once per round.
+        """
+        held = self._held[0 if before else 1]
+        if held[1] is None:
+            held[1] = abs(math.fsum(held[0].tolist()) - self._total)
+        return held[1]
 
     def columns(self) -> tuple:
         """The current round as ``(iteration, x, u_prime, zeta, q)``, fields as lists."""

@@ -43,18 +43,20 @@ __all__ = [
 
 # consecutive residual-growth rounds before a run is declared divergent
 _DIVERGENCE_STREAK = 100
+_EPS = math.ulp(1.0)
 
 # Device count from which ``run`` iterates with the numpy kernel in
 # ``array_kernel``, and ``oracle.solve`` bisects on its elementwise inverse,
 # when numpy imports. Below it the scalar code is faster: an array round
-# costs about 28 us at 3 devices against 7 us for a ``_ScalarRounds`` round;
-# they cross near 16 (median us per round on 2 shared vCPUs, scalar/array:
-# 16/28 at 8, 22/31 at 12, 30/29 at 16, 42/29 at 20). The threshold stays
-# at 16 wherever the crossover moves, because the two kernels agree only to
-# rounding: moving it would change the printed results of every size it
-# moves over. A solve crosses near 24 (median us, scalar/array: 1026/1604
-# at 16, 1295/1576 at 20, 1660/1645 at 24, 1826/1568 at 32); the oracle
-# keeps this one rule: below 24 it loses < 1 ms.
+# costs about 42 us at 3 devices against 11 us for a ``_ScalarRounds`` round;
+# they cross between 12 and 16 (median us per round on 2 shared vCPUs under
+# other load, scalar/array: 22/41 at 8, 34/45 at 12, 49/44 at 16, 57/40 at
+# 20, 506/50 at 200). The threshold stays at 16 wherever the crossover
+# moves, because the two kernels agree only to rounding: moving it would
+# change the printed results of every size it moves over. A solve crosses
+# near 24 (median us, scalar/array: 1026/1604 at 16, 1295/1576 at 20,
+# 1660/1645 at 24, 1826/1568 at 32); the oracle keeps this one rule: below
+# 24 it loses < 1 ms.
 ARRAY_MIN_DEVICES = 16
 
 
@@ -196,8 +198,8 @@ class _ScalarRounds:
             list(state.x), list(state.u_prime), list(state.zeta), list(state.q)
         )
 
-    def advance(self) -> tuple[float, float]:
-        """One round; returns the consensus and constraint residuals."""
+    def advance(self) -> tuple[float, float, float]:
+        """One round; returns its exact consensus and constraint residuals and a bound of 0.0."""
         c, eta, mu, price = self._c, self._eta, self._mu, self._price
         inverse, fsum, isfinite = invert_derivative, math.fsum, math.isfinite
         k = self._iteration + 1
@@ -223,7 +225,7 @@ class _ScalarRounds:
             qs_new.append(q)
         self._iteration = k
         self._x, self._u, self._zeta, self._q = xs_new, ys_new, zetas_new, qs_new
-        return max(ys_new) - min(ys_new), abs(fsum(xs_new) - self._confirmed.total)
+        return max(ys_new) - min(ys_new), abs(fsum(xs_new) - self._confirmed.total), 0.0
 
     def columns(self) -> tuple:
         """The current round as ``(iteration, x, u_prime, zeta, q)``, fields as lists."""
@@ -261,6 +263,23 @@ def _rounds(state: EngineState, scenario: Scenario):
     return kernel.ArrayRounds(state, scenario)
 
 
+def _exceeds(a: float, b: float, slack: float, exact: Callable[[], tuple[float, float]]) -> bool:
+    """Whether ``a > b`` holds between the exact values ``a`` and ``b`` stand for.
+
+    ``a`` and ``b`` are residuals, or sums of two, whose constraint residuals
+    lie within ``slack`` in total of the exact ones; ``slack`` is 0 when both
+    are exact. A difference past ``slack`` and a few ulps of either side (the
+    roundings of the sums and of the difference) decides; otherwise
+    ``exact()`` returns the exact values, and they decide.
+    """
+    if slack:
+        d = a - b
+        if slack + 4.0 * _EPS * (abs(a) + abs(b)) < abs(d) < math.inf:
+            return d > 0.0
+        a, b = exact()
+    return a > b
+
+
 def _check_domain(state: EngineState, c: float) -> None:
     """Raise :class:`NumericalError` for an allocation with ``c*x + 1 <= 0``."""
     for i, x in enumerate(state.x):
@@ -288,7 +307,10 @@ def run(
 
     From ``ARRAY_MIN_DEVICES`` devices on, and when numpy imports, the
     rounds run in the numpy kernel of ``array_kernel``; its results agree
-    with :func:`step`'s to rounding (about 1e-15), not bit for bit.
+    with :func:`step`'s to rounding (about 1e-15), not bit for bit. Its stop
+    test and divergence streak decide from numpy sums as exact residuals
+    would, with ``math.fsum`` inside their error bound; reported residuals
+    are exact.
 
     Raises :class:`NumericalError` on non-finite arithmetic and when a run
     that did not diverge ends outside the utility domain ``c*x + 1 > 0``,
@@ -323,31 +345,40 @@ def run(
             confirmed=confirmed,
         )
 
+    tol_constraint = opts.tol_constraint
     cons = consensus_residual(state)
-    constr = constraint_residual(state)
-    converged = cons <= opts.tol_consensus and constr <= opts.tol_constraint
+    converged = cons <= opts.tol_consensus and constraint_residual(state) <= tol_constraint
     diverged = False
     warnings: list[str] = []
     growth_streak = 0
     prev_combined: float | None = None
+    prev_cons = prev_bound = 0.0
     rounds = _rounds(state, scenario)
     k = 0
 
+    def exact_stop():  # for _exceeds: called only where a kernel returned a bound
+        return rounds.constraint_residual(), tol_constraint
+
+    def exact_growth():
+        before = rounds.constraint_residual(before=True)
+        return cons + rounds.constraint_residual(), prev_cons + before
+
     while not converged and not diverged and k < opts.max_iters:
-        cons, constr = rounds.advance()
+        cons, constr, bound = rounds.advance()
         k += 1
         if trace is not None and k % trace_stride == 0:
             trace(*rounds.columns())
             recorded.append(k)
-        if cons <= opts.tol_consensus and constr <= opts.tol_constraint:
+        if cons <= opts.tol_consensus and not _exceeds(constr, tol_constraint, bound, exact_stop):
             converged = True
             continue
         combined = cons + constr
-        if prev_combined is not None and combined > prev_combined:
+        slack = bound + prev_bound
+        if prev_combined is not None and _exceeds(combined, prev_combined, slack, exact_growth):
             growth_streak += 1
         else:
             growth_streak = 0
-        prev_combined = combined
+        prev_combined, prev_cons, prev_bound = combined, cons, bound
         if growth_streak >= _DIVERGENCE_STREAK:
             diverged = True
             warnings.append(
@@ -377,7 +408,7 @@ def run(
         trace=tuple(recorded),
         diagnostics=Diagnostics(
             consensus_residual=cons,
-            constraint_residual=constr,
+            constraint_residual=constraint_residual(state),
             diverged=diverged,
             warnings=tuple(warnings),
         ),

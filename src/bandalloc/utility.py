@@ -85,6 +85,7 @@ def invert_derivative(omega: float, c: float, price: float, v: float) -> float:
     const = v - omega * c
     disc = (2.0 * price - v * c) ** 2 + 8.0 * omega * price * c * c
     root = math.sqrt(disc)
-    # pair b with the same-signed root so neither quotient cancels
-    q = -0.5 * (b + math.copysign(root, b)) if b != 0.0 else -0.5 * root
+    # pair b with the same-signed root so neither quotient cancels; b is
+    # never -0.0 (2*price > 0), so b == 0 takes +root
+    q = -0.5 * (b + math.copysign(root, b))
     return max(q / a, const / q)

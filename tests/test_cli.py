@@ -38,6 +38,23 @@ ORACLE_1000_SHA256 = {
     2: "2263fc2a060c45aa79aa1ee2aaeed12de66c9b2e6809c9c4b3e429fe675b0472",
     3: "82600f00758f860266812271aa1203091a6ba6a9eb6245dfddee241e1a5d77b7",
 }
+# ``run G ARGS`` on ``generate_random_scenario(n, seed)`` (numpy installed),
+# keyed (n, seed, ARGS): exit code and sha256 of stdout and stderr. A gain
+# under 1/lambda_max that converges at n=200 in 344 rounds, and the generator's
+# gains at n=60, which diverge after 110 rounds. Recorded before the array
+# round decided its stop test and divergence streak from numpy sums.
+RUN_PINNED = {
+    (200, 1, ("--eta", "0.08")): (
+        0,
+        "1ba6653b72d8a6db8650bedd9e7f9b67966dea56929b0d672a798b27c8161e44",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (60, 1, ()): (
+        2,
+        "847ee1cf2e1b3ea8507f1549c930645404f0288502d4509dd430341b9a69631b",
+        "aae6d656b9d8fac4b941a26904054c74db439e55f680d4199dda738648df46a4",
+    ),
+}
 # sha256 of ``gen --n 50 --seed 3`` stdout
 GEN_50_3_SHA256 = "46786ea305f96701a48b2bd53ccce498c07e67d00915f83de55c5b60534c7f55"
 
@@ -458,6 +475,16 @@ def test_oracle_output_pinned(capsys, tmp_path):
         assert main(["oracle", str(path)]) == ExitStatus.OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
+@pytest.mark.parametrize("n, seed, args", sorted(RUN_PINNED))
+def test_array_run_output_pinned(capsys, tmp_path, n, seed, args):
+    pytest.importorskip("numpy")
+    assert n >= engine.ARRAY_MIN_DEVICES
+    code = main(["run", str(write_generated(tmp_path, n, seed)), *args])
+    out, err = capsys.readouterr()
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    assert (code, *digests) == RUN_PINNED[n, seed, args]
 
 
 def test_numpy_not_loaded_below_threshold(tmp_path):

@@ -457,11 +457,13 @@ def kernel_rounds(scenario, k: int) -> list:
     out = []
     try:
         for _ in range(k):
-            residuals = rounds.advance()
+            cons, constr, bound = rounds.advance()
             state = rounds.state()
             iteration, *fields = rounds.columns()
             assert (iteration, *map(tuple, fields)) == (state.iteration, *vectors(state))
-            out.append((residuals, state))
+            # the scalar kernel's residuals are exact
+            assert bound == 0.0
+            out.append(((cons, constr), state))
     except NumericalError as exc:
         out.append(failure(exc))
     return out
@@ -630,12 +632,14 @@ class TestArrayKernel:
         stepped = []
         monkeypatch.setattr(array_kernel, "_inverse", flag_once)
         monkeypatch.setattr(engine, "step", lambda *a: stepped.append(a) or step(*a))
-        residuals = rounds.advance()
+        cons, constr, bound = rounds.advance()
         assert flagged
         assert stepped == [(before, scenario)]
         want = step(before, scenario)
         assert rounds.state() == want
-        assert residuals == (consensus_residual(want), constraint_residual(want))
+        assert cons == consensus_residual(want)
+        assert rounds.constraint_residual() == constraint_residual(want)
+        assert abs(constr - constraint_residual(want)) <= bound
         # a whole run goes on from step's round
         flagged.clear()
         forced = run_on("array", scenario, monkeypatch)
@@ -704,3 +708,91 @@ class TestArrayKernel:
             got = inverse_for([omega] * len(vs), c, price, None)(np.array(vs))
             want = [invert_derivative(omega, c, price, v) for v in vs]
             assert got.tolist() == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+
+def with_tol_constraint(scenario, tol: float):
+    options = dataclasses.replace(scenario.options, tol_constraint=tol)
+    return scenario.with_settings(scenario.globals, options)
+
+
+class TestCheapDecisions:
+    """The array round's stop test and divergence streak, from numpy sums and a bound."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        pytest.importorskip("numpy")
+
+    @pytest.fixture
+    def tight(self):
+        """A run whose ``tol_constraint`` is the exact residual at the round it stops.
+
+        Returns the scenario, that round, and its exact residual.
+        """
+        scenario = with_eta(generate_random_scenario(200, 1), 0.08)
+        total = admit(scenario.demands, scenario.globals.bandwidth).total
+        rounds = []
+
+        def sink(k, x, u, zeta, q):
+            rounds.append((k, max(u) - min(u), abs(math.fsum(x) - total)))
+
+        run(scenario, trace=sink)
+        k, _, residual = next(r for r in rounds if r[1] <= scenario.options.tol_consensus)
+        return with_tol_constraint(scenario, residual), k, residual
+
+    def test_fsum_deciding_every_round_changes_nothing(self, monkeypatch, tight):
+        from bandalloc import array_kernel
+
+        scenarios = [scenario for _, scenario in parity_scenarios()] + [tight[0]]
+        cheap = [outcome("array", scenario, monkeypatch) for scenario in scenarios]
+        # an infinite bound in every round: math.fsum decides each comparison
+        real = array_kernel.ArrayRounds.advance
+        monkeypatch.setattr(
+            array_kernel.ArrayRounds, "advance", lambda self: (*real(self)[:2], math.inf)
+        )
+        exact = [outcome("array", scenario, monkeypatch) for scenario in scenarios]
+        assert cheap == exact
+        assert {stop.split(":")[0] for stop, _, _ in cheap} == {
+            "converged", "diverged", "numerical"
+        }
+
+    def test_fsum_runs_only_inside_the_bound(self, monkeypatch, tight):
+        from bandalloc import array_kernel
+
+        scenario, k, residual = tight
+        returned, sums = [], []  # advance's returns; the round of each fsum call
+        real_advance, real_fsum = array_kernel.ArrayRounds.advance, math.fsum
+        monkeypatch.setattr(
+            array_kernel.ArrayRounds, "advance",
+            lambda self: returned.append(real_advance(self)) or returned[-1],
+        )
+
+        def counted_fsum(xs):
+            if returned:  # admission's sums come before the first round
+                sums.append(len(returned))
+            return real_fsum(xs)
+
+        monkeypatch.setattr(math, "fsum", counted_fsum)
+        # the default tolerance: every decision falls outside the bound, and
+        # the report sums the final allocations and marginal utilities once
+        plain = run_on("array", with_tol_constraint(scenario, 1e-6), monkeypatch)
+        assert plain.converged and sums == [plain.iterations_used] * 2
+        # the stop test at round k compares the residual with itself: fsum decides it
+        returned.clear()
+        sums.clear()
+        result = run_on("array", scenario, monkeypatch)
+        assert result.converged and result.iterations_used == k
+        assert result.diagnostics.constraint_residual == residual
+        cons, constr, bound = returned[k - 1]
+        assert cons <= scenario.options.tol_consensus
+        assert abs(constr - residual) <= bound
+        assert sums == [k] * 3
+
+
+def test_exceeds_allows_for_the_rounding_of_sums():
+    # cheap and exact constraint residuals 2**-80 apart, well within the
+    # bound, whose sums with a consensus residual of 1 round to neighbors:
+    # the cheap sum grew by an ulp, the exact one did not grow
+    cons, exact, cheap, bound = 1.0, 2.0**-53, 2.0**-53 + 2.0**-80, 2.0**-70
+    assert (cons + exact, cons + cheap) == (1.0, 1.0 + 2.0**-52)
+    assert not engine._exceeds(cons + cheap, 1.0, bound, lambda: (cons + exact, 1.0))
+    assert engine._exceeds(cons + cheap, 1.0, 0.0, None)  # exact operands compare directly

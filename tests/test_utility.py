@@ -153,6 +153,26 @@ class TestInvertDerivative:
         x = invert_derivative(1.0, C100, 0.01, -1e3)
         assert derivative(1.0, C100, 0.01, x) == pytest.approx(-1e3, rel=1e-9)
 
+    @pytest.mark.parametrize("omega", [3.0, 8.0, 0.7, 2.0])
+    def test_zero_linear_coefficient(self, omega):
+        # snr 1, price 0.5 and v = -1 give c = 1 and b = 2*price + v*c == +0.0,
+        # where x**2 + (v - omega*c) = 0 has the root sqrt(omega + 1)
+        c, price, v = capacity_coefficient(1.0), 0.5, -1.0
+        b = 2.0 * price + v * c
+        assert c == 1.0 and b == 0.0 and math.copysign(1.0, b) == 1.0
+        x = invert_derivative(omega, c, price, v)
+        assert x == pytest.approx(math.sqrt(omega + 1.0), rel=1e-15)
+        if omega in (3.0, 8.0):  # every operation is exact
+            assert x == math.sqrt(omega + 1.0)
+        # the same bits as the quotient pair taken with q = -root/2 at b == 0
+        q = -0.5 * math.sqrt((2.0 * price - v * c) ** 2 + 8.0 * omega * price * c * c)
+        assert x.hex() == max(q / (2.0 * price * c), (v - omega * c) / q).hex()
+        np = pytest.importorskip("numpy")
+        from bandalloc.array_kernel import inverse_for
+
+        xs = inverse_for(np.array([omega]), c, price, None)(v)
+        assert [got.hex() for got in xs.tolist()] == [x.hex()]
+
     @pytest.mark.parametrize("price", [0.0, -0.01])
     def test_rejects_nonpositive_price(self, price):
         with pytest.raises(ValueError):
