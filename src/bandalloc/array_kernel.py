@@ -5,17 +5,15 @@ module lazily, through ``engine.array_kernel_for``, and use it when numpy
 imports and the scenario has at least ``engine.ARRAY_MIN_DEVICES`` devices;
 the package itself needs only the stdlib. The arithmetic follows
 ``step`` and :func:`bandalloc.utility.invert_derivative` operation for
-operation, with two exceptions: gossip adds the neighbor differences in
-sequence where ``step`` uses ``math.fsum``, and the discriminant squares by
-multiplication where the scalar code calls libm ``pow``. The two kernels
-therefore agree to rounding, not bit for bit.
+operation, gossip's sums in sequence and the discriminant's square by
+multiplication included, so the two kernels give equal results bit for bit.
 
 An array result is used only where it and its discriminant are finite.
 Anything else goes to the scalar code, which raises as it would on its own
 or returns the values to continue with: it alone judges numerical failures.
 
-A round's constraint residual comes from a numpy sum, with a bound on its
-error; :meth:`ArrayRounds.constraint_residual` gives ``math.fsum``'s value.
+A round's constraint residual and a bisection step's total come from a numpy
+sum with an error bound (:func:`_cheap_excess`); ``math.fsum`` decides inside it.
 """
 
 from __future__ import annotations
@@ -29,6 +27,18 @@ from .scenario import Scenario
 from .utility import capacity_coefficient
 
 __all__ = ["ArrayRounds", "inverse_for"]
+
+
+def _cheap_excess(xs, total: float) -> tuple[float, float]:
+    """numpy's sum of ``xs`` minus ``total``, and a bound past which it has the sign of ``fsum``'s.
+
+    A numpy sum of n terms is within ``(n-1)*(eps/2)*sum|x|`` of the exact one
+    (Higham 1993, "The accuracy of floating point summation"); the bound
+    ``n*eps*sum|x| + ulp(total)`` covers that twice over, for the roundings of
+    ``sum|x|`` and of the difference, and the rounding of ``math.fsum``.
+    """
+    bound = len(xs) * math.ulp(1.0) * float(np.add.reduce(np.abs(xs))) + math.ulp(total)
+    return float(np.add.reduce(xs)) - total, bound
 
 
 def _constants(omega, c: float, price: float):
@@ -94,26 +104,17 @@ class ArrayRounds:
         self._confirmed = state.confirmed
         self._dstar = np.array(state.confirmed.values)
         self._total = state.confirmed.total
-        # the bound of oracle._excess: n*eps*sum|x| + ulp(total)
-        self._sum_error = scenario.n * math.ulp(1.0)
-        self._ulp_total = math.ulp(self._total)
         self._iteration = state.iteration
-        self._x = np.array(state.x)
-        self._u = np.array(state.u_prime)
-        self._zeta = np.array(state.zeta)
-        self._q = np.array(state.q)
+        fields = (state.x, state.u_prime, state.zeta, state.q)
+        self._x, self._u, self._zeta, self._q = map(np.array, fields)
         # [x, exact residual once computed] of the round before and of this one
         self._held = (None, [self._x, None])
 
     def advance(self) -> tuple[float, float, float]:
         """One synchronous round; returns its consensus and constraint residuals and a bound.
 
-        The constraint residual is ``|s - total|`` for numpy's sum ``s`` of
-        the allocations, within ``(n-1)*(eps/2)*sum|x|`` of the exact sum in
-        any order (Higham 1993, "The accuracy of floating point summation").
-        The bound ``n*eps*sum|x| + ulp(total)`` covers that twice over and
-        the rounding of ``math.fsum``; ``engine._exceeds`` allows for the
-        roundings of the differences, a few ulps of the residual.
+        The constraint residual and its bound come from :func:`_cheap_excess`;
+        ``engine._exceeds`` allows for the roundings of differences of residuals.
 
         A round with a non-finite value is run again by ``engine.step`` from
         the same state, which raises its ``NumericalError`` or returns the round.
@@ -134,12 +135,8 @@ class ArrayRounds:
             x, u, zeta, q = map(np.array, (state.x, state.u_prime, state.zeta, state.q))
         self._held = (self._held[1], [x, None])
         self._iteration, self._x, self._u, self._zeta, self._q = k, x, u, zeta, q
-        bound = self._sum_error * float(np.add.reduce(np.abs(x))) + self._ulp_total
-        return (
-            float(np.maximum.reduce(u)) - float(np.minimum.reduce(u)),
-            abs(float(np.add.reduce(x)) - self._total),
-            bound,
-        )
+        excess, bound = _cheap_excess(x, self._total)
+        return float(np.maximum.reduce(u)) - float(np.minimum.reduce(u)), abs(excess), bound
 
     def constraint_residual(self, before: bool = False) -> float:
         """``engine.constraint_residual`` of the current round, or of the one before it.

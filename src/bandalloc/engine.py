@@ -47,16 +47,14 @@ _EPS = math.ulp(1.0)
 
 # Device count from which ``run`` iterates with the numpy kernel in
 # ``array_kernel``, and ``oracle.solve`` bisects on its elementwise inverse,
-# when numpy imports. Below it the scalar code is faster: an array round
-# costs about 42 us at 3 devices against 11 us for a ``_ScalarRounds`` round;
-# they cross between 12 and 16 (median us per round on 2 shared vCPUs under
-# other load, scalar/array: 22/41 at 8, 34/45 at 12, 49/44 at 16, 57/40 at
-# 20, 506/50 at 200). The threshold stays at 16 wherever the crossover
-# moves, because the two kernels agree only to rounding: moving it would
-# change the printed results of every size it moves over. A solve crosses
-# near 24 (median us, scalar/array: 1026/1604 at 16, 1295/1576 at 20,
-# 1660/1645 at 24, 1826/1568 at 32); the oracle keeps this one rule: below
-# 24 it loses < 1 ms.
+# when numpy imports. The kernels give equal results, so it decides speed
+# alone. Below it the scalar code is faster: an array round costs about
+# 42 us at 3 devices against 11 us for a ``_ScalarRounds`` round; they cross
+# between 12 and 16 (median us per round on 2 shared vCPUs under other load,
+# scalar/array: 22/41 at 8, 34/45 at 12, 49/44 at 16, 57/40 at 20, 506/50 at
+# 200). A solve crosses near 24 (median us, scalar/array: 1026/1604 at 16,
+# 1295/1576 at 20, 1660/1645 at 24, 1826/1568 at 32); the oracle keeps this
+# one rule: below 24 it loses < 1 ms.
 ARRAY_MIN_DEVICES = 16
 
 
@@ -207,7 +205,11 @@ class _ScalarRounds:
         xs_new, ys_new, zetas_new, qs_new = [], [], [], []
         columns = zip(self._rows, self._x, ys, self._zeta, strict=True)
         for i, ((nbrs, omega, dstar), x, y, zeta) in enumerate(columns):
-            q = eta * fsum([ys[j] - y for j in nbrs])
+            # added in sequence, as np.bincount does; fsum and (from 3.12) sum would compensate
+            gossip = 0.0
+            for j in nbrs:
+                gossip += ys[j] - y
+            q = eta * gossip
             # grouped so a stationary state reproduces u_prime bit for bit
             u_new = y + (q - zeta + mu * (x - dstar))
             zeta_new = zeta - mu * q
@@ -306,11 +308,10 @@ def run(
     of it, and ``result.trace`` lists the iterations handed over.
 
     From ``ARRAY_MIN_DEVICES`` devices on, and when numpy imports, the
-    rounds run in the numpy kernel of ``array_kernel``; its results agree
-    with :func:`step`'s to rounding (about 1e-15), not bit for bit. Its stop
-    test and divergence streak decide from numpy sums as exact residuals
-    would, with ``math.fsum`` inside their error bound; reported residuals
-    are exact.
+    rounds run in the numpy kernel of ``array_kernel``; its results equal
+    :func:`step`'s bit for bit. Its stop test and divergence streak decide
+    from numpy sums as exact residuals would, with ``math.fsum`` inside their
+    error bound; reported residuals are exact.
 
     Raises :class:`NumericalError` on non-finite arithmetic and when a run
     that did not diverge ends outside the utility domain ``c*x + 1 > 0``,

@@ -76,17 +76,16 @@ def _inverse(omegas: tuple[float, ...], c: float, price: float):
 def _excess(xs, target: float) -> float:
     """A float with the sign of ``math.fsum(xs) - target``, NaN included.
 
-    A numpy sum ``s`` of n terms is within (n-1)*(eps/2)*sum|x| of the exact
-    one, in any order (Higham 1993). Where ``|s - target|`` exceeds twice that
-    (for the rounding of ``sum|x|`` and of the difference) plus ulp(target),
-    the exact sum and its rounding lie past ``target``'s neighbor on the side
-    of ``s``. Otherwise ``fsum`` decides."""
-    if isinstance(xs, list):
-        return math.fsum(xs) - target
-    diff = float(xs.sum()) - target
-    if abs(diff) > len(xs) * math.ulp(1.0) * float(abs(xs).sum()) + math.ulp(target):
-        return diff
-    return math.fsum(xs.tolist()) - target
+    An array's numpy sum decides where it lies past the error bound of
+    ``array_kernel._cheap_excess``; otherwise ``fsum`` decides."""
+    if not isinstance(xs, list):
+        from . import array_kernel  # loaded already: xs is its array
+
+        diff, bound = array_kernel._cheap_excess(xs, target)
+        if abs(diff) > bound:
+            return diff
+        xs = xs.tolist()
+    return math.fsum(xs) - target
 
 
 def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
@@ -99,7 +98,7 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
     it does not straddle the target. From ``engine.ARRAY_MIN_DEVICES``
     devices on, when numpy imports, the inverse runs on arrays; a total is
     compared with the target as its exactly rounded sum would be, and the
-    two paths agree to about 1e-15, not bit for bit.
+    two paths give equal solutions bit for bit.
     """
     n = scenario.n
     if len(confirmed.values) != n:

@@ -74,18 +74,20 @@ def invert_derivative(omega: float, c: float, price: float, v: float) -> float:
     whose discriminant simplifies to ``(2*price - v*c)**2 + 8*omega*price*c**2``.
     That form is positive for every real ``v`` and free of cancellation, so the
     inverse is total and accurate across the whole real line. The larger root
-    is the one inside the utility domain ``x > -1/c``.
+    is the one inside the utility domain ``x > -1/c``. The square is a product,
+    as in the array kernel, and raises ``OverflowError`` where ``** 2`` would.
     """
     if not (price > 0.0 and math.isfinite(price)):
         raise ValueError(f"price must be a positive finite number, got {price}")
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"capacity coefficient must be positive, got {c}")
-    a = 2.0 * price * c
     b = 2.0 * price + v * c
     const = v - omega * c
-    disc = (2.0 * price - v * c) ** 2 + 8.0 * omega * price * c * c
-    root = math.sqrt(disc)
+    t = 2.0 * price - v * c
+    if t * t == math.inf and math.isfinite(t):
+        raise OverflowError(34, "Numerical result out of range")
+    root = math.sqrt(t * t + 8.0 * omega * price * c * c)
     # pair b with the same-signed root so neither quotient cancels; b is
     # never -0.0 (2*price > 0), so b == 0 takes +root
     q = -0.5 * (b + math.copysign(root, b))
-    return max(q / a, const / q)
+    return max(q / (2.0 * price * c), const / q)

@@ -47,7 +47,10 @@ def reference_step(state: EngineState, scenario) -> EngineState:
     dstar = state.confirmed.values
     out = []
     for i in range(scenario.n):
-        q = g.eta * math.fsum(ys[j] - ys[i] for j in topo.neighbors(i))
+        gossip = 0.0  # in sequence, as np.bincount adds
+        for j in topo.neighbors(i):
+            gossip += ys[j] - ys[i]
+        q = g.eta * gossip
         u_new = ys[i] + (q - zs[i] + g.mu * (xs[i] - dstar[i]))
         zeta = zs[i] - g.mu * q
         x = invert_derivative(scenario.omegas[i], c, g.price, u_new)
@@ -547,6 +550,27 @@ class TestScalarKernel:
         assert [tuple(field) for field in first[1:]] == kept
 
 
+def test_gossip_sums_in_sequence(monkeypatch):
+    # neighbor differences on which a sum in sequence gives 0.0, and fsum, or
+    # the built-in sum from Python 3.12 on, gives 1.0
+    diffs = (1e16, 1.0, -1e16)
+    assert (0.0 + diffs[0] + diffs[1]) + diffs[2] == 0.0 and math.fsum(diffs) == 1.0
+    scenario = make_scenario(
+        omegas=(1.0,) * 4, demands=(1.0,) * 4, edges=((0, 1), (0, 2), (0, 3)), eta=1.0
+    )
+    state = dataclasses.replace(initial_state(scenario), u_prime=(0.0, *diffs))
+    stepped = step(state, scenario)
+    assert stepped.q[0] == 0.0
+    pytest.importorskip("numpy")
+    from bandalloc import array_kernel
+
+    # the array round itself: a flagged round would be run by step
+    monkeypatch.setattr(engine, "step", lambda *a: pytest.fail("array round fell back to step"))
+    rounds = array_kernel.ArrayRounds(state, scenario)
+    rounds.advance()
+    assert rounds.state() == stepped
+
+
 class TestArrayKernel:
     """The numpy round against the scalar ``step``, called on both sides."""
 
@@ -569,21 +593,13 @@ class TestArrayKernel:
         assert seen == [n]
 
     def test_matches_scalar_kernel(self, monkeypatch):
-        # Not bitwise: gossip sums in sequence where step uses fsum, and the
-        # square is t*t where step calls pow. Stop reason and round count
-        # must agree exactly, allocations to 1e-12 wherever the run ended
-        # on its own terms.
+        # equal results: stop reason, rounds, allocations, diagnostics and
+        # every NumericalError text
         stops = set()
         for name, scenario in parity_scenarios():
             scalar = outcome("scalar", scenario, monkeypatch)
-            array = outcome("array", scenario, monkeypatch)
-            assert array[:2] == scalar[:2], name
+            assert outcome("array", scenario, monkeypatch) == scalar, name
             stops.add(scalar[0].split(":")[0])
-            if scalar[0] in ("converged", "cap"):
-                gap = max(
-                    abs(a - b) for a, b in zip(array[2].allocations, scalar[2].allocations)
-                )
-                assert gap <= 1e-12, name
         assert stops == {"converged", "diverged", "numerical"}
 
     def test_numerical_failure_names_same_round_and_device(self, monkeypatch):
@@ -646,10 +662,8 @@ class TestArrayKernel:
         assert flagged
         monkeypatch.setattr(array_kernel, "_inverse", real)
         plain = run_on("array", scenario, monkeypatch)
-        assert forced.converged and plain.converged
-        assert forced.iterations_used == plain.iterations_used
-        gap = max(abs(a - b) for a, b in zip(forced.allocations, plain.allocations))
-        assert gap <= 1e-12
+        assert forced.converged
+        assert forced == plain
 
     def test_trace_stride(self, monkeypatch):
         scenario = with_eta(generate_random_scenario(20, 2), 0.05)
@@ -664,9 +678,8 @@ class TestArrayKernel:
         assert recorded == [state.iteration for state in scalar_rounds]
         assert array.trace == scalar.trace == tuple(recorded)
         assert array_rounds[-1].x == array.allocations
-        for got, want in zip(array_rounds, scalar_rounds):
-            for a, b in zip(vectors(got), vectors(want)):
-                assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+        assert array_rounds == scalar_rounds
+        assert array == scalar
         assert run_on("array", scenario, monkeypatch).trace == ()
 
     def test_trace_memory_flat_in_rounds(self):
@@ -707,7 +720,7 @@ class TestArrayKernel:
             # every value is finite: a call of the scalar fallback would fail
             got = inverse_for([omega] * len(vs), c, price, None)(np.array(vs))
             want = [invert_derivative(omega, c, price, v) for v in vs]
-            assert got.tolist() == pytest.approx(want, rel=1e-15, abs=1e-15)
+            assert got.tolist() == want
 
 
 def with_tol_constraint(scenario, tol: float):

@@ -173,6 +173,27 @@ class TestInvertDerivative:
         xs = inverse_for(np.array([omega]), c, price, None)(v)
         assert [got.hex() for got in xs.tolist()] == [x.hex()]
 
+    def test_overflows_where_pow_does(self):
+        # c = 1 and price = 0.5 make the base t = 2*price - v*c = 1 - v;
+        # t*t first overflows at |t| = 2**512
+        c, price = capacity_coefficient(1.0), 0.5
+        edge = 2.0**512
+        below = math.nextafter(edge, 0.0)
+        raised = []
+        for v in (-below, below, -edge, edge, -1e200, 1e300, -math.inf, math.inf, math.nan):
+            t = 2.0 * price - v * c
+            try:
+                t**2
+            except OverflowError as exc:
+                with pytest.raises(OverflowError) as excinfo:
+                    invert_derivative(2.0, c, price, v)
+                assert excinfo.value.args == exc.args == (34, "Numerical result out of range")
+                raised.append(v)
+            else:
+                invert_derivative(2.0, c, price, v)
+        # an infinite base squares to inf without raising, as in pow
+        assert raised == [-edge, edge, -1e200, 1e300]
+
     @pytest.mark.parametrize("price", [0.0, -0.01])
     def test_rejects_nonpositive_price(self, price):
         with pytest.raises(ValueError):
