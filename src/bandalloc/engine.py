@@ -48,13 +48,14 @@ _EPS = math.ulp(1.0)
 # Device count from which ``run`` iterates with the numpy kernel in
 # ``array_kernel``, and ``oracle.solve`` bisects on its elementwise inverse,
 # when numpy imports. The kernels give equal results, so it decides speed
-# alone. Below it the scalar code is faster: an array round costs about
-# 42 us at 3 devices against 11 us for a ``_ScalarRounds`` round; they cross
-# between 12 and 16 (median us per round on 2 shared vCPUs under other load,
-# scalar/array: 22/41 at 8, 34/45 at 12, 49/44 at 16, 57/40 at 20, 506/50 at
-# 200). A solve crosses near 24 (median us, scalar/array: 1026/1604 at 16,
-# 1295/1576 at 20, 1660/1645 at 24, 1826/1568 at 32); the oracle keeps this
-# one rule: below 24 it loses < 1 ms.
+# alone. Below it the scalar code is faster or close: an array round (computed
+# in blocks) costs about 29 us at 3 devices against 9 us for a
+# ``_ScalarRounds`` round; they cross near 12 (median us per round of ``run``
+# on 2 shared vCPUs under other load, scalar/array: 13/21 at 8, 23/23 at 12,
+# 25/19 at 16, 30/23 at 20, 247/25 at 200). A solve crosses near 24 (median
+# us, scalar/array: 1026/1604 at 16, 1295/1576 at 20, 1660/1645 at 24,
+# 1826/1568 at 32); both keep this one rule: below 16 a run loses at most a
+# few us per round, and below 24 a solve loses < 1 ms.
 ARRAY_MIN_DEVICES = 16
 
 
@@ -308,10 +309,11 @@ def run(
     of it, and ``result.trace`` lists the iterations handed over.
 
     From ``ARRAY_MIN_DEVICES`` devices on, and when numpy imports, the
-    rounds run in the numpy kernel of ``array_kernel``; its results equal
-    :func:`step`'s bit for bit. Its stop test and divergence streak decide
-    from numpy sums as exact residuals would, with ``math.fsum`` inside their
-    error bound; reported residuals are exact.
+    rounds run in the numpy kernel of ``array_kernel``, computed in blocks of
+    up to 16 and handed out one at a time; its results equal :func:`step`'s
+    bit for bit. Its stop test and divergence streak decide from numpy sums
+    as exact residuals would, with ``math.fsum`` inside their error bound;
+    reported residuals are exact.
 
     Raises :class:`NumericalError` on non-finite arithmetic and when a run
     that did not diverge ends outside the utility domain ``c*x + 1 > 0``,

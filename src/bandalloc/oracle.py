@@ -83,7 +83,7 @@ def _excess(xs, target: float) -> float:
 
         diff, bound = array_kernel._cheap_excess(xs, target)
         if abs(diff) > bound:
-            return diff
+            return float(diff)
         xs = xs.tolist()
     return math.fsum(xs) - target
 

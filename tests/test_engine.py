@@ -571,6 +571,27 @@ def test_gossip_sums_in_sequence(monkeypatch):
     assert rounds.state() == stepped
 
 
+def poisoned_inverse(monkeypatch, round_: int) -> list:
+    """Patch ``array_kernel._inverse`` to overflow the discriminant of device 0 in ``round_``.
+
+    Returns the list of calls, one entry per round computed.
+    """
+    from bandalloc import array_kernel
+
+    real = array_kernel._inverse
+    calls = []
+
+    def inverse(*args, **kwargs):
+        x, disc = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == round_:
+            disc[0] = math.inf  # in place: the block reads its own buffer
+        return x, disc
+
+    monkeypatch.setattr(array_kernel, "_inverse", inverse)
+    return calls
+
+
 class TestArrayKernel:
     """The numpy round against the scalar ``step``, called on both sides."""
 
@@ -625,31 +646,24 @@ class TestArrayKernel:
 
     def test_flagged_round_is_run_by_step(self, monkeypatch):
         # No known input flags a round that step then finishes, so force one:
-        # an infinite discriminant for one device in one round.
+        # an infinite discriminant for one device in round 5, patched in before
+        # the block holding rounds 1 to 5 is computed.
         from bandalloc import array_kernel
 
         real = array_kernel._inverse
-        flagged = []
-
-        def flag_once(*args):
-            x, disc = real(*args)
-            if not flagged:
-                flagged.append(True)
-                disc = disc.copy()
-                disc[3] = math.inf
-            return x, disc
-
         scenario = generate_random_scenario(20, 1)
+        assert array_kernel.block_rows(scenario.n) > 5
         confirmed = admit(scenario.demands, scenario.globals.bandwidth)
+        calls = poisoned_inverse(monkeypatch, 5)
         rounds = array_kernel.ArrayRounds(init(scenario, confirmed), scenario)
         for _ in range(4):
             rounds.advance()
+        assert len(calls) >= 5  # round 5 was computed with round 1, inside one block
         before = rounds.state()
         stepped = []
-        monkeypatch.setattr(array_kernel, "_inverse", flag_once)
         monkeypatch.setattr(engine, "step", lambda *a: stepped.append(a) or step(*a))
         cons, constr, bound = rounds.advance()
-        assert flagged
+        assert len(calls) >= 5
         assert stepped == [(before, scenario)]
         want = step(before, scenario)
         assert rounds.state() == want
@@ -657,9 +671,9 @@ class TestArrayKernel:
         assert rounds.constraint_residual() == constraint_residual(want)
         assert abs(constr - constraint_residual(want)) <= bound
         # a whole run goes on from step's round
-        flagged.clear()
+        calls.clear()
         forced = run_on("array", scenario, monkeypatch)
-        assert flagged
+        assert len(calls) >= 5
         monkeypatch.setattr(array_kernel, "_inverse", real)
         plain = run_on("array", scenario, monkeypatch)
         assert forced.converged
@@ -721,6 +735,71 @@ class TestArrayKernel:
             got = inverse_for([omega] * len(vs), c, price, None)(np.array(vs))
             want = [invert_derivative(omega, c, price, v) for v in vs]
             assert got.tolist() == want
+
+
+class TestBlocks:
+    """The array rounds' blocks: their size, their edges and the rounds past a run's end."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        pytest.importorskip("numpy")
+
+    def test_block_rows_rule(self):
+        from bandalloc.array_kernel import block_rows
+
+        for n in (1, 2, 15, 16, 200, 2047, 2048, 2049, 10**4, 32768, 32769, 10**6):
+            rows = block_rows(n)
+            assert 1 <= rows <= 16
+            assert rows * n <= max(n, 32768)
+        assert (block_rows(200), block_rows(10**4), block_rows(10**6)) == (16, 3, 1)
+
+    def test_rounds_across_blocks_match_scalar(self, monkeypatch):
+        # three blocks, the second ended early by a flagged round that step
+        # runs; the round before each round is read from its buffer set only
+        # after the next round was computed, the next block included
+        from bandalloc import array_kernel
+
+        scenario = generate_random_scenario(60, 2)
+        rows = array_kernel.block_rows(scenario.n)
+        monkeypatch.setattr(engine, "ARRAY_MIN_DEVICES", sys.maxsize)
+        scalar = kernel_rounds(scenario, 3 * rows)
+        assert len(scalar) == 3 * rows and scalar[-1][0] != "numerical"
+        poisoned_inverse(monkeypatch, rows + 3)
+        stepped = []
+        monkeypatch.setattr(engine, "step", lambda *a: stepped.append(a[0].iteration) or step(*a))
+        rounds = array_kernel.ArrayRounds(initial_state(scenario), scenario)
+        before = constraint_residual(initial_state(scenario))
+        for (cons, constr), state in scalar:
+            got_cons, got_constr, bound = rounds.advance()
+            assert rounds.constraint_residual(before=True) == before
+            assert rounds.state() == state
+            assert got_cons == cons
+            assert abs(got_constr - constr) <= bound
+            before = constr
+        assert stepped == [rows + 2]
+
+    @pytest.mark.parametrize("stop", ["converged", "diverged", "cap"])
+    def test_rounds_past_the_stop_never_raise(self, monkeypatch, stop):
+        # one block holds the run's last round and the next one, which overflows:
+        # run never asks for that round, so step never runs and nothing raises;
+        # at max_iters the block ends, and the next round is not computed at all
+        from bandalloc import array_kernel
+
+        if stop == "diverged":
+            scenario = generate_random_scenario(60, 1)
+        else:
+            scenario = generate_random_scenario(20, 1)
+        if stop == "cap":
+            options = dataclasses.replace(scenario.options, max_iters=50)
+            scenario = scenario.with_settings(scenario.globals, options)
+        want = outcome("scalar", scenario, monkeypatch)
+        assert want[0] == stop
+        k = want[1]
+        calls = poisoned_inverse(monkeypatch, k + 1)
+        monkeypatch.setattr(array_kernel, "block_rows", lambda n: k + 1)
+        monkeypatch.setattr(engine, "step", lambda *a: pytest.fail("step ran a round past the stop"))
+        assert outcome("array", scenario, monkeypatch) == want
+        assert len(calls) == (k if stop == "cap" else k + 1)
 
 
 def with_tol_constraint(scenario, tol: float):
@@ -799,6 +878,18 @@ class TestCheapDecisions:
         assert cons <= scenario.options.tol_consensus
         assert abs(constr - residual) <= bound
         assert sums == [k] * 3
+
+    def test_stop_on_a_blocks_first_round(self, monkeypatch, tight):
+        # fsum decides the stop test at round k, which opens the second block
+        from bandalloc import array_kernel
+
+        scenario, k, residual = tight
+        want = outcome("scalar", scenario, monkeypatch)
+        monkeypatch.setattr(array_kernel, "block_rows", lambda n: k - 1)
+        got = outcome("array", scenario, monkeypatch)
+        assert got == want
+        assert got[:2] == ("converged", k)
+        assert got[2].diagnostics.constraint_residual == residual
 
 
 def test_exceeds_allows_for_the_rounding_of_sums():
