@@ -62,34 +62,25 @@ def _warn(message: str) -> None:
 
 def _load_scenario_file(path: str) -> Scenario:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return parse_scenario(Path(path).read_bytes())
     except OSError as exc:
         raise _CliError(f"cannot read scenario file {path}: {exc}") from None
-    try:
-        return parse_scenario(text)
     except ScenarioError as exc:
         raise _CliError(f"invalid scenario {path}: {exc}") from None
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    global_kwargs = {}
-    if args.eta is not None:
-        global_kwargs["eta"] = args.eta
-    if args.mu is not None:
-        global_kwargs["mu"] = args.mu
-    option_kwargs = {}
-    if args.max_iters is not None:
-        option_kwargs["max_iters"] = args.max_iters
-    if args.tol_consensus is not None:
-        option_kwargs["tol_consensus"] = args.tol_consensus
-    if args.tol_constraint is not None:
-        option_kwargs["tol_constraint"] = args.tol_constraint
-    if args.init is not None:
-        option_kwargs["init_mode"] = "seeded-random" if args.init == "random" else args.init
-    if args.seed is not None:
-        option_kwargs["seed"] = args.seed
+    """``scenario`` with each engine flag given in place of the ``Globals`` or
+    ``SolverOptions`` field that the flag's ``dest`` names."""
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    global_kwargs, option_kwargs = (
+        {f.name: given[f.name] for f in dataclasses.fields(settings) if f.name in given}
+        for settings in (scenario.globals, scenario.options)
+    )
     if not global_kwargs and not option_kwargs:
         return scenario
+    if option_kwargs.get("init_mode") == "random":
+        option_kwargs["init_mode"] = "seeded-random"
     try:
         glob = dataclasses.replace(scenario.globals, **global_kwargs)
         options = dataclasses.replace(scenario.options, **option_kwargs)
@@ -123,6 +114,8 @@ def _run_traced(scenario: Scenario, path: str, stride: int) -> engine.RunResult:
     removed and ``path`` is left as it was.
     """
     target = Path(path)
+    if target.is_dir():
+        raise _CliError(f"cannot write trace file {path}: it is a directory")
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
     except OSError as exc:
@@ -260,6 +253,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", type=float, metavar="M", help="correction step override")
     parser.add_argument(
         "--init",
+        dest="init_mode",
         choices=("demand", "uniform", "random"),
         help="initialization mode override",
     )

@@ -106,30 +106,14 @@ class RunResult:
     confirmed: ConfirmedDemands
 
 
-def _resting_state(
-    scenario: Scenario, confirmed: ConfirmedDemands, xs: tuple[float, ...]
-) -> EngineState:
-    """Round-0 state at allocations ``xs``: zero correction and innovation."""
-    g = scenario.globals
-    c = capacity_coefficient(g.snr)
-    zeros = (0.0,) * scenario.n
-    return EngineState(
-        x=xs,
-        u_prime=tuple(derivative(w, c, g.price, x) for w, x in zip(scenario.omegas, xs)),
-        zeta=zeros,
-        q=zeros,
-        iteration=0,
-        confirmed=confirmed,
-    )
-
-
 def init(scenario: Scenario, confirmed: ConfirmedDemands) -> EngineState:
     """Initial state: zeta at zero and x per the scenario's init mode.
 
     Modes: ``demand`` starts from the confirmed targets, ``uniform``
     splits the budget evenly, ``seeded-random`` draws each x uniformly
-    from [0, bandwidth] using the scenario seed (0 when unset). The zero
-    zeta start is required for the conserved-sum constraint mechanism.
+    from [0, bandwidth] using the scenario seed (0 when unset). A zero
+    confirmed total starts every mode at x = 0, the final allocation. The
+    zero zeta start is required for the conserved-sum constraint mechanism.
     """
     n = scenario.n
     if len(confirmed.values) != n:
@@ -139,14 +123,25 @@ def init(scenario: Scenario, confirmed: ConfirmedDemands) -> EngineState:
         )
     g = scenario.globals
     mode = scenario.options.init_mode
-    if mode == "demand":
+    zeros = (0.0,) * n
+    if confirmed.total == 0.0:
+        xs = zeros  # not the demands, so that a -0.0 prints as 0
+    elif mode == "demand":
         xs = confirmed.values
     elif mode == "uniform":
         xs = (g.bandwidth / n,) * n
     else:
         rng = random.Random(scenario.options.seed if scenario.options.seed is not None else 0)
         xs = tuple(rng.uniform(0.0, g.bandwidth) for _ in range(n))
-    return _resting_state(scenario, confirmed, xs)
+    c = capacity_coefficient(g.snr)
+    return EngineState(
+        x=xs,
+        u_prime=tuple(derivative(w, c, g.price, x) for w, x in zip(scenario.omegas, xs)),
+        zeta=zeros,
+        q=zeros,
+        iteration=0,
+        confirmed=confirmed,
+    )
 
 
 def step(state: EngineState, scenario: Scenario) -> EngineState:
@@ -323,17 +318,13 @@ def run(
         raise ValueError(f"trace_stride must be >= 1, got {trace_stride}")
     opts = scenario.options
     confirmed = admit(scenario.demands, scenario.globals.bandwidth)
-    zero_demand = confirmed.total == 0.0
-    if zero_demand:
-        state = _resting_state(scenario, confirmed, (0.0,) * scenario.n)
-    else:
-        state = init(scenario, confirmed)
+    state = init(scenario, confirmed)
     recorded: list[int] = []
     if trace is not None:
         trace(0, state.x, state.u_prime, state.zeta, state.q)
         recorded.append(0)
 
-    if zero_demand:
+    if confirmed.total == 0.0:
         return RunResult(
             allocations=state.x,
             consensus_value=math.nan,

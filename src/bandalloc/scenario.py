@@ -15,7 +15,7 @@ import json
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -229,18 +229,6 @@ def scenario_from_dict(doc: Any) -> Scenario:
     return Scenario(glob, omegas, demands, raw_edges, options)
 
 
-def _decode_json(text: str) -> Any:
-    """``json.loads``, except that an integer literal too long for ``int`` (the
-    interpreter's digit limit) reads as +-inf, as a float literal out of float
-    range does, so that the field holding it is the one rejected."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # the digit limit; malformed text raises JSONDecodeError
-        return json.loads(text, parse_int=_int_or_inf)
-
-
 def _int_or_inf(literal: str) -> int | float:
     try:
         return int(literal)
@@ -248,8 +236,8 @@ def _int_or_inf(literal: str) -> int | float:
         return float(literal)
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse a JSON scenario document.
+def parse_scenario(text: str | bytes) -> Scenario:
+    """Parse a JSON scenario document, given as text or as UTF-8 bytes.
 
     The document is an object with required keys ``bandwidth``, ``snr``,
     ``price``, ``mu``, ``eta`` (positive numbers), ``devices`` (array of
@@ -257,32 +245,36 @@ def parse_scenario(text: str) -> Scenario:
     0-based index pairs forming a connected graph), and an optional
     ``options`` object (``max_iters`` default 10000, ``tol_consensus``
     default 1e-6, ``tol_constraint`` default 1e-6, ``init_mode`` default
-    ``"demand"``, optional integer ``seed``). Unknown keys are rejected.
+    ``"demand"``, optional integer ``seed``). Unknown keys are rejected, and
+    so are bytes that are not UTF-8 and nesting too deep for the interpreter.
     """
     try:
-        doc = _decode_json(text)
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # the digit limit; malformed text raises JSONDecodeError
+            # an integer literal too long for ``int`` reads as +-inf, as a float
+            # literal out of float range does, so the field holding it is rejected
+            doc = json.loads(text, parse_int=_int_or_inf)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioError("nested too deeply to read") from None
     return scenario_from_dict(doc)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Plain-dict form of a scenario, inverse of :func:`scenario_from_dict`."""
-    g = scenario.globals
-    options: dict[str, Any] = {
-        "max_iters": scenario.options.max_iters,
-        "tol_consensus": scenario.options.tol_consensus,
-        "tol_constraint": scenario.options.tol_constraint,
-        "init_mode": scenario.options.init_mode,
-    }
-    if scenario.options.seed is not None:
-        options["seed"] = scenario.options.seed
+    options = asdict(scenario.options)
+    if options["seed"] is None:  # an unset seed is written by leaving the key out
+        del options["seed"]
     return {
-        "bandwidth": g.bandwidth,
-        "snr": g.snr,
-        "price": g.price,
-        "mu": g.mu,
-        "eta": g.eta,
+        **asdict(scenario.globals),
         "devices": [{"omega": w, "demand": d} for w, d in zip(scenario.omegas, scenario.demands)],
         "edges": [[i, j] for i, j in scenario.edges],
         "options": options,
@@ -296,7 +288,7 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read and parse a scenario file."""
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    return parse_scenario(Path(path).read_bytes())
 
 
 class _PairsOutside(Sequence):

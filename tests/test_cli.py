@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -236,6 +237,17 @@ class TestRunCommand:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_trace_into_directory_rejected_before_the_run(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "run", lambda *args, **kwargs: calls.append(args))
+        code = main(["run", str(BENCH_PATH), "--trace", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == ExitStatus.INVALID_INPUT
+        assert captured.err.startswith(f"error: cannot write trace file {tmp_path}: ")
+        assert captured.out == ""
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("umask", [0o022, 0o002], ids=["umask-022", "umask-002"])
     def test_trace_mode_is_that_of_a_new_file(self, capsys, tmp_path, umask):
         # the temporary file is created 0600; the trace must not keep that
@@ -297,11 +309,15 @@ class TestOracleCommand:
         assert floats(report_dict(out)["allocations"]) == pytest.approx([3.0], abs=1e-9)
 
     def test_invalid_file(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("[]")
-        code = main(["oracle", str(bad)])
-        capsys.readouterr()
-        assert code == ExitStatus.INVALID_INPUT
+        # not a scenario; not UTF-8; nested too deeply for the JSON decoder
+        for content in (b"[]", b"\xff\xfe{}", b"[" * 200_000 + b"]" * 200_000):
+            bad = tmp_path / "bad.json"
+            bad.write_bytes(content)
+            code = main(["oracle", str(bad)])
+            captured = capsys.readouterr()
+            assert code == ExitStatus.INVALID_INPUT, content[:4]
+            assert captured.err.startswith(f"error: invalid scenario {bad}: ")
+            assert captured.out == ""
 
     @pytest.mark.parametrize("digits", [401, 5000])
     def test_oversized_integer_rejected(self, capsys, tmp_path, digits):
@@ -467,6 +483,40 @@ def test_overrides_keep_the_topology(capsys, build_calls, command):
     capsys.readouterr()
     assert main([command, str(BENCH_PATH), "--eta", "-0.1"]) == ExitStatus.INVALID_INPUT
     assert capsys.readouterr().err.startswith("error: invalid override: eta ")
+
+
+@pytest.mark.parametrize(
+    "flag, value, settings, name, expected",
+    [
+        ("--eta", "0.15", "globals", "eta", 0.15),
+        ("--mu", "0.25", "globals", "mu", 0.25),
+        ("--max-iters", "77", "options", "max_iters", 77),
+        ("--tol-consensus", "3e-05", "options", "tol_consensus", 3e-5),
+        ("--tol-constraint", "4e-05", "options", "tol_constraint", 4e-5),
+        ("--init", "uniform", "options", "init_mode", "uniform"),
+        ("--init", "random", "options", "init_mode", "seeded-random"),
+        ("--seed", "9", "options", "seed", 9),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_engine_flag_reaches_the_engine(
+    capsys, monkeypatch, bench, command, flag, value, settings, name, expected
+):
+    # each flag replaces the setting its dest names, and nothing else
+    seen, original = [], engine.run
+    monkeypatch.setattr(
+        engine, "run", lambda scenario, **kwargs: seen.append(scenario) or original(scenario)
+    )
+    main([command, str(BENCH_PATH), flag, value])
+    capsys.readouterr()
+    (scenario,) = seen
+    want = dataclasses.replace(getattr(bench, settings), **{name: expected})
+    assert getattr(scenario, settings) == want
+    other = "options" if settings == "globals" else "globals"
+    assert getattr(scenario, other) == getattr(bench, other)
+    assert (scenario.omegas, scenario.demands, scenario.edges) == (
+        bench.omegas, bench.demands, bench.edges
+    )
 
 
 def test_oracle_output_pinned(capsys, tmp_path):

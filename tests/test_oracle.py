@@ -11,7 +11,6 @@ import warnings
 
 import mpmath
 import pytest
-from scipy.optimize import minimize
 
 from bandalloc import engine, oracle
 from bandalloc.admission import admit
@@ -32,6 +31,7 @@ OBJECTIVE_AT_OPTIMUM = 15.38160707843759
 
 def slsqp_reference(scenario, confirmed):
     """Independent welfare maximizer over the equality constraint."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
     g = scenario.globals
     c = capacity_coefficient(g.snr)
     target = confirmed.total

@@ -19,6 +19,7 @@ from bandalloc.scenario import (
     ScenarioError,
     SolverOptions,
     generate_random_scenario,
+    load_scenario,
     parse_scenario,
     scenario_to_dict,
     serialize_scenario,
@@ -326,10 +327,61 @@ class TestTopologyCarried:
             dataclasses.replace(scenario, edges=((0, 1), (1, 0), (1, 2)))
 
 
+def handwritten_dict(scenario: Scenario) -> dict:
+    """The serializer's dict written out field by field, as it was before it
+    was derived from the dataclasses."""
+    g, o = scenario.globals, scenario.options
+    options = {
+        "max_iters": o.max_iters,
+        "tol_consensus": o.tol_consensus,
+        "tol_constraint": o.tol_constraint,
+        "init_mode": o.init_mode,
+    }
+    if o.seed is not None:
+        options["seed"] = o.seed
+    return {
+        "bandwidth": g.bandwidth,
+        "snr": g.snr,
+        "price": g.price,
+        "mu": g.mu,
+        "eta": g.eta,
+        "devices": [{"omega": w, "demand": d} for w, d in zip(scenario.omegas, scenario.demands)],
+        "edges": [[i, j] for i, j in scenario.edges],
+        "options": options,
+    }
+
+
 class TestRoundTrip:
     def test_benchmark_round_trip(self, bench_path):
         scenario = parse_scenario(bench_path.read_text())
         assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            SolverOptions(
+                max_iters=321,
+                tol_consensus=3e-7,
+                tol_constraint=4e-8,
+                init_mode="seeded-random",
+                seed=17,
+            ),
+            SolverOptions(),
+        ],
+        ids=["every-field-set", "seed-unset"],
+    )
+    def test_serialized_bytes_unchanged(self, options):
+        scenario = Scenario(
+            Globals(bandwidth=6.5, snr=40.0, price=0.03, mu=0.15, eta=0.05),
+            (1.5, 2.0, 0.75),
+            (1.0, 0.0, 2.5),
+            ((0, 2), (2, 1)),
+            options,
+        )
+        text = serialize_scenario(scenario)
+        assert text == json.dumps(handwritten_dict(scenario), indent=2) + "\n"
+        assert ('"seed"' in text) == (options.seed is not None)
+        assert parse_scenario(text) == scenario
 
     def test_dict_form_matches_schema(self, bench):
         doc = scenario_to_dict(bench)
@@ -368,6 +420,33 @@ class TestRoundTrip:
             omegas=omegas, demands=demands, edges=edges, seed=seed
         )
         assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+class TestLoadScenario:
+    def test_reads_a_file(self, bench_path, bench):
+        assert load_scenario(bench_path) == bench
+        assert load_scenario(str(bench_path)) == bench
+
+    def test_missing_file_raises_oserror(self, tmp_path):
+        with pytest.raises(OSError):
+            load_scenario(tmp_path / "missing.json")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe{}", "not UTF-8 text: "),
+            (b"[" * 200_000 + b"]" * 200_000, "nested too deeply to read"),
+            (b'{"bandwidth": 5', "not valid JSON: "),
+        ],
+        ids=["not-utf8", "nested-deep", "truncated"],
+    )
+    def test_bad_file_raises_scenario_error(self, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ScenarioError, match=f"^{message}"):
+            load_scenario(path)
+        with pytest.raises(ScenarioError, match=f"^{message}"):
+            parse_scenario(content)
 
 
 def list_drawn_scenario(n: int, seed: int) -> Scenario:
