@@ -49,8 +49,8 @@ _EPS = math.ulp(1.0)
 # ``array_kernel``, and ``oracle.solve`` bisects on its elementwise inverse,
 # when numpy imports. The kernels give equal results, so it decides speed
 # alone. Below it the scalar code is faster or close: an array round (computed
-# in blocks) costs about 29 us at 3 devices against 9 us for a
-# ``_ScalarRounds`` round; they cross near 12 (median us per round of ``run``
+# in blocks) costs about 29 us at 3 devices against 9 us for a round of
+# ``_scalar_rounds``; they cross near 12 (median us per round of ``run``
 # on 2 shared vCPUs under other load, scalar/array: 13/21 at 8, 23/23 at 12,
 # 25/19 at 16, 30/23 at 20, 247/25 at 200). A solve crosses near 24 (median
 # us, scalar/array: 1026/1604 at 16, 1295/1576 at 20, 1660/1645 at 24,
@@ -147,13 +147,12 @@ def init(scenario: Scenario, confirmed: ConfirmedDemands) -> EngineState:
 def step(state: EngineState, scenario: Scenario) -> EngineState:
     """Advance one synchronous round; reads only round-k values.
 
-    The round is that of ``run``'s scalar kernel, ``_ScalarRounds.advance``.
+    The round is one of ``run``'s scalar kernel, :func:`_scalar_rounds`.
     Raises :class:`NumericalError` when any update produces a non-finite
     value or overflows the inverse-derivative arithmetic.
     """
-    rounds = _ScalarRounds(state, scenario)
-    rounds.advance()
-    return rounds.state()
+    fields = next(_scalar_rounds(state, scenario))[3]
+    return EngineState(*map(tuple, fields), state.iteration + 1, state.confirmed)
 
 
 def consensus_residual(state: EngineState) -> float:
@@ -166,40 +165,30 @@ def constraint_residual(state: EngineState) -> float:
     return abs(math.fsum(state.x) - state.confirmed.total)
 
 
-class _ScalarRounds:
-    """Engine rounds on lists of floats, with the interface of ``ArrayRounds``.
+def _scalar_rounds(state: EngineState, scenario: Scenario):
+    """Engine rounds on lists of floats, from ``state`` on; the one definition of a scalar round.
 
-    The constants of a run (``c``, the gains, and each device's neighbors,
-    omega and confirmed target) are gathered once. :meth:`advance` is the
-    one definition of a scalar round, :func:`step` included; :meth:`columns`
-    hands over the current round's lists and :meth:`state` builds it as an
-    :class:`EngineState`.
+    Yields ``(consensus, constraint, bound, fields)`` once per round: the
+    round's exact residuals, a bound of 0.0, and ``(x, u_prime, zeta, q)`` as
+    new lists.
     """
-
-    def __init__(self, state: EngineState, scenario: Scenario) -> None:
-        n = scenario.n
-        if len(state.x) != n:
-            raise ValueError(f"state holds {len(state.x)} devices, scenario has {n}")
-        g = scenario.globals
-        self._c = capacity_coefficient(g.snr)
-        self._eta, self._mu, self._price = g.eta, g.mu, g.price
-        self._rows = tuple(
-            zip(scenario.topology.adjacency, scenario.omegas, state.confirmed.values, strict=True)
-        )
-        self._confirmed = state.confirmed
-        self._iteration = state.iteration
-        self._x, self._u, self._zeta, self._q = (
-            list(state.x), list(state.u_prime), list(state.zeta), list(state.q)
-        )
-
-    def advance(self) -> tuple[float, float, float]:
-        """One round; returns its exact consensus and constraint residuals and a bound of 0.0."""
-        c, eta, mu, price = self._c, self._eta, self._mu, self._price
-        inverse, fsum, isfinite = invert_derivative, math.fsum, math.isfinite
-        k = self._iteration + 1
-        ys = self._u
+    n = scenario.n
+    if len(state.x) != n:
+        raise ValueError(f"state holds {len(state.x)} devices, scenario has {n}")
+    g = scenario.globals
+    c = capacity_coefficient(g.snr)
+    eta, mu, price = g.eta, g.mu, g.price
+    inverse, fsum, isfinite = invert_derivative, math.fsum, math.isfinite
+    rows = tuple(
+        zip(scenario.topology.adjacency, scenario.omegas, state.confirmed.values, strict=True)
+    )
+    total = state.confirmed.total
+    k = state.iteration
+    xs, ys, zetas = state.x, state.u_prime, state.zeta
+    while True:
+        k += 1
         xs_new, ys_new, zetas_new, qs_new = [], [], [], []
-        columns = zip(self._rows, self._x, ys, self._zeta, strict=True)
+        columns = zip(rows, xs, ys, zetas, strict=True)
         for i, ((nbrs, omega, dstar), x, y, zeta) in enumerate(columns):
             # added in sequence, as np.bincount does; fsum and (from 3.12) sum would compensate
             gossip = 0.0
@@ -221,20 +210,8 @@ class _ScalarRounds:
             ys_new.append(u_new)
             zetas_new.append(zeta_new)
             qs_new.append(q)
-        self._iteration = k
-        self._x, self._u, self._zeta, self._q = xs_new, ys_new, zetas_new, qs_new
-        return max(ys_new) - min(ys_new), abs(fsum(xs_new) - self._confirmed.total), 0.0
-
-    def columns(self) -> tuple:
-        """The current round as ``(iteration, x, u_prime, zeta, q)``, fields as lists."""
-        return self._iteration, self._x, self._u, self._zeta, self._q
-
-    def state(self) -> EngineState:
-        """The current round's state as tuples."""
-        return EngineState(
-            x=tuple(self._x), u_prime=tuple(self._u), zeta=tuple(self._zeta),
-            q=tuple(self._q), iteration=self._iteration, confirmed=self._confirmed,
-        )
+        xs, ys, zetas = xs_new, ys_new, zetas_new
+        yield max(ys) - min(ys), abs(fsum(xs) - total), 0.0, (xs, ys, zetas, qs_new)
 
 
 def array_kernel_for(n: int):
@@ -254,11 +231,22 @@ def array_kernel_for(n: int):
 
 
 def _rounds(state: EngineState, scenario: Scenario):
-    """The round kernel for this input: numpy from ``ARRAY_MIN_DEVICES`` on."""
+    """The rounds after ``state``, by the numpy kernel from ``ARRAY_MIN_DEVICES`` devices on.
+
+    Each round is ``(consensus, constraint, bound, fields)``: its consensus
+    residual, a constraint residual within ``bound`` of the exact one, and
+    ``(x, u_prime, zeta, q)`` as lists or float64 arrays, which stay readable
+    until two more rounds are drawn.
+    """
     kernel = array_kernel_for(scenario.n)
     if kernel is None:
-        return _ScalarRounds(state, scenario)
-    return kernel.ArrayRounds(state, scenario)
+        return _scalar_rounds(state, scenario)
+    return kernel.rounds(state, scenario)
+
+
+def _listed(field):
+    """A round's field as a sequence of floats: ``tolist()`` of an array row."""
+    return field if isinstance(field, (list, tuple)) else field.tolist()
 
 
 def _exceeds(a: float, b: float, slack: float, exact: Callable[[], tuple[float, float]]) -> bool:
@@ -339,7 +327,7 @@ def run(
             confirmed=confirmed,
         )
 
-    tol_constraint = opts.tol_constraint
+    tol_constraint, total = opts.tol_constraint, confirmed.total
     cons = consensus_residual(state)
     converged = cons <= opts.tol_consensus and constraint_residual(state) <= tol_constraint
     diverged = False
@@ -348,20 +336,29 @@ def run(
     prev_combined: float | None = None
     prev_cons = prev_bound = 0.0
     rounds = _rounds(state, scenario)
+    fields = (state.x, state.u_prime, state.zeta, state.q)
+    # [x, its exact constraint residual once computed] of this round; ``before``
+    # holds the round before's
+    held = [state.x, None]
     k = 0
 
+    def exact(pair):  # math.fsum at most once per round
+        if pair[1] is None:
+            pair[1] = abs(math.fsum(_listed(pair[0])) - total)
+        return pair[1]
+
     def exact_stop():  # for _exceeds: called only where a kernel returned a bound
-        return rounds.constraint_residual(), tol_constraint
+        return exact(held), tol_constraint
 
     def exact_growth():
-        before = rounds.constraint_residual(before=True)
-        return cons + rounds.constraint_residual(), prev_cons + before
+        return cons + exact(held), prev_cons + exact(before)
 
     while not converged and not diverged and k < opts.max_iters:
-        cons, constr, bound = rounds.advance()
+        cons, constr, bound, fields = next(rounds)
         k += 1
+        before, held = held, [fields[0], None]
         if trace is not None and k % trace_stride == 0:
-            trace(*rounds.columns())
+            trace(k, *map(_listed, fields))
             recorded.append(k)
         if cons <= opts.tol_consensus and not _exceeds(constr, tol_constraint, bound, exact_stop):
             converged = True
@@ -380,11 +377,11 @@ def run(
                 "the gains are too aggressive, reduce eta and mu"
             )
 
-    state = rounds.state()
+    state = EngineState(*(tuple(_listed(field)) for field in fields), k, confirmed)
     if not diverged:  # a diverged run is reported as such, wherever it ended
         _check_domain(state, capacity_coefficient(scenario.globals.snr))
     if trace is not None and recorded[-1] != k:
-        trace(*rounds.columns())
+        trace(k, *map(_listed, fields))
         recorded.append(k)
 
     negatives = [i for i, x in enumerate(state.x) if x < 0.0]
@@ -397,7 +394,7 @@ def run(
     return RunResult(
         allocations=state.x,
         consensus_value=math.fsum(state.u_prime) / scenario.n,
-        iterations_used=state.iteration,
+        iterations_used=k,
         converged=converged,
         trace=tuple(recorded),
         diagnostics=Diagnostics(

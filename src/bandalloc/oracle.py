@@ -19,7 +19,9 @@ from .utility import capacity_coefficient, derivative, evaluate, invert_derivati
 
 __all__ = ["OracleSolution", "objective", "solve"]
 
-_MAX_BISECTIONS = 200
+# enough halvings to take any finite bracket, up to 2 * DBL_MAX wide, to the
+# stop width of 1e-12: log2(2 * 1.8e308 / 1e-12) is about 1065
+_MAX_BISECTIONS = 1100
 _MAX_WIDENINGS = 200
 
 
@@ -93,9 +95,10 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
 
     Bisects on the common marginal value v, using the closed-form inverse
     derivative per device, until the bracket width falls below
-    ``1e-12 * max(1, |v|)`` or 200 halvings. The initial bracket spans
-    [min derivative at bandwidth*n, max omega*c] and is widened first if
-    it does not straddle the target. From ``engine.ARRAY_MIN_DEVICES``
+    ``1e-12 * max(1, |v|)``, which any finite bracket reaches. The initial
+    bracket spans [min derivative at bandwidth*n, max omega*c] and is widened
+    first if it does not straddle the target; a bracket end that is not
+    finite raises ``ArithmeticError``. From ``engine.ARRAY_MIN_DEVICES``
     devices on, when numpy imports, the inverse runs on arrays; a total is
     compared with the target as its exactly rounded sum would be, and the
     two paths give equal solutions bit for bit.
@@ -132,6 +135,8 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
         hi += abs(hi) + 1.0
     else:
         raise ArithmeticError("bisection bracket failure: no upper bound found")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ArithmeticError("bisection bracket failure: a bracket end is not finite")
 
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)

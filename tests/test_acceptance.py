@@ -22,7 +22,7 @@ from bandalloc.oracle import solve
 from bandalloc.utility import capacity_coefficient, derivative, evaluate, invert_derivative
 
 from conftest import BENCH_PATH, bench_scenario, generated_scenario as _generated, recording
-from test_engine import run_on, stationary_state, vectors
+from test_engine import round_state, run_on, stationary_state, vectors
 from test_cli import report_dict, floats
 
 # bisection value for the bundled benchmark, recomputed via the oracle
@@ -293,7 +293,7 @@ def test_criterion_7_fixed_point(capsys):
 
 def test_criterion_7_fixed_point_array_kernel(capsys):
     pytest.importorskip("numpy")
-    from bandalloc.array_kernel import ArrayRounds, inverse_for
+    from bandalloc.array_kernel import inverse_for, rounds
 
     def array_inverse(omegas, c, price, level):
         return inverse_for(omegas, c, price, None)(level)
@@ -301,9 +301,8 @@ def test_criterion_7_fixed_point_array_kernel(capsys):
     def states(scenario, level):
         # x from the array inverse, which may differ from the scalar one by an ulp
         state = stationary_state(scenario, level, inverse=array_inverse)
-        rounds = ArrayRounds(state, scenario)
-        rounds.advance()
-        return state, rounds.state()
+        fields = next(rounds(state, scenario))[3]
+        return state, round_state(fields, state.iteration + 1, state.confirmed)
 
     _criterion_7(capsys, states, " [array]")
 

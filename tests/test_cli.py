@@ -331,6 +331,34 @@ class TestOracleCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: invalid scenario {bad}: bandwidth ")
 
+    @pytest.mark.parametrize("bandwidth", ["1e20", "1e60", "1e100"])
+    def test_large_bandwidth_keeps_the_optimum(self, capsys, tmp_path, bandwidth):
+        # the paper instance's demands fit, so its optimum does not depend on
+        # the bandwidth; the bisection bracket's lower end grows with it
+        assert main(["oracle", str(BENCH_PATH)]) == ExitStatus.OK
+        want = report_dict(capsys.readouterr().out)
+        path = tmp_path / "wide.json"
+        text = BENCH_PATH.read_text()
+        path.write_text(text.replace('"bandwidth": 5.0', f'"bandwidth": {bandwidth}'))
+        code = main(["oracle", str(path)])
+        report = report_dict(capsys.readouterr().out)
+        assert code == ExitStatus.OK
+        assert report["bandwidth"] == f"{float(bandwidth):g}"
+        assert floats(report["allocations"]) == pytest.approx(floats(want["allocations"]), abs=1e-9)
+        assert float(report["lambda"]) == pytest.approx(float(want["lambda"]), abs=1e-9)
+
+    def test_overflowing_bracket_is_a_numerical_failure(self, capsys, tmp_path):
+        # bandwidth * n overflows, and with it the bracket's lower end
+        path = tmp_path / "overflow.json"
+        path.write_text(BENCH_PATH.read_text().replace('"bandwidth": 5.0', '"bandwidth": 1e308'))
+        code = main(["oracle", str(path)])
+        captured = capsys.readouterr()
+        assert code == ExitStatus.NUMERICAL_FAILURE
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: bisection bracket failure: a bracket end is not finite\n"
+        )
+
     def test_stdlib_fallback_agrees(self, capsys, tmp_path):
         # without numpy the scalar inverse runs at every size
         pytest.importorskip("numpy")

@@ -449,24 +449,28 @@ def initial_state(scenario) -> EngineState:
     return init(scenario, admit(scenario.demands, scenario.globals.bandwidth))
 
 
+def round_state(fields, iteration: int, confirmed) -> EngineState:
+    """A kernel round's ``(x, u_prime, zeta, q)``, lists or arrays, as an :class:`EngineState`."""
+    return EngineState(*(tuple(engine._listed(field)) for field in fields), iteration, confirmed)
+
+
 def kernel_rounds(scenario, k: int) -> list:
     """Up to ``k`` rounds of the run's scalar kernel from ``init``.
 
     One entry per round, its residuals and state, then the
     ``NumericalError`` that ended the rounds early, if one did.
     """
-    rounds = engine._rounds(initial_state(scenario), scenario)
-    assert type(rounds) is engine._ScalarRounds
+    state = initial_state(scenario)
+    rounds = engine._rounds(state, scenario)
+    assert rounds.__qualname__ == "_scalar_rounds"
     out = []
     try:
-        for _ in range(k):
-            cons, constr, bound = rounds.advance()
-            state = rounds.state()
-            iteration, *fields = rounds.columns()
-            assert (iteration, *map(tuple, fields)) == (state.iteration, *vectors(state))
+        for iteration in range(1, k + 1):
+            cons, constr, bound, fields = next(rounds)
+            assert all(type(field) is list for field in fields)
             # the scalar kernel's residuals are exact
             assert bound == 0.0
-            out.append(((cons, constr), state))
+            out.append(((cons, constr), round_state(fields, iteration, state.confirmed)))
     except NumericalError as exc:
         out.append(failure(exc))
     return out
@@ -536,18 +540,27 @@ class TestScalarKernel:
         assert errors == [failure(excinfo.value)] * 2
         assert errors[0][1:3] == (k, 1)
 
-    def test_columns_hand_over_lists_uncopied(self, bench):
-        rounds = engine._ScalarRounds(initial_state(bench), bench)
-        rounds.advance()
-        first, second = rounds.columns(), rounds.columns()
-        assert all(type(field) is list for field in first[1:])
-        assert all(a is b for a, b in zip(first[1:], second[1:]))
-        kept = [tuple(field) for field in first[1:]]
-        rounds.advance()
-        # a round replaces the lists; those handed over keep their values
-        assert first[0] == 1 and rounds.columns()[0] == 2
-        assert all(a is not b for a, b in zip(first[1:], rounds.columns()[1:]))
-        assert [tuple(field) for field in first[1:]] == kept
+    def test_columns_hand_over_lists_uncopied(self, bench, monkeypatch):
+        rounds = engine._scalar_rounds(initial_state(bench), bench)
+        first = next(rounds)[3]
+        assert all(type(field) is list for field in first)
+        kept = [tuple(field) for field in first]
+        # a round makes new lists; those handed over keep their values
+        assert all(a is not b for a, b in zip(first, next(rounds)[3]))
+        assert [tuple(field) for field in first] == kept
+        # run hands the kernel's lists to the trace sink as they are
+        drawn, traced = [], []
+        real = engine._rounds
+
+        def recorded_rounds(*args):
+            for drawn_round in real(*args):
+                drawn.append(drawn_round[3])
+                yield drawn_round
+
+        monkeypatch.setattr(engine, "_rounds", recorded_rounds)
+        result = run(bench, trace=lambda k, *fields: traced.append(fields))
+        assert len(drawn) == result.iterations_used == len(traced) - 1
+        assert all(a is b for pair in zip(drawn, traced[1:]) for a, b in zip(*pair))
 
 
 def test_gossip_sums_in_sequence(monkeypatch):
@@ -566,9 +579,8 @@ def test_gossip_sums_in_sequence(monkeypatch):
 
     # the array round itself: a flagged round would be run by step
     monkeypatch.setattr(engine, "step", lambda *a: pytest.fail("array round fell back to step"))
-    rounds = array_kernel.ArrayRounds(state, scenario)
-    rounds.advance()
-    assert rounds.state() == stepped
+    fields = next(array_kernel.rounds(state, scenario))[3]
+    assert round_state(fields, 1, state.confirmed) == stepped
 
 
 def poisoned_inverse(monkeypatch, round_: int) -> list:
@@ -604,9 +616,9 @@ class TestArrayKernel:
         from bandalloc import array_kernel
 
         seen = []
-        real = array_kernel.ArrayRounds
+        real = array_kernel.rounds
         monkeypatch.setattr(
-            array_kernel, "ArrayRounds", lambda *args: seen.append(args[1].n) or real(*args)
+            array_kernel, "rounds", lambda *args: seen.append(args[1].n) or real(*args)
         )
         n = engine.ARRAY_MIN_DEVICES
         run(generate_random_scenario(n - 1, 1))
@@ -655,20 +667,19 @@ class TestArrayKernel:
         assert array_kernel.block_rows(scenario.n) > 5
         confirmed = admit(scenario.demands, scenario.globals.bandwidth)
         calls = poisoned_inverse(monkeypatch, 5)
-        rounds = array_kernel.ArrayRounds(init(scenario, confirmed), scenario)
+        rounds = array_kernel.rounds(init(scenario, confirmed), scenario)
         for _ in range(4):
-            rounds.advance()
+            fields = next(rounds)[3]
         assert len(calls) >= 5  # round 5 was computed with round 1, inside one block
-        before = rounds.state()
+        before = round_state(fields, 4, confirmed)
         stepped = []
         monkeypatch.setattr(engine, "step", lambda *a: stepped.append(a) or step(*a))
-        cons, constr, bound = rounds.advance()
+        cons, constr, bound, fields = next(rounds)
         assert len(calls) >= 5
         assert stepped == [(before, scenario)]
         want = step(before, scenario)
-        assert rounds.state() == want
+        assert round_state(fields, 5, confirmed) == want
         assert cons == consensus_residual(want)
-        assert rounds.constraint_residual() == constraint_residual(want)
         assert abs(constr - constraint_residual(want)) <= bound
         # a whole run goes on from step's round
         calls.clear()
@@ -756,7 +767,8 @@ class TestBlocks:
     def test_rounds_across_blocks_match_scalar(self, monkeypatch):
         # three blocks, the second ended early by a flagged round that step
         # runs; the round before each round is read from its buffer set only
-        # after the next round was computed, the next block included
+        # after the next round was drawn, the next block included, as run's
+        # divergence streak reads it
         from bandalloc import array_kernel
 
         scenario = generate_random_scenario(60, 2)
@@ -767,15 +779,18 @@ class TestBlocks:
         poisoned_inverse(monkeypatch, rows + 3)
         stepped = []
         monkeypatch.setattr(engine, "step", lambda *a: stepped.append(a[0].iteration) or step(*a))
-        rounds = array_kernel.ArrayRounds(initial_state(scenario), scenario)
-        before = constraint_residual(initial_state(scenario))
-        for (cons, constr), state in scalar:
-            got_cons, got_constr, bound = rounds.advance()
-            assert rounds.constraint_residual(before=True) == before
-            assert rounds.state() == state
-            assert got_cons == cons
-            assert abs(got_constr - constr) <= bound
-            before = constr
+        state = initial_state(scenario)
+        rounds = array_kernel.rounds(state, scenario)
+        before = (consensus_residual(state), constraint_residual(state))
+        before_fields = vectors(state)
+        for residuals, state in scalar:
+            got_cons, got_constr, bound, fields = next(rounds)
+            prior = round_state(before_fields, state.iteration - 1, state.confirmed)
+            assert (consensus_residual(prior), constraint_residual(prior)) == before
+            assert round_state(fields, state.iteration, state.confirmed) == state
+            assert got_cons == residuals[0]
+            assert abs(got_constr - residuals[1]) <= bound
+            before, before_fields = residuals, fields
         assert stepped == [rows + 2]
 
     @pytest.mark.parametrize("stop", ["converged", "diverged", "cap"])
@@ -837,10 +852,13 @@ class TestCheapDecisions:
         scenarios = [scenario for _, scenario in parity_scenarios()] + [tight[0]]
         cheap = [outcome("array", scenario, monkeypatch) for scenario in scenarios]
         # an infinite bound in every round: math.fsum decides each comparison
-        real = array_kernel.ArrayRounds.advance
-        monkeypatch.setattr(
-            array_kernel.ArrayRounds, "advance", lambda self: (*real(self)[:2], math.inf)
-        )
+        real = array_kernel.rounds
+
+        def unbounded(*args):
+            for cons, constr, _, fields in real(*args):
+                yield cons, constr, math.inf, fields
+
+        monkeypatch.setattr(array_kernel, "rounds", unbounded)
         exact = [outcome("array", scenario, monkeypatch) for scenario in scenarios]
         assert cheap == exact
         assert {stop.split(":")[0] for stop, _, _ in cheap} == {
@@ -851,12 +869,15 @@ class TestCheapDecisions:
         from bandalloc import array_kernel
 
         scenario, k, residual = tight
-        returned, sums = [], []  # advance's returns; the round of each fsum call
-        real_advance, real_fsum = array_kernel.ArrayRounds.advance, math.fsum
-        monkeypatch.setattr(
-            array_kernel.ArrayRounds, "advance",
-            lambda self: returned.append(real_advance(self)) or returned[-1],
-        )
+        returned, sums = [], []  # the residuals of each round drawn; the round of each fsum call
+        real_rounds, real_fsum = array_kernel.rounds, math.fsum
+
+        def recorded_rounds(*args):
+            for drawn in real_rounds(*args):
+                returned.append(drawn[:3])
+                yield drawn
+
+        monkeypatch.setattr(array_kernel, "rounds", recorded_rounds)
 
         def counted_fsum(xs):
             if returned:  # admission's sums come before the first round
@@ -890,6 +911,36 @@ class TestCheapDecisions:
         assert got == want
         assert got[:2] == ("converged", k)
         assert got[2].diagnostics.constraint_residual == residual
+
+    def test_fsum_at_most_once_per_round(self, monkeypatch):
+        # a stalled run, where most streak comparisons fall inside the bound and
+        # need the exact residuals of a round and of the round before: each
+        # round's is summed once, and serves both comparisons that read it
+        from bandalloc import array_kernel
+
+        scenario = with_eta(generate_random_scenario(200, 1), 0.05)
+        options = dataclasses.replace(
+            scenario.options, max_iters=3000, tol_consensus=1e-300, tol_constraint=1e-300
+        )
+        stalled = scenario.with_settings(scenario.globals, options)
+        drawn, sums = [0], []  # rounds drawn so far; that count at each fsum call
+        real_rounds, real_fsum = array_kernel.rounds, math.fsum
+
+        def counted_rounds(*args):
+            for round_ in real_rounds(*args):
+                drawn[0] += 1
+                yield round_
+
+        monkeypatch.setattr(array_kernel, "rounds", counted_rounds)
+        monkeypatch.setattr(math, "fsum", lambda xs: sums.append(drawn[0]) or real_fsum(xs))
+        result = run_on("array", stalled, monkeypatch)
+        k = result.iterations_used
+        assert (k, result.converged, result.diagnostics.diverged) == (3000, False, False)
+        # admission's and init's sums come first, the report's two last
+        in_rounds = [r for r in sums if r][:-2]
+        assert sums[-2:] == [k, k] and len(in_rounds) > 2000
+        # by round r, at most r sums: the residuals of rounds 1 to r, each once
+        assert all(i < r for i, r in enumerate(in_rounds))
 
 
 def test_exceeds_allows_for_the_rounding_of_sums():
