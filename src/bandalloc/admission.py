@@ -27,6 +27,11 @@ class ConfirmedDemands:
         return math.fsum(self.values)
 
 
+def _floats(column: Sequence[float]) -> bool:
+    """True when every value is of type ``float`` and the sum is finite (so no NaN or inf)."""
+    return set(map(type, column)) == {float} and math.isfinite(sum(column))
+
+
 def admit(demands: Sequence[float], bandwidth: float) -> ConfirmedDemands:
     """Confirm ``demands`` against ``bandwidth``.
 
@@ -40,9 +45,10 @@ def admit(demands: Sequence[float], bandwidth: float) -> ConfirmedDemands:
         raise ValueError("demand list must be non-empty")
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ValueError(f"bandwidth must be a positive finite number, got {bandwidth}")
-    for k, d in enumerate(demands):
-        if not (d >= 0.0 and math.isfinite(d)):
-            raise ValueError(f"demand[{k}] must be a finite number >= 0, got {d}")
+    if not (_floats(demands) and min(demands) >= 0.0):  # else name the first bad one
+        for k, d in enumerate(demands):
+            if not (d >= 0.0 and math.isfinite(d)):
+                raise ValueError(f"demand[{k}] must be a finite number >= 0, got {d}")
     total = math.fsum(demands)
     if total <= bandwidth:
         return ConfirmedDemands(values=tuple(demands))

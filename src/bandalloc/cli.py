@@ -48,8 +48,8 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _fmt_vec(values) -> str:
-    return " ".join(_fmt(v) for v in values)
+def _fmt_vec(values) -> str:  # one ``%`` formats every value as ``_fmt`` does
+    return " ".join(["%.12g"] * len(values)) % tuple(values)
 
 
 def _emit(key: str, value) -> None:
@@ -179,12 +179,9 @@ def cmd_oracle(args: argparse.Namespace) -> ExitStatus:
     _emit("allocation_total", _fmt(math.fsum(solution.allocations)))
     _emit("lambda", "n/a" if solution.lam is None else _fmt(solution.lam))
     _emit("objective", _fmt(solution.objective))
-    negatives = [i for i, x in enumerate(solution.allocations) if x < 0.0]
-    if negatives:
-        _warn(
-            "optimal allocation is negative for device(s) "
-            + ", ".join(str(i) for i in negatives)
-        )
+    if min(solution.allocations) < 0.0:
+        negatives = (str(i) for i, x in enumerate(solution.allocations) if x < 0.0)
+        _warn(f"optimal allocation is negative for device(s) {', '.join(negatives)}")
     return ExitStatus.OK
 
 

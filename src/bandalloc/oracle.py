@@ -23,6 +23,7 @@ __all__ = ["OracleSolution", "objective", "solve"]
 # stop width of 1e-12: log2(2 * 1.8e308 / 1e-12) is about 1065
 _MAX_BISECTIONS = 1100
 _MAX_WIDENINGS = 200
+_OVERFLOW = "bisection failure: arithmetic overflow inverting the derivative at v = {}, device {}"
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,13 @@ def _inverse(omegas: tuple[float, ...], c: float, price: float):
     """
 
     def scalar(v: float) -> list[float]:
-        return [invert_derivative(w, c, price, v) for w in omegas]
+        xs: list[float] = []
+        try:
+            for w in omegas:
+                xs.append(invert_derivative(w, c, price, v))
+        except OverflowError:
+            raise ArithmeticError(_OVERFLOW.format(v, len(xs))) from None
+        return xs
 
     kernel = engine.array_kernel_for(len(omegas))
     return scalar if kernel is None else kernel.inverse_for(omegas, c, price, scalar)

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from . import topology
+from .admission import _floats
 from .topology import Topology
 
 __all__ = [
@@ -128,18 +129,16 @@ class Scenario:
             raise ScenarioError("devices must contain at least one entry")
         if len(demands) != len(omegas):
             raise ScenarioError(f"demands: {len(demands)} entries for {len(omegas)} omegas")
-        inf, converted = math.inf, False
-        for k, (w, d) in enumerate(zip(omegas, demands)):
-            # the common case, a float in range, costs a type test and a comparison
-            if not (type(w) is float and 0.0 < w < inf and type(d) is float and 0.0 <= d < inf):
+        # columns of floats in range are accepted whole, in a few passes in C;
+        # otherwise each device is checked, and ints and float subclasses converted
+        if not (_floats(omegas) and min(omegas) > 0.0 and _floats(demands) and min(demands) >= 0):
+            for k, (w, d) in enumerate(zip(omegas, demands)):
                 try:
                     _positive("omega", w)
                     if not (math.isfinite(x := _number("demand", d)) and x >= 0):
                         raise ScenarioError(f"demand must be a finite number >= 0, got {x}")
                 except ScenarioError as exc:
                     raise ScenarioError(f"devices[{k}]: {exc}") from None
-                converted = True
-        if converted:  # ints and float subclasses, checked above
             omegas, demands = tuple(map(float, omegas)), tuple(map(float, demands))
         # admission sums the demands exactly; a plain sum of non-negative
         # floats is within a factor 1 +- n*eps of that, so only a large one needs fsum
@@ -150,14 +149,13 @@ class Scenario:
                 raise ScenarioError("demands: the total overflows a float") from None
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "demands", demands)
-        edges = tuple(self.edges)
         try:
-            topo = topology.build(len(omegas), edges)
+            topo = topology.build(len(omegas), self.edges)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
         if not topo.is_connected():
             raise ScenarioError("edges: communication graph is not connected")
-        object.__setattr__(self, "edges", tuple(map(tuple, edges)))
+        object.__setattr__(self, "edges", topo.edges)
         object.__setattr__(self, "topology", topo)
 
     @property
@@ -201,14 +199,14 @@ def scenario_from_dict(doc: Any) -> Scenario:
     raw_devices = doc["devices"]
     if not isinstance(raw_devices, list) or not raw_devices:
         raise ScenarioError("devices: must be a non-empty array")
-    omegas, demands = [], []
-    for k, entry in enumerate(raw_devices):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"devices[{k}]: must be an object")
-        if entry.keys() != _DEVICE_KEYS:
-            _check_keys(entry, _DEVICE_KEYS, _DEVICE_KEYS, f"devices[{k}]")
-        omegas.append(entry["omega"])
-        demands.append(entry["demand"])
+    if not all(type(entry) is dict and entry.keys() == _DEVICE_KEYS for entry in raw_devices):
+        for k, entry in enumerate(raw_devices):
+            if not isinstance(entry, dict):
+                raise ScenarioError(f"devices[{k}]: must be an object")
+            if entry.keys() != _DEVICE_KEYS:
+                _check_keys(entry, _DEVICE_KEYS, _DEVICE_KEYS, f"devices[{k}]")
+    omegas = [entry["omega"] for entry in raw_devices]
+    demands = [entry["demand"] for entry in raw_devices]
 
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):

@@ -2,19 +2,29 @@
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
+from operator import eq
 
 __all__ = ["Topology", "build"]
 
 
 @dataclass(frozen=True)
 class Topology:
-    """Symmetric neighbor lists for ``n`` devices, fixed for a whole run."""
+    """A checked edge list over ``n`` devices, fixed for a whole run."""
 
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor indices of every device, built on first read."""
+        neighbors: list[list[int]] = [[] for _ in range(self.n)]
+        for i, j in self.edges:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        return tuple(tuple(sorted(nbrs)) for nbrs in neighbors)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Sorted neighbor indices of device ``i``."""
@@ -22,23 +32,19 @@ class Topology:
             raise IndexError(f"device index {i} out of range [0, {self.n})")
         return self.adjacency[i]
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
     def is_connected(self) -> bool:
-        """True when every device is reachable from device 0."""
-        if self.n <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            for j in self.adjacency[i]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return len(seen) == self.n
+        """True when the edges join all devices into one component (union-find)."""
+        parent = list(range(self.n))
+        for i, j in self.edges:
+            while (p := parent[i]) != i:  # path halving
+                parent[i] = i = parent[p]
+            while (p := parent[j]) != j:
+                parent[j] = j = parent[p]
+            if i < j:  # the smaller root stays a root, whatever the edge order
+                parent[j] = i
+            else:
+                parent[i] = j
+        return sum(map(eq, parent, range(self.n))) == 1
 
 
 def build(n: int, edges: Iterable[tuple[int, int]]) -> Topology:
@@ -47,10 +53,22 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Topology:
     The one check of an edge list: a non-pair, endpoints that are not ints
     (bools included) or lie outside ``[0, n)``, self-loops, and an edge
     repeated in either orientation raise ``ValueError`` naming ``edges[k]``.
+    Pairs are checked a column at a time; a per-entry loop names the first bad one.
     """
     if n < 1:
         raise ValueError(f"device count must be >= 1, got {n}")
-    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+    edges = tuple(edges)
+    if set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}:
+        firsts, seconds = zip(*edges) if edges else ((), ())
+        ends, pairs = firsts + seconds, tuple(zip(firsts, seconds))
+        if (
+            set(map(type, ends)) <= {int}
+            and (not ends or (min(ends) >= 0 and max(ends) < n))
+            and not any(map(eq, firsts, seconds))
+            and len({i * n + j if i < j else j * n + i for i, j in pairs}) == len(pairs)
+        ):
+            return Topology(n=n, edges=pairs)
+    seen: dict[tuple[int, int], None] = {}  # the pairs, in order
     for k, edge in enumerate(edges):
         try:
             i, j = edge
@@ -62,8 +80,7 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Topology:
             raise ValueError(f"edges[{k}]: endpoint out of range [0, {n}) in ({i}, {j})")
         if i == j:
             raise ValueError(f"edges[{k}]: self-loop ({i}, {j})")
-        if j in neighbor_sets[i]:
+        if (i, j) in seen or (j, i) in seen:
             raise ValueError(f"edges[{k}]: duplicate edge ({i}, {j})")
-        neighbor_sets[i].add(j)
-        neighbor_sets[j].add(i)
-    return Topology(n=n, adjacency=tuple(tuple(sorted(s)) for s in neighbor_sets))
+        seen[i, j] = None
+    return Topology(n=n, edges=tuple(seen))

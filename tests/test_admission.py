@@ -10,6 +10,10 @@ from hypothesis import given, strategies as st
 from bandalloc.admission import admit
 
 
+class FloatSubclass(float):
+    pass
+
+
 def test_exact_fit_confirmed_unchanged():
     confirmed = admit((1.0, 2.0, 2.0), 5.0)
     assert confirmed.values == (1.0, 2.0, 2.0)
@@ -101,3 +105,43 @@ def test_idempotent(demands, bandwidth):
     once = admit(demands, bandwidth)
     twice = admit(once.values, bandwidth)
     assert twice.values == once.values
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=3.0),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(min_value=-3, max_value=3),
+            st.booleans(),
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.7e308]),
+            st.floats(min_value=-3.0, max_value=3.0).map(FloatSubclass),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.floats(min_value=0.5, max_value=10.0),
+)
+def test_column_check_matches_per_entry_reference(demands, bandwidth):
+    # the per-entry check the whole-column one stands in for
+    want = None
+    for k, d in enumerate(demands):
+        if not (d >= 0.0 and math.isfinite(d)):
+            want = f"demand[{k}] must be a finite number >= 0, got {d}"
+            break
+    if want is not None:
+        with pytest.raises(ValueError) as excinfo:
+            admit(demands, bandwidth)
+        assert str(excinfo.value) == want
+        return
+    try:
+        total = math.fsum(demands)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            admit(demands, bandwidth)
+        return
+    confirmed = admit(demands, bandwidth)
+    if total <= bandwidth:
+        assert confirmed.values == tuple(demands)
+    else:
+        assert confirmed.total <= bandwidth

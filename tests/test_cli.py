@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 import os
 import pathlib
 import stat
@@ -19,6 +21,7 @@ import bandalloc
 from bandalloc import cli, engine
 from bandalloc.cli import ExitStatus, main
 from bandalloc.scenario import generate_random_scenario, parse_scenario, serialize_scenario
+from bandalloc.topology import Topology
 
 from conftest import BENCH_PATH
 
@@ -40,6 +43,9 @@ ORACLE_1000_SHA256 = {
     2: "2263fc2a060c45aa79aa1ee2aaeed12de66c9b2e6809c9c4b3e429fe675b0472",
     3: "82600f00758f860266812271aa1203091a6ba6a9eb6245dfddee241e1a5d77b7",
 }
+# sha256 of ``oracle`` stdout on ``generate_random_scenario(10_000, 1)`` (numpy
+# installed), recorded before the edge list and device columns were checked whole
+ORACLE_10000_1_SHA256 = "e1192d3fc18a2196b10e476cff7e4050ad453462bc4bebce7dddb643f805fd52"
 # ``run G ARGS`` on ``generate_random_scenario(n, seed)`` (numpy installed),
 # keyed (n, seed, ARGS): exit code and sha256 of stdout and stderr. A gain
 # under 1/lambda_max that converges at n=200 in 344 rounds, and the generator's
@@ -359,6 +365,32 @@ class TestOracleCommand:
             "numerical failure: bisection bracket failure: a bracket end is not finite\n"
         )
 
+    def test_negative_allocations_warned(self, capsys, tmp_path):
+        # devices 0 and 2 weigh too little to hold bandwidth at the common marginal
+        doc = json.loads(BENCH_PATH.read_text())
+        doc["devices"][0]["omega"], doc["devices"][2]["omega"] = 0.001, 0.002
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", str(path)]) == ExitStatus.OK
+        out, err = capsys.readouterr()
+        assert report_dict(out)["allocations"] == "-0.146329667658 5.28880081965 -0.142471151993"
+        assert err == "warning: optimal allocation is negative for device(s) 0, 2\n"
+        assert main(["oracle", str(BENCH_PATH)]) == ExitStatus.OK
+        assert capsys.readouterr().err == ""
+
+    def test_overflowing_inverse_names_device_and_value(self, capsys, tmp_path):
+        # the bracket's lower end is finite, but squaring 2*price - v*c overflows there
+        path = tmp_path / "overflow.json"
+        path.write_text(BENCH_PATH.read_text().replace('"bandwidth": 5.0', '"bandwidth": 1e300'))
+        code = main(["oracle", str(path)])
+        captured = capsys.readouterr()
+        assert code == ExitStatus.NUMERICAL_FAILURE
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: bisection failure: arithmetic overflow inverting the "
+            "derivative at v = -6.000000000000001e+298, device 0\n"
+        )
+
     def test_stdlib_fallback_agrees(self, capsys, tmp_path):
         # without numpy the scalar inverse runs at every size
         pytest.importorskip("numpy")
@@ -554,6 +586,55 @@ def test_oracle_output_pinned(capsys, tmp_path):
         assert main(["oracle", str(path)]) == ExitStatus.OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
+def test_oracle_output_pinned_at_the_top_of_the_ladder(capsys, tmp_path):
+    pytest.importorskip("numpy")
+    assert main(["oracle", str(write_generated(tmp_path, 10_000, 1))]) == ExitStatus.OK
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (ORACLE_10000_1_SHA256, "")
+
+
+@pytest.mark.parametrize(
+    "values, text",
+    [
+        (
+            (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300),
+            "nan inf -inf -0 4.94065645841e-324 1e+300",
+        ),
+        ((), ""),
+        (
+            (1.0, 2.5, 1 / 3, -1e-7, 123456789012345.0),
+            "1 2.5 0.333333333333 -1e-07 1.23456789012e+14",
+        ),
+    ],
+)
+def test_fmt_vec_bytes(values, text):
+    # the bytes of a per-value f-string join, pinned
+    assert cli._fmt_vec(values) == text == " ".join(f"{v:.12g}" for v in values)
+
+
+def test_adjacency_built_once_by_the_engine_only(capsys, monkeypatch, tmp_path):
+    # oracle reads the edge list alone; run and compare build the adjacency once
+    built = []
+    build_adjacency = Topology.adjacency.func
+    counted = functools.cached_property(lambda topo: built.append(topo) or build_adjacency(topo))
+    counted.__set_name__(Topology, "adjacency")
+    monkeypatch.setattr(Topology, "adjacency", counted)
+    seen, original = [], engine.run
+    monkeypatch.setattr(
+        engine, "run", lambda scenario, **kwargs: seen.append(scenario) or original(scenario)
+    )
+    for path in (BENCH_PATH, write_generated(tmp_path, 20, 1)):
+        assert main(["oracle", str(path)]) == ExitStatus.OK
+        assert built == []
+        main(["run", str(path), "--eta", "0.1"])
+        main(["compare", str(path)])
+        assert list(map(id, built)) == [id(scenario.topology) for scenario in seen]
+        assert len(set(map(id, built))) == 2
+        built.clear()
+        seen.clear()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("n, seed, args", sorted(RUN_PINNED))

@@ -231,7 +231,11 @@ class TestArrayPath:
         "omega, error",
         [
             # (2*price - v*c)**2 overflows while the bracket is checked
-            (lambda w: w * 1e152, r"^\(34, 'Numerical result out of range'\)$"),
+            (
+                lambda w: w * 1e152,
+                r"^bisection failure: arithmetic overflow inverting the derivative "
+                r"at v = 3\.165126063888246e\+153, device 0$",
+            ),
             # omega*c overflows: the bracket search runs into NaN
             (lambda w: 1e308, r"^bisection bracket failure: no lower bound found$"),
         ],

@@ -327,6 +327,111 @@ class TestTopologyCarried:
             dataclasses.replace(scenario, edges=((0, 1), (1, 0), (1, 2)))
 
 
+
+class FloatSubclass(float):
+    pass
+
+
+def reference_columns(omegas, demands):
+    """Per-device reference: the columns as floats, or the first device's error text."""
+
+    def number(name, value):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ScenarioError(f"{name} must be a number, got {value!r}")
+        return float(value)
+
+    for k, (w, d) in enumerate(zip(omegas, demands)):
+        try:
+            if not (math.isfinite(x := number("omega", w)) and x > 0):
+                raise ScenarioError(f"omega must be a positive finite number, got {x}")
+            if not (math.isfinite(x := number("demand", d)) and x >= 0):
+                raise ScenarioError(f"demand must be a finite number >= 0, got {x}")
+        except ScenarioError as exc:
+            raise ScenarioError(f"devices[{k}]: {exc}") from None
+    try:
+        math.fsum(map(float, demands))
+    except OverflowError:
+        raise ScenarioError("demands: the total overflows a float") from None
+    return tuple(map(float, omegas)), tuple(map(float, demands))
+
+
+ODD_VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1.7e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-5.0, max_value=5.0).map(FloatSubclass),
+)
+
+
+@st.composite
+def device_columns(draw):
+    """Columns of floats in range, with up to two entries replaced by odd values."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    omegas = draw(st.lists(st.floats(min_value=0.5, max_value=5.0), min_size=n, max_size=n))
+    demands = draw(st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        column = draw(st.sampled_from([omegas, demands]))
+        column[draw(st.integers(min_value=0, max_value=n - 1))] = draw(ODD_VALUES)
+    return omegas, demands
+
+
+class TestWholeColumnChecks:
+    """Whole-column checks accept and reject exactly what a per-entry loop does."""
+
+    @given(device_columns())
+    def test_device_columns_match_per_device_reference(self, columns):
+        omegas, demands = columns
+        edges = [(k, k + 1) for k in range(len(omegas) - 1)]
+        try:
+            want = reference_columns(omegas, demands)
+        except ScenarioError as exc:
+            with pytest.raises(ScenarioError) as excinfo:
+                make_scenario(omegas=omegas, demands=demands, edges=edges)
+            assert str(excinfo.value) == str(exc)
+        else:
+            scenario = make_scenario(omegas=omegas, demands=demands, edges=edges)
+            got = (scenario.omegas, scenario.demands)
+            assert [list(map(repr, column)) for column in got] == [
+                list(map(repr, column)) for column in want
+            ]
+            assert all(type(x) is float for column in got for x in column)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.just({"omega": 1.0, "demand": 1.0}),
+                st.just({"demand": 2.0, "omega": 1.5}),
+                st.just({"omega": 1.0}),
+                st.just({"omega": 1.0, "demand": 1.0, "extra": 0}),
+                st.just({"omega": 1.0, "weight": 1.0}),
+                st.just([1.0, 1.0]),
+                st.just(None),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_device_entries_match_per_entry_reference(self, entries):
+        edges = [[k, k + 1] for k in range(len(entries) - 1)]
+        doc = {**BASE_DOC, "devices": entries, "edges": edges}
+        want = None
+        for k, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                want = f"devices[{k}]: must be an object"
+            elif unknown := sorted(set(entry) - {"omega", "demand"}):
+                want = f"devices[{k}]: unknown key(s): {', '.join(unknown)}"
+            elif missing := sorted({"omega", "demand"} - set(entry)):
+                want = f"devices[{k}]: missing key(s): {', '.join(missing)}"
+            if want is not None:
+                with pytest.raises(ScenarioError) as excinfo:
+                    parse_scenario(json.dumps(doc))
+                assert str(excinfo.value) == want
+                return
+        scenario = parse_scenario(json.dumps(doc))
+        assert scenario.omegas == tuple(entry["omega"] for entry in entries)
+        assert scenario.demands == tuple(entry["demand"] for entry in entries)
+
 def handwritten_dict(scenario: Scenario) -> dict:
     """The serializer's dict written out field by field, as it was before it
     was derived from the dataclasses."""
