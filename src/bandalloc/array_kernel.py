@@ -4,9 +4,9 @@
 module lazily, through ``engine.array_kernel_for``, and use it when numpy
 imports and the scenario has at least ``engine.ARRAY_MIN_DEVICES`` devices;
 the package itself needs only the stdlib. The arithmetic follows
-``step`` and :func:`bandalloc.utility.invert_derivative` operation for
-operation, gossip's sums in sequence and the discriminant's square by
-multiplication included, so the two kernels give equal results bit for bit.
+``step`` and :func:`bandalloc.utility.inverse_from_constants`, on the same
+hoisted constants, operation for operation, gossip's sums in sequence and the
+discriminant's square by multiplication included: equal results bit for bit.
 
 An array result is used only where it and its discriminant are finite.
 Anything else goes to the scalar code, which raises as it would on its own

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 from .admission import ConfirmedDemands, admit
 from .scenario import Scenario
-# not called: kept because bench/tracer.py wraps this binding by name
+# not called: kept because bench/tracer.py wraps these bindings by name
 from .topology import build as build_topology  # noqa: F401
-from .utility import capacity_coefficient, derivative, invert_derivative
+from .utility import invert_derivative  # noqa: F401
+from .utility import capacity_coefficient, derivative
 
 __all__ = [
     "NumericalError",
@@ -48,14 +49,14 @@ _EPS = math.ulp(1.0)
 # Device count from which ``run`` iterates with the numpy kernel in
 # ``array_kernel``, and ``oracle.solve`` bisects on its elementwise inverse,
 # when numpy imports. The kernels give equal results, so it decides speed
-# alone. Below it the scalar code is faster or close: an array round (computed
-# in blocks) costs about 29 us at 3 devices against 9 us for a round of
-# ``_scalar_rounds``; they cross near 12 (median us per round of ``run``
-# on 2 shared vCPUs under other load, scalar/array: 13/21 at 8, 23/23 at 12,
-# 25/19 at 16, 30/23 at 20, 247/25 at 200). A solve crosses near 24 (median
-# us, scalar/array: 1026/1604 at 16, 1295/1576 at 20, 1660/1645 at 24,
-# 1826/1568 at 32); both keep this one rule: below 16 a run loses at most a
-# few us per round, and below 24 a solve loses < 1 ms.
+# alone. The scalar code is faster below about 20 devices for a run and 30
+# for a solve (median us, scalar/array, then the median paired ratio; seeds
+# 1-3 in-process on 2 shared vCPUs; per round of ``run``: 12/28 (0.42) at 8,
+# 15/26 (0.58) at 12, 12/15 (0.85) at 16, 15/15 (1.01) at 20; per solve:
+# 356/628 (0.58) at 16, 428/596 (0.72) at 20, 518/614 (0.83) at 24, 679/626
+# (1.09) at 32). One rule serves both; from 16 to 20 devices a run loses a
+# few us per round and a solve < 0.3 ms, and 20-device runs, which the
+# benchmark times, stay on the array kernel.
 ARRAY_MIN_DEVICES = 16
 
 
@@ -177,11 +178,11 @@ def _scalar_rounds(state: EngineState, scenario: Scenario):
         raise ValueError(f"state holds {len(state.x)} devices, scenario has {n}")
     g = scenario.globals
     c = capacity_coefficient(g.snr)
-    eta, mu, price = g.eta, g.mu, g.price
-    inverse, fsum, isfinite = invert_derivative, math.fsum, math.isfinite
-    rows = tuple(
-        zip(scenario.topology.adjacency, scenario.omegas, state.confirmed.values, strict=True)
-    )
+    eta, mu, two_price, two_price_c = g.eta, g.mu, 2.0 * g.price, 2.0 * g.price * c
+    isfinite, sqrt, copysign, inf = math.isfinite, math.sqrt, math.copysign, math.inf
+    # per device, omega*c and 8*omega*price*c*c of utility.inverse_from_constants
+    constants = [(w * c, 8.0 * w * g.price * c * c) for w in scenario.omegas]
+    rows = tuple(zip(scenario.topology.adjacency, constants, state.confirmed.values, strict=True))
     total = state.confirmed.total
     k = state.iteration
     xs, ys, zetas = state.x, state.u_prime, state.zeta
@@ -189,7 +190,7 @@ def _scalar_rounds(state: EngineState, scenario: Scenario):
         k += 1
         xs_new, ys_new, zetas_new, qs_new = [], [], [], []
         columns = zip(rows, xs, ys, zetas, strict=True)
-        for i, ((nbrs, omega, dstar), x, y, zeta) in enumerate(columns):
+        for i, ((nbrs, (omega_c, disc), dstar), x, y, zeta) in enumerate(columns):
             # added in sequence, as np.bincount does; fsum and (from 3.12) sum would compensate
             gossip = 0.0
             for j in nbrs:
@@ -200,10 +201,14 @@ def _scalar_rounds(state: EngineState, scenario: Scenario):
             zeta_new = zeta - mu * q
             if not (isfinite(u_new) and isfinite(zeta_new)):
                 raise NumericalError(k, i)
-            try:
-                x_new = inverse(omega, c, price, u_new)
-            except OverflowError:
-                raise NumericalError(k, i, "arithmetic overflow") from None
+            # utility.inverse_from_constants written out: a call per device measured slower
+            vc = u_new * c
+            b, t = two_price + vc, two_price - vc
+            if t * t == inf and isfinite(t):
+                raise NumericalError(k, i, "arithmetic overflow")
+            half = -0.5 * (b + copysign(sqrt(t * t + disc), b))
+            x_new, other = half / two_price_c, (u_new - omega_c) / half
+            x_new = other if other > x_new else x_new  # max(x_new, other), bit for bit
             if not isfinite(x_new):
                 raise NumericalError(k, i)
             xs_new.append(x_new)
@@ -211,7 +216,7 @@ def _scalar_rounds(state: EngineState, scenario: Scenario):
             zetas_new.append(zeta_new)
             qs_new.append(q)
         xs, ys, zetas = xs_new, ys_new, zetas_new
-        yield max(ys) - min(ys), abs(fsum(xs) - total), 0.0, (xs, ys, zetas, qs_new)
+        yield max(ys) - min(ys), abs(math.fsum(xs) - total), 0.0, (xs, ys, zetas, qs_new)
 
 
 def array_kernel_for(n: int):

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from . import engine
 from .admission import ConfirmedDemands
 from .scenario import Scenario
-from .utility import capacity_coefficient, derivative, evaluate, invert_derivative
+from .utility import capacity_coefficient, derivative, evaluate, inverse_from_constants
+# not called: kept because bench/tracer.py wraps this binding by name
+from .utility import invert_derivative  # noqa: F401
 
 __all__ = ["OracleSolution", "objective", "solve"]
 
@@ -66,14 +68,18 @@ def _inverse(omegas: tuple[float, ...], c: float, price: float):
     From ``engine.ARRAY_MIN_DEVICES`` devices on, when numpy imports, ``xs``
     is a float64 array from ``array_kernel``, which hands any value it cannot
     trust to the scalar loop; otherwise, and as the test reference, a list
-    from one scalar call per device.
+    from one scalar call per device, on constants gathered once per solve.
     """
+    two_price, two_price_c = 2.0 * price, 2.0 * price * c
+    constants: list[tuple[float, float]] = []
 
     def scalar(v: float) -> list[float]:
+        if not constants:  # on first use: the array path rarely hands a value back
+            constants.extend((w * c, 8.0 * w * price * c * c) for w in omegas)
         xs: list[float] = []
         try:
-            for w in omegas:
-                xs.append(invert_derivative(w, c, price, v))
+            for omega_c, disc in constants:
+                xs.append(inverse_from_constants(omega_c, disc, two_price, two_price_c, c, v))
         except OverflowError:
             raise ArithmeticError(_OVERFLOW.format(v, len(xs))) from None
         return xs

@@ -7,9 +7,9 @@ A device receiving bandwidth ``x`` gets net utility
 where ``c`` converts bandwidth to achievable rate for the shared channel
 quality. The derivative of this function is strictly decreasing on its
 domain, so it has a global inverse; the inverse is the larger root of a
-quadratic and is computed here in a cancellation-free form. Both the
-distributed engine and the centralized oracle are built on these four
-functions.
+quadratic, computed in a cancellation-free form by
+:func:`inverse_from_constants` from constants gathered once per run or solve.
+The distributed engine and the centralized oracle are built on these functions.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "evaluate",
     "derivative",
     "invert_derivative",
+    "inverse_from_constants",
 ]
 
 
@@ -81,13 +82,20 @@ def invert_derivative(omega: float, c: float, price: float, v: float) -> float:
         raise ValueError(f"price must be a positive finite number, got {price}")
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"capacity coefficient must be positive, got {c}")
-    b = 2.0 * price + v * c
-    const = v - omega * c
-    t = 2.0 * price - v * c
+    constants = omega * c, 8.0 * omega * price * c * c, 2.0 * price, 2.0 * price * c
+    return inverse_from_constants(*constants, c, v)
+
+
+def inverse_from_constants(omega_c, disc_const, two_price, two_price_c, c, v) -> float:
+    """:func:`invert_derivative`'s operations, unchecked, on ``omega_c = omega*c``,
+    ``disc_const = 8*omega*price*c*c``, ``two_price = 2*price``, ``two_price_c = 2*price*c``."""
+    b = two_price + v * c
+    const = v - omega_c
+    t = two_price - v * c
     if t * t == math.inf and math.isfinite(t):
         raise OverflowError(34, "Numerical result out of range")
-    root = math.sqrt(t * t + 8.0 * omega * price * c * c)
+    root = math.sqrt(t * t + disc_const)
     # pair b with the same-signed root so neither quotient cancels; b is
     # never -0.0 (2*price > 0), so b == 0 takes +root
     q = -0.5 * (b + math.copysign(root, b))
-    return max(q / (2.0 * price * c), const / q)
+    return max(q / two_price_c, const / q)

@@ -64,6 +64,34 @@ RUN_PINNED = {
         "aae6d656b9d8fac4b941a26904054c74db439e55f680d4199dda738648df46a4",
     ),
 }
+# sha256 of what ``CMD FILE ARGS`` prints, ARGS from ``SMALL_N_ARGS``, on
+# ``scenarios/paper_s5.json`` ("paper_s5") or on ``generate_random_scenario(n,
+# seed)`` for seeds 1-8 in turn: for each file its stdout, its stderr, and
+# "exit status K" and a newline when K is not 0. Keyed (CMD, "paper_s5" or n).
+# Below ``engine.ARRAY_MIN_DEVICES`` only the scalar round and the scalar
+# bisection run; every ``run`` diverges, and ``compare`` at n=15 seed 2
+# overflows. Recorded before the scalar round wrote the inverse out inline.
+SMALL_N_ARGS = {"compare": (), "oracle": (), "run": ("--eta", "0.9")}
+SMALL_N_SHA256 = {
+    ("compare", "paper_s5"): "801b1ffacf2c36e6483b4dec7d38e4de35cf5eb99a93d9f05f3bbc0535fee994",
+    ("compare", 3): "1f48abd8c5c3c66a345f1783a49d5d7b4227da921e72f902c3755d9a530dacf1",
+    ("compare", 5): "389c46a243a3e15512ed931cce8b6bbfa16dcb02a5863a688ada4200ec9579ba",
+    ("compare", 8): "165a09a46d2198fd3592456450a576b4368136d140a1dc52fee540dc914b474a",
+    ("compare", 12): "f5ceb6594261e0c15445fdf787fb6c451eb72106ba7e114fb43e0307912e3a65",
+    ("compare", 15): "8b1c6697235e17e41d3f3e5c5e2b4cdce3b96f33ddd281ad4127cb8ffc4170b9",
+    ("oracle", "paper_s5"): "322faf34b7d60f08b7ee266340286a86d8d0b9b9c60b5205a157bb7111fbcd99",
+    ("oracle", 3): "d7e42b989616133a7c273465250adb50521c6638feab3214623161ee007b10dd",
+    ("oracle", 5): "f6febccba5757d9ad8488c3fb99b4de7ae6003d3697caa55776cc19440684b60",
+    ("oracle", 8): "22f5d6ea71656bdbb942595aff16ba7d3c6b34306057fe5dfccae558a2740c49",
+    ("oracle", 12): "8fae2e6a73a01e28f3721a74f227cd52eb3ee3a9a2d94f35fc27363d9c978732",
+    ("oracle", 15): "2405ef2199525ad028ac72758df9ea4a4c412b8fa2a368aaee0e5d5309c5ca59",
+    ("run", "paper_s5"): "c6e8047c753ec99ef4be2a15f40bc6d5e0191a4b17ca14b17def2543f7ba3461",
+    ("run", 3): "8174ccfde88cbe5a15816b29607c4eb4b69ea1ad709799981eb58139911d4c38",
+    ("run", 5): "1c8d31cb3423cb2fec3dd37282c4960bfa6f022bc39421988d875634c19272d1",
+    ("run", 8): "89276d3a400872f6dabcab19b90f87d775ca35f5df4d2715094402c1712e3a2c",
+    ("run", 12): "0a229d0ae8c792ec1c39c1fa357cb7701fdaa4258ab3374101b21b408f78fc36",
+    ("run", 15): "b7a7afb74ab15665a9296792f55f5bc3ea0bd46470e9f3f085c4f4a6aebdd324",
+}
 # sha256 of ``gen --n 50 --seed 3`` stdout
 GEN_50_3_SHA256 = "46786ea305f96701a48b2bd53ccce498c07e67d00915f83de55c5b60534c7f55"
 
@@ -635,6 +663,21 @@ def test_adjacency_built_once_by_the_engine_only(capsys, monkeypatch, tmp_path):
         built.clear()
         seen.clear()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, source", list(SMALL_N_SHA256))
+def test_small_n_output_pinned(capsys, tmp_path, command, source):
+    if source == "paper_s5":
+        paths = [BENCH_PATH]
+    else:
+        assert source < engine.ARRAY_MIN_DEVICES
+        paths = [write_generated(tmp_path, source, seed) for seed in range(1, 9)]
+    transcript = []
+    for path in paths:
+        code = main([command, str(path), *SMALL_N_ARGS[command]])
+        transcript += [*capsys.readouterr(), f"exit status {code}\n" if code else ""]
+    digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
+    assert digest == SMALL_N_SHA256[command, source]
 
 
 @pytest.mark.parametrize("n, seed, args", sorted(RUN_PINNED))

@@ -53,7 +53,10 @@ def reference_step(state: EngineState, scenario) -> EngineState:
         q = g.eta * gossip
         u_new = ys[i] + (q - zs[i] + g.mu * (xs[i] - dstar[i]))
         zeta = zs[i] - g.mu * q
-        x = invert_derivative(scenario.omegas[i], c, g.price, u_new)
+        try:
+            x = invert_derivative(scenario.omegas[i], c, g.price, u_new)
+        except OverflowError as exc:  # named by device, as step's NumericalError is
+            raise OverflowError(i) from exc
         out.append((x, u_new, zeta, q))
     x, u_prime, zeta, q = (tuple(column) for column in zip(*out))
     return EngineState(
@@ -167,6 +170,30 @@ class TestStep:
             zetas = [rng.uniform(-1.0, 1.0) for _ in range(n)]
             state = state_from_values(scenario, ys, zetas)
             assert step(state, scenario) == reference_step(state, scenario)
+        # snr 1 and price 0.5 give c = 1: the discriminant's base is t = 1 - u', and
+        # b = 1 + u' is +0.0 at u' = -2*price/c = -1; t*t first overflows at |t| = 2**512
+        scenario = make_scenario(
+            omegas=(3.0, 8.0, 0.7, 2.0, 1.5),
+            demands=(1.0, 2.0, 0.5, 1.0, 0.5),
+            edges=((0, 1), (1, 2), (2, 3), (3, 4)),
+            snr=1.0,
+            price=0.5,
+        )
+        flat = state_from_values(scenario, [-1.0] * 5)
+        # equal marginals, zero zeta and x = d_star: every u' stays exactly -1
+        flat = dataclasses.replace(flat, x=flat.confirmed.values)
+        assert reference_step(flat, scenario).u_prime == (-1.0,) * 5
+        assert step(flat, scenario) == reference_step(flat, scenario)
+        # device 2's new u' is about 0.6 * y, its neighbours' about 0.2 * y: only
+        # device 2's t*t overflows, and only at y = -3e154, not at -1e150
+        state = dataclasses.replace(flat, u_prime=(0.5, 1.0, -1e150, 2.0, 0.0))
+        assert step(state, scenario) == reference_step(state, scenario)
+        state = dataclasses.replace(flat, u_prime=(0.5, 1.0, -3e154, 2.0, 0.0))
+        with pytest.raises(OverflowError) as expected:
+            reference_step(state, scenario)
+        with pytest.raises(NumericalError, match="^arithmetic overflow at iteration 1") as got:
+            step(state, scenario)
+        assert got.value.device == expected.value.args[0] == 2
 
     def test_device_count_mismatch_rejected(self, bench):
         other = make_scenario(omegas=(1.0, 2.0), demands=(1.0, 1.0), edges=((0, 1),))

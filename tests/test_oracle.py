@@ -219,8 +219,11 @@ class TestArrayPath:
         # discriminant is finite, so the array value is used as it is
         scenario = dataclasses.replace(generate_random_scenario(20, 1), omegas=(2.0,) * 20)
         calls = []
-        real = oracle.invert_derivative
-        monkeypatch.setattr(oracle, "invert_derivative", lambda *a: calls.append(a) or real(*a))
+        # the scalar loop's one call per device
+        real = oracle.inverse_from_constants
+        monkeypatch.setattr(
+            oracle, "inverse_from_constants", lambda *a: calls.append(a) or real(*a)
+        )
         array = solve_on("array", scenario, monkeypatch)
         assert calls == []
         scalar = solve_on("scalar", scenario, monkeypatch)

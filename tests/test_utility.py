@@ -6,13 +6,14 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bandalloc.utility import (
     capacity_coefficient,
     derivative,
     evaluate,
     invert_derivative,
+    inverse_from_constants,
 )
 
 C100 = capacity_coefficient(100.0)
@@ -30,6 +31,14 @@ def mp_derivative(omega: float, snr: float, price: float, x: float) -> float:
     c = mpmath.log(1 + mpmath.mpf(snr), 2)
     xm = mpmath.mpf(x)
     return float(omega * c / (c * xm + 1) - 2 * price * xm)
+
+
+def hex_or_overflow(f, *args):
+    """``f(*args)`` as hex, or the arguments of the ``OverflowError`` it raises."""
+    try:
+        return f(*args).hex()
+    except OverflowError as exc:
+        return exc.args
 
 
 def bisect_inverse(omega: float, c: float, price: float, v: float) -> float:
@@ -142,12 +151,19 @@ class TestInvertDerivative:
         v = derivative(1.0, C100, 0.01, x)
         assert abs(invert_derivative(1.0, C100, 0.01, v) - x) <= 1e-9
 
-    @given(v=st.floats(min_value=-1e3, max_value=1e3))
-    def test_result_stays_in_log_domain(self, v):
+    @given(v=st.floats(min_value=-1e3, max_value=1e3), wide=st.floats())
+    @example(v=0.0, wide=-(2.0**512))
+    def test_result_stays_in_log_domain(self, v, wide):
         x = invert_derivative(2.0, C100, 0.01, v)
         assert x > -1.0 / C100
         # and it really is the inverse
         assert derivative(2.0, C100, 0.01, x) == pytest.approx(v, abs=1e-6 * max(1.0, abs(v)))
+        # the unchecked form on hoisted constants: the same bits, or the same
+        # OverflowError, which c = 1 and price = 0.5 raise from |wide| = 2**512 on
+        for c, price, u in ((C100, 0.01, v), (capacity_coefficient(1.0), 0.5, wide)):
+            constants = 2.0 * c, 8.0 * 2.0 * price * c * c, 2.0 * price, 2.0 * price * c
+            got = hex_or_overflow(inverse_from_constants, *constants, c, u)
+            assert got == hex_or_overflow(invert_derivative, 2.0, c, price, u)
 
     def test_extreme_negative_v_far_right_root(self):
         x = invert_derivative(1.0, C100, 0.01, -1e3)
