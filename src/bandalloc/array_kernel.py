@@ -112,11 +112,11 @@ def rounds(state: engine.EngineState, scenario: Scenario):
     which ends the block. Two buffer sets take the blocks in turn, so the
     round before a block stays readable.
 
-    A flagged round is run again by ``engine.step`` from the round before, which
-    raises its ``NumericalError`` or returns the round, yielded with its exact
-    residuals and a bound of 0.0. That happens only when the rounds are drawn
-    past the block's trusted ones, so rounds computed past the end of a run
-    never raise.
+    A flagged round is run again by the scalar round, ``engine._scalar_rounds``,
+    from the round before: it raises its ``NumericalError``, or its round, with
+    exact residuals and a bound of 0.0, is yielded as it is. That happens only
+    when the rounds are drawn past the block's trusted ones, so rounds computed
+    past the end of a run never raise.
     """
     g = scenario.globals
     c = capacity_coefficient(g.snr)
@@ -164,8 +164,7 @@ def rounds(state: engine.EngineState, scenario: Scenario):
                 fields = xs[trusted - 1], us[trusted - 1], zetas[trusted - 1], qs[trusted - 1]
             if trusted < m:  # the flagged round, drawn
                 before = engine.EngineState(*(tuple(f.tolist()) for f in fields), k, confirmed)
-                state = engine.step(before, scenario)
+                flagged = next(engine._scalar_rounds(before, scenario))
                 k += 1
-                fields = tuple(map(np.array, (state.x, state.u_prime, state.zeta, state.q)))
-                cons = max(state.u_prime) - min(state.u_prime)
-                yield cons, abs(math.fsum(state.x) - total), 0.0, fields
+                fields = tuple(map(np.array, flagged[3]))
+                yield flagged

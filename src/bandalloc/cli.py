@@ -86,7 +86,7 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         options = dataclasses.replace(scenario.options, **option_kwargs)
     except ScenarioError as exc:
         raise _CliError(f"invalid override: {exc}") from None
-    return scenario.with_settings(glob, options)
+    return dataclasses.replace(scenario, globals=glob, options=options)
 
 
 def _csv_sink(fh, n: int):

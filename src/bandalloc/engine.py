@@ -250,7 +250,7 @@ def _rounds(state: EngineState, scenario: Scenario):
 
 
 def _listed(field):
-    """A round's field as a sequence of floats: ``tolist()`` of an array row."""
+    """Floats as a sequence: ``tolist()`` of an array, a list or tuple as it is."""
     return field if isinstance(field, (list, tuple)) else field.tolist()
 
 

@@ -162,7 +162,7 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
 
     lam = 0.5 * (lo + hi)
     xs = inverse(lam)
-    allocations = tuple(xs if isinstance(xs, list) else xs.tolist())
+    allocations = tuple(engine._listed(xs))
     try:
         value = objective(scenario, allocations)
     except ValueError as exc:  # rounding put an allocation on the domain boundary

@@ -10,7 +10,6 @@ name.
 from __future__ import annotations
 
 import bisect
-import copy
 import json
 import math
 import random
@@ -161,13 +160,6 @@ class Scenario:
     @property
     def n(self) -> int:
         return len(self.omegas)
-
-    def with_settings(self, globals: Globals, options: SolverOptions) -> Scenario:
-        """This scenario with other ``globals`` and ``options``; the rest is not checked again."""
-        new = copy.copy(self)
-        object.__setattr__(new, "globals", globals)
-        object.__setattr__(new, "options", options)
-        return new
 
 
 _GLOBAL_KEYS = [f.name for f in fields(Globals)]

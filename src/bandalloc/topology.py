@@ -26,12 +26,6 @@ class Topology:
             neighbors[j].append(i)
         return tuple(tuple(sorted(nbrs)) for nbrs in neighbors)
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Sorted neighbor indices of device ``i``."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"device index {i} out of range [0, {self.n})")
-        return self.adjacency[i]
-
     def is_connected(self) -> bool:
         """True when the edges join all devices into one component (union-find)."""
         parent = list(range(self.n))

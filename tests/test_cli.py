@@ -457,6 +457,20 @@ class TestOracleCommand:
 
 
 class TestCompareCommand:
+    def test_all_zero_demands(self, capsys, tmp_path):
+        devices = [{"omega": omega, "demand": 0.0} for omega in (1.0, 2.0, 3.0)]
+        code = main(["compare", str(write_bench_with(tmp_path, devices=devices))])
+        captured = capsys.readouterr()
+        assert code == ExitStatus.OK
+        assert captured.out == (
+            "command: compare\ndevices: 3\nbandwidth: 5\nconfirmed_demands: 0 0 0\n"
+            "confirmed_total: 0\nconverged: true\niterations: 0\n"
+            "engine_allocations: 0 0 0\noracle_allocations: 0 0 0\nper_device_gap: 0 0 0\n"
+            "max_gap: 0\ngap_threshold: 2e-05\nconsensus_value: nan\nlambda: n/a\n"
+            "lambda_gap: n/a\n"
+        )
+        assert captured.err == "warning: all demands are zero; allocation is trivially zero\n"
+
     def test_benchmark_within_gate(self, capsys):
         code = main(["compare", str(BENCH_PATH)])
         out = capsys.readouterr().out
@@ -564,13 +578,15 @@ def test_run_builds_topology_once(capsys, build_calls):
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_overrides_keep_the_topology(capsys, build_calls, command):
-    # an override validates only the settings it replaces
+    # one build at parse and one at the settings' replacement; an invalid
+    # override is named before the scenario is rebuilt
     argv = [command, str(BENCH_PATH), "--eta", "0.1", "--max-iters", "5000", "--init", "uniform"]
     assert main(argv) == ExitStatus.OK
-    assert len(build_calls) == 1
+    assert len(build_calls) == 2
     capsys.readouterr()
     assert main([command, str(BENCH_PATH), "--eta", "-0.1"]) == ExitStatus.INVALID_INPUT
     assert capsys.readouterr().err.startswith("error: invalid override: eta ")
+    assert len(build_calls) == 3
 
 
 @pytest.mark.parametrize(
@@ -815,6 +831,16 @@ class TestGenCommand:
         code = main(["gen", "--n", "0", "--seed", "1"])
         capsys.readouterr()
         assert code == ExitStatus.INVALID_INPUT
+
+    def test_unwritable_out_rejected(self, capsys, tmp_path):
+        # into a missing directory, and onto a directory
+        for out in (tmp_path / "missing" / "made.json", tmp_path):
+            code = main(["gen", "--n", "3", "--seed", "9", "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == ExitStatus.INVALID_INPUT
+            assert captured.err.startswith(f"error: cannot write {out}: ")
+            assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUsageErrors:

@@ -48,7 +48,7 @@ def reference_step(state: EngineState, scenario) -> EngineState:
     out = []
     for i in range(scenario.n):
         gossip = 0.0  # in sequence, as np.bincount adds
-        for j in topo.neighbors(i):
+        for j in topo.adjacency[i]:
             gossip += ys[j] - ys[i]
         q = g.eta * gossip
         u_new = ys[i] + (q - zs[i] + g.mu * (xs[i] - dstar[i]))
@@ -194,6 +194,32 @@ class TestStep:
         with pytest.raises(NumericalError, match="^arithmetic overflow at iteration 1") as got:
             step(state, scenario)
         assert got.value.device == expected.value.args[0] == 2
+        # the square t*t = 1.44e308 is finite, but the discriminant adds device 0's
+        # 8*omega*price*c*c = 8e307 and overflows: its x is inf, where the
+        # reference returns it and step raises
+        scenario = make_scenario(
+            omegas=(2e307, 1.0, 1.0), demands=(1.0,) * 3, edges=((0, 1), (1, 2)),
+            snr=1.0, price=0.5,
+        )
+        state = state_from_values(scenario, [1.0 - 1.2e154] * 3)
+        state = dataclasses.replace(state, x=state.confirmed.values)
+        assert reference_step(state, scenario).x == (math.inf, 1.2e154, 1.2e154)
+        with pytest.raises(NumericalError) as got:
+            step(state, scenario)
+        assert str(got.value) == "non-finite value at iteration 1, device 0"
+        # zeta' = zeta - mu*q = 1e300 - 1e310 overflows while u' and x stay
+        # finite: only the check of u' and zeta' catches it
+        scenario = make_scenario(
+            omegas=(1.0, 1.0), demands=(1.0, 1.0), edges=((0, 1),), mu=1e10, eta=1.0
+        )
+        state = dataclasses.replace(
+            initial_state(scenario), u_prime=(0.0, 1e300), zeta=(1e300, 0.0)
+        )
+        want = reference_step(state, scenario)
+        assert want.zeta == (-math.inf, math.inf) and all(map(math.isfinite, want.x))
+        with pytest.raises(NumericalError) as got:
+            step(state, scenario)
+        assert str(got.value) == "non-finite value at iteration 1, device 0"
 
     def test_device_count_mismatch_rejected(self, bench):
         other = make_scenario(omegas=(1.0, 2.0), demands=(1.0, 1.0), edges=((0, 1),))
@@ -604,8 +630,10 @@ def test_gossip_sums_in_sequence(monkeypatch):
     pytest.importorskip("numpy")
     from bandalloc import array_kernel
 
-    # the array round itself: a flagged round would be run by step
-    monkeypatch.setattr(engine, "step", lambda *a: pytest.fail("array round fell back to step"))
+    # the array round itself: a flagged round would be run by the scalar round
+    monkeypatch.setattr(
+        engine, "_scalar_rounds", lambda *a: pytest.fail("array round fell back to scalar")
+    )
     fields = next(array_kernel.rounds(state, scenario))[3]
     assert round_state(fields, 1, state.confirmed) == stepped
 
@@ -675,16 +703,25 @@ class TestArrayKernel:
         assert errors[0] == (309, 1, "arithmetic overflow at iteration 309, device 1")
 
     def test_non_finite_update_names_same_round_and_device(self, monkeypatch):
-        unstable = with_eta(bench_scenario(), 50.0)
-        errors = []
-        for kernel in ("scalar", "array"):
-            with pytest.raises(NumericalError) as excinfo:
-                run_on(kernel, unstable, monkeypatch)
-            errors.append(str(excinfo.value))
-        assert errors[0] == errors[1]
+        # eta 50 on paper_s5 stops in the inverse's overflow check; with eta
+        # 1e308, device 1's u' stays finite in round 1 and its x is infinite
+        cases = [
+            (with_eta(bench_scenario(), 50.0), "arithmetic overflow at iteration 71, device 0"),
+            (
+                with_eta(generate_random_scenario(20, 1), 1e308),
+                "non-finite value at iteration 1, device 1",
+            ),
+        ]
+        for unstable, want in cases:
+            errors = []
+            for kernel in ("scalar", "array"):
+                with pytest.raises(NumericalError) as excinfo:
+                    run_on(kernel, unstable, monkeypatch)
+                errors.append(str(excinfo.value))
+            assert errors == [want, want]
 
-    def test_flagged_round_is_run_by_step(self, monkeypatch):
-        # No known input flags a round that step then finishes, so force one:
+    def test_flagged_round_is_run_by_the_scalar_round(self, monkeypatch):
+        # No known input flags a round that the scalar round then finishes, so force one:
         # an infinite discriminant for one device in round 5, patched in before
         # the block holding rounds 1 to 5 is computed.
         from bandalloc import array_kernel
@@ -699,16 +736,20 @@ class TestArrayKernel:
             fields = next(rounds)[3]
         assert len(calls) >= 5  # round 5 was computed with round 1, inside one block
         before = round_state(fields, 4, confirmed)
-        stepped = []
-        monkeypatch.setattr(engine, "step", lambda *a: stepped.append(a) or step(*a))
+        stepped, scalar_rounds = [], engine._scalar_rounds
+        monkeypatch.setattr(
+            engine, "_scalar_rounds", lambda *a: stepped.append(a) or scalar_rounds(*a)
+        )
         cons, constr, bound, fields = next(rounds)
         assert len(calls) >= 5
         assert stepped == [(before, scenario)]
+        # yielded as the scalar round gave it: lists, exact residuals
+        assert all(type(field) is list for field in fields) and bound == 0.0
         want = step(before, scenario)
         assert round_state(fields, 5, confirmed) == want
         assert cons == consensus_residual(want)
-        assert abs(constr - constraint_residual(want)) <= bound
-        # a whole run goes on from step's round
+        assert constr == constraint_residual(want)
+        # a whole run goes on from the scalar round's round
         calls.clear()
         forced = run_on("array", scenario, monkeypatch)
         assert len(calls) >= 5
@@ -742,7 +783,7 @@ class TestArrayKernel:
             options = dataclasses.replace(
                 scenario.options, max_iters=rounds, tol_consensus=1e-300, tol_constraint=1e-300
             )
-            return scenario.with_settings(scenario.globals, options)
+            return dataclasses.replace(scenario, options=options)
 
         def traced_peak(rounds: int) -> int:
             limited = capped(rounds)
@@ -792,10 +833,10 @@ class TestBlocks:
         assert (block_rows(200), block_rows(10**4), block_rows(10**6)) == (16, 3, 1)
 
     def test_rounds_across_blocks_match_scalar(self, monkeypatch):
-        # three blocks, the second ended early by a flagged round that step
-        # runs; the round before each round is read from its buffer set only
-        # after the next round was drawn, the next block included, as run's
-        # divergence streak reads it
+        # three blocks, the second ended early by a flagged round that the
+        # scalar round runs; the round before each round is read from its
+        # buffer set only after the next round was drawn, the next block
+        # included, as run's divergence streak reads it
         from bandalloc import array_kernel
 
         scenario = generate_random_scenario(60, 2)
@@ -804,8 +845,12 @@ class TestBlocks:
         scalar = kernel_rounds(scenario, 3 * rows)
         assert len(scalar) == 3 * rows and scalar[-1][0] != "numerical"
         poisoned_inverse(monkeypatch, rows + 3)
-        stepped = []
-        monkeypatch.setattr(engine, "step", lambda *a: stepped.append(a[0].iteration) or step(*a))
+        stepped, scalar_rounds = [], engine._scalar_rounds
+        monkeypatch.setattr(
+            engine,
+            "_scalar_rounds",
+            lambda *a: stepped.append(a[0].iteration) or scalar_rounds(*a),
+        )
         state = initial_state(scenario)
         rounds = array_kernel.rounds(state, scenario)
         before = (consensus_residual(state), constraint_residual(state))
@@ -823,7 +868,8 @@ class TestBlocks:
     @pytest.mark.parametrize("stop", ["converged", "diverged", "cap"])
     def test_rounds_past_the_stop_never_raise(self, monkeypatch, stop):
         # one block holds the run's last round and the next one, which overflows:
-        # run never asks for that round, so step never runs and nothing raises;
+        # run never asks for that round, so the scalar round never runs and
+        # nothing raises;
         # at max_iters the block ends, and the next round is not computed at all
         from bandalloc import array_kernel
 
@@ -833,20 +879,22 @@ class TestBlocks:
             scenario = generate_random_scenario(20, 1)
         if stop == "cap":
             options = dataclasses.replace(scenario.options, max_iters=50)
-            scenario = scenario.with_settings(scenario.globals, options)
+            scenario = dataclasses.replace(scenario, options=options)
         want = outcome("scalar", scenario, monkeypatch)
         assert want[0] == stop
         k = want[1]
         calls = poisoned_inverse(monkeypatch, k + 1)
         monkeypatch.setattr(array_kernel, "block_rows", lambda n: k + 1)
-        monkeypatch.setattr(engine, "step", lambda *a: pytest.fail("step ran a round past the stop"))
+        monkeypatch.setattr(
+            engine, "_scalar_rounds", lambda *a: pytest.fail("scalar ran a round past the stop")
+        )
         assert outcome("array", scenario, monkeypatch) == want
         assert len(calls) == (k if stop == "cap" else k + 1)
 
 
 def with_tol_constraint(scenario, tol: float):
     options = dataclasses.replace(scenario.options, tol_constraint=tol)
-    return scenario.with_settings(scenario.globals, options)
+    return dataclasses.replace(scenario, options=options)
 
 
 class TestCheapDecisions:
@@ -949,7 +997,7 @@ class TestCheapDecisions:
         options = dataclasses.replace(
             scenario.options, max_iters=3000, tol_consensus=1e-300, tol_constraint=1e-300
         )
-        stalled = scenario.with_settings(scenario.globals, options)
+        stalled = dataclasses.replace(scenario, options=options)
         drawn, sums = [0], []  # rounds drawn so far; that count at each fsum call
         real_rounds, real_fsum = array_kernel.rounds, math.fsum
 

@@ -135,6 +135,9 @@ class TestParse:
     def test_empty_devices(self):
         with pytest.raises(ScenarioError, match="devices"):
             parse_scenario(doc_with(devices=[]))
+        glob = bench_scenario().globals
+        with pytest.raises(ScenarioError, match="^devices must contain at least one entry$"):
+            Scenario(glob, (), (), ())
 
     def test_disconnected_topology(self):
         with pytest.raises(ScenarioError, match="not connected"):
@@ -155,10 +158,14 @@ class TestParse:
     def test_edge_not_a_pair(self):
         with pytest.raises(ScenarioError, match=r"edges\[0\]"):
             parse_scenario(doc_with(edges=[[0, 1, 2]]))
+        with pytest.raises(ScenarioError, match="^edges: must be an array$"):
+            parse_scenario(doc_with(edges={}))
 
     def test_unknown_option_key(self):
         with pytest.raises(ScenarioError, match="verbose"):
             parse_scenario(doc_with(options={"verbose": True}))
+        with pytest.raises(ScenarioError, match="^options: must be an object$"):
+            parse_scenario(doc_with(options=[]))
 
     def test_bad_init_mode(self):
         with pytest.raises(ScenarioError, match="init_mode"):
@@ -305,17 +312,6 @@ class TestTopologyCarried:
         assert "topology" not in repr(a) and repr(a) == repr(b)
         with pytest.raises(TypeError):
             Scenario(a.globals, a.omegas, a.demands, a.edges, a.options, a.topology)
-
-    def test_with_settings_carries_columns_and_topology(self, build_calls):
-        scenario = bench_scenario()
-        glob = dataclasses.replace(scenario.globals, eta=0.1)
-        options = dataclasses.replace(scenario.options, max_iters=50)
-        changed = scenario.with_settings(glob, options)
-        assert len(build_calls) == 1
-        assert changed.topology is scenario.topology
-        assert changed.omegas is scenario.omegas and changed.demands is scenario.demands
-        assert changed == dataclasses.replace(scenario, globals=glob, options=options)
-        assert scenario.globals.eta == 0.2 and scenario.options.max_iters == 10000
 
     def test_replace_rebuilds_and_validates(self, build_calls):
         scenario = bench_scenario()

@@ -1,4 +1,4 @@
-"""Graph construction, neighbor queries, and connectivity."""
+"""Graph construction, adjacency, and connectivity."""
 
 from __future__ import annotations
 
@@ -10,14 +10,14 @@ from bandalloc.topology import build
 
 def test_line_graph_neighbors():
     topo = build(3, [(0, 1), (1, 2)])
-    assert topo.neighbors(0) == (1,)
-    assert topo.neighbors(1) == (0, 2)
-    assert topo.neighbors(2) == (1,)
+    assert topo.adjacency[0] == (1,)
+    assert topo.adjacency[1] == (0, 2)
+    assert topo.adjacency[2] == (1,)
 
 
 def test_single_device():
     topo = build(1, [])
-    assert topo.neighbors(0) == ()
+    assert topo.adjacency[0] == ()
     assert len(topo.edges) == 0
     assert topo.is_connected()
 
@@ -25,7 +25,7 @@ def test_single_device():
 def test_complete_graph_neighbors():
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     topo = build(4, edges)
-    assert topo.neighbors(2) == (0, 1, 3)
+    assert topo.adjacency[2] == (0, 1, 3)
     assert len(topo.edges) == 6
 
 
@@ -52,12 +52,6 @@ def test_bad_device_count_rejected():
         build(0, [])
 
 
-def test_neighbors_index_out_of_range():
-    topo = build(2, [(0, 1)])
-    with pytest.raises(IndexError):
-        topo.neighbors(2)
-
-
 def test_connectivity():
     assert build(3, [(0, 1), (1, 2)]).is_connected()
     assert not build(3, [(0, 1)]).is_connected()
@@ -79,10 +73,10 @@ def test_symmetry_and_degree_sum(graph):
     n, edges = graph
     topo = build(n, edges)
     for i in range(n):
-        for j in topo.neighbors(i):
-            assert i in topo.neighbors(j)
+        for j in topo.adjacency[i]:
+            assert i in topo.adjacency[j]
             assert i != j
-    degree_sum = sum(len(topo.neighbors(i)) for i in range(n))
+    degree_sum = sum(len(topo.adjacency[i]) for i in range(n))
     assert degree_sum == 2 * len(topo.edges)
     assert len(topo.edges) == len({(min(i, j), max(i, j)) for i, j in edges})
 

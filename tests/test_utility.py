@@ -214,3 +214,5 @@ class TestInvertDerivative:
     def test_rejects_nonpositive_price(self, price):
         with pytest.raises(ValueError):
             invert_derivative(1.0, C100, price, 1.0)
+        with pytest.raises(ValueError, match="^capacity coefficient must be positive, got 0.0$"):
+            invert_derivative(1.0, 0.0, 0.01, 1.0)
