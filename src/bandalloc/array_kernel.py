@@ -32,7 +32,7 @@ from . import engine
 from .scenario import Scenario
 from .utility import capacity_coefficient
 
-__all__ = ["inverse_for", "rounds"]
+__all__ = ["curvature", "inverse_and_slope_for", "inverse_for", "rounds"]
 
 
 def _cheap_excess(xs, total: float) -> tuple:
@@ -72,6 +72,26 @@ def inverse_for(omega, c: float, price: float, scalar):
         return scalar(v)
 
     return inverse
+
+
+def curvature(omega, c: float, price: float, x):
+    """:func:`bandalloc.utility.curvature` elementwise, without its domain check."""
+    arg = c * x + 1.0
+    return -omega * c * c / (arg * arg) - 2.0 * price
+
+
+def inverse_and_slope_for(omega, c: float, price: float, scalar):
+    """:func:`inverse_for`, and ``xs -> `` the numpy sum of ``1/curvature`` over the devices.
+
+    The sum is ``dT/dv`` for the total ``T(v) = sum(xs)``; ``xs`` may be a list.
+    """
+    omega = np.asarray(omega, dtype=float)
+
+    def slope(xs):
+        with np.errstate(all="ignore"):
+            return float(np.add.reduce(1.0 / curvature(omega, c, price, np.asarray(xs))))
+
+    return inverse_for(omega, c, price, scalar), slope
 
 
 def _inverse(omega_c, disc_const, c, price, v, out=(None, None)):

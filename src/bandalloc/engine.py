@@ -49,14 +49,14 @@ _EPS = math.ulp(1.0)
 # Device count from which ``run`` iterates with the numpy kernel in
 # ``array_kernel``, and ``oracle.solve`` bisects on its elementwise inverse,
 # when numpy imports. The kernels give equal results, so it decides speed
-# alone. The scalar code is faster below about 20 devices for a run and 30
+# alone. The scalar code is faster below about 20 devices for a run and 28
 # for a solve (median us, scalar/array, then the median paired ratio; seeds
 # 1-3 in-process on 2 shared vCPUs; per round of ``run``: 12/28 (0.42) at 8,
-# 15/26 (0.58) at 12, 12/15 (0.85) at 16, 15/15 (1.01) at 20; per solve:
-# 356/628 (0.58) at 16, 428/596 (0.72) at 20, 518/614 (0.83) at 24, 679/626
-# (1.09) at 32). One rule serves both; from 16 to 20 devices a run loses a
-# few us per round and a solve < 0.3 ms, and 20-device runs, which the
-# benchmark times, stay on the array kernel.
+# 15/26 (0.58) at 12, 12/15 (0.85) at 16, 15/15 (1.01) at 20; per solve, at
+# about 12 evaluations each: 257/386 (0.67) at 16, 298/372 (0.80) at 20,
+# 334/365 (0.91) at 24, 404/349 (1.16) at 32). One rule serves both; from 16
+# to 20 devices a run loses a few us per round and a solve < 0.1 ms, and
+# 20-device runs, which the benchmark times, stay on the array kernel.
 ARRAY_MIN_DEVICES = 16
 
 

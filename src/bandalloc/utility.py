@@ -20,6 +20,7 @@ __all__ = [
     "capacity_coefficient",
     "evaluate",
     "derivative",
+    "curvature",
     "invert_derivative",
     "inverse_from_constants",
 ]
@@ -63,6 +64,16 @@ def derivative(omega: float, c: float, price: float, x: float) -> float:
     """Marginal utility ``omega*c/(c*x + 1) - 2*price*x``, strictly decreasing in ``x``."""
     arg = _check_log_domain(c, x)
     return omega * c / arg - 2.0 * price * x
+
+
+def curvature(omega: float, c: float, price: float, x: float) -> float:
+    """Second derivative ``-omega*c**2/(c*x + 1)**2 - 2*price``, always negative.
+
+    Its reciprocal is the slope ``dx/dv`` of :func:`invert_derivative` at the
+    value ``v`` whose inverse is ``x``.
+    """
+    arg = _check_log_domain(c, x)
+    return -omega * c * c / (arg * arg) - 2.0 * price
 
 
 def invert_derivative(omega: float, c: float, price: float, v: float) -> float:

@@ -37,14 +37,16 @@ ARRAY_TRACE_SHA256 = {
 }
 # sha256 of ``oracle`` stdout on ``generate_random_scenario(1000, seed)``
 # (numpy installed), recorded before the scenario became columnar and the
-# bisection decided its comparisons from numpy sums
+# bisection decided its comparisons from numpy sums or skipped the midpoints
+# its guards settle; the scalar bisection prints the same
 ORACLE_1000_SHA256 = {
     1: "a44ebb1ac226853b108623c3e437d1da9da7eb92f107e4615e7a732f4e7acf4a",
     2: "2263fc2a060c45aa79aa1ee2aaeed12de66c9b2e6809c9c4b3e429fe675b0472",
     3: "82600f00758f860266812271aa1203091a6ba6a9eb6245dfddee241e1a5d77b7",
 }
 # sha256 of ``oracle`` stdout on ``generate_random_scenario(10_000, 1)`` (numpy
-# installed), recorded before the edge list and device columns were checked whole
+# installed), recorded before the edge list and device columns were checked whole;
+# the scalar bisection prints the same
 ORACLE_10000_1_SHA256 = "e1192d3fc18a2196b10e476cff7e4050ad453462bc4bebce7dddb643f805fd52"
 # ``run G ARGS`` on ``generate_random_scenario(n, seed)`` (numpy installed),
 # keyed (n, seed, ARGS): exit code and sha256 of stdout and stderr. A gain
@@ -624,7 +626,7 @@ def test_engine_flag_reaches_the_engine(
 
 
 def test_oracle_output_pinned(capsys, tmp_path):
-    pytest.importorskip("numpy")
+    # without numpy the scalar bisection prints the same bytes
     for seed, digest in ORACLE_1000_SHA256.items():
         path = write_generated(tmp_path, 1000, seed)
         assert main(["oracle", str(path)]) == ExitStatus.OK
@@ -633,7 +635,6 @@ def test_oracle_output_pinned(capsys, tmp_path):
 
 
 def test_oracle_output_pinned_at_the_top_of_the_ladder(capsys, tmp_path):
-    pytest.importorskip("numpy")
     assert main(["oracle", str(write_generated(tmp_path, 10_000, 1))]) == ExitStatus.OK
     out, err = capsys.readouterr()
     assert (hashlib.sha256(out.encode()).hexdigest(), err) == (ORACLE_10000_1_SHA256, "")

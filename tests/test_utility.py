@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from bandalloc.utility import (
     capacity_coefficient,
+    curvature,
     derivative,
     evaluate,
     invert_derivative,
@@ -129,6 +130,42 @@ class TestDerivative:
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
             derivative(1.0, C100, 0.01, -0.5)
+
+
+class TestCurvature:
+    @given(
+        omega=st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0**e),
+        x=st.floats(min_value=-0.14, max_value=1e3),
+    )
+    def test_is_the_derivative_of_the_marginal(self, omega, x):
+        c = mpmath.log(101, 2)
+        xm = mpmath.mpf(x)
+        want = mpmath.diff(lambda t: omega * c / (c * t + 1) - mpmath.mpf("0.02") * t, xm)
+        assert curvature(omega, C100, 0.01, x) == pytest.approx(float(want), rel=1e-12)
+
+    def test_reciprocal_is_the_inverse_slope(self):
+        h = 1e-6
+        for v in (-50.0, -1.0, 0.0, 1.0617, 5.0, 6.0, 1e3):
+            def inverse(v):
+                return invert_derivative(3.0, C100, 0.01, v)
+
+            numeric = (inverse(v + h) - inverse(v - h)) / (2.0 * h)
+            slope = 1.0 / curvature(3.0, C100, 0.01, inverse(v))
+            assert slope == pytest.approx(numeric, rel=1e-6), v
+
+    def test_domain_checked(self):
+        with pytest.raises(ValueError, match="outside the utility domain"):
+            curvature(1.0, C100, 0.01, -1.0 / C100)
+
+    def test_array_twin_same_bits(self):
+        np = pytest.importorskip("numpy")
+        from bandalloc import array_kernel
+
+        omegas = [0.01, 1.0, 3.0, 1e4]
+        xs = [-0.1, 0.0, 2.55, 1e6]
+        got = array_kernel.curvature(np.array(omegas), C100, 0.01, np.array(xs))
+        want = [curvature(w, C100, 0.01, x) for w, x in zip(omegas, xs)]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
 class TestInvertDerivative:
