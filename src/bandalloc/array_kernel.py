@@ -19,7 +19,10 @@ them. It yields the trusted rows one by one, and hands a flagged round to the
 scalar code only when it is resumed past them.
 
 A round's constraint residual and a bisection step's total come from a numpy
-sum with an error bound (:func:`_cheap_excess`); ``math.fsum`` decides inside it.
+sum with an error bound (:func:`_cheap_excess`); ``math.fsum`` decides inside
+it. A bisection step's comparison takes one step between them
+(:func:`settled_excess`): the same sum and bound in long double, where numpy's
+long double is wider than float64.
 """
 
 from __future__ import annotations
@@ -32,21 +35,43 @@ from . import engine
 from .scenario import Scenario
 from .utility import capacity_coefficient
 
-__all__ = ["curvature", "inverse_and_slope_for", "inverse_for", "rounds"]
+__all__ = ["inverse_and_slope_for", "inverse_for", "rounds", "settled_excess"]
 
 
-def _cheap_excess(xs, total: float) -> tuple:
+# the machine epsilon of numpy's long double: x86-64's 80-bit format has
+# 11 more bits than float64; where it is float64 itself, nothing is gained
+_LONG_EPS = float(np.finfo(np.longdouble).eps)
+# a float64 bound below this has sum|x| under 2^1012 and |total| under 2^1013,
+# so math.fsum cannot overflow where the long double sum decides for it
+_LONG_LIMIT = 2.0**960
+
+
+def _cheap_excess(xs, total: float, eps: float = math.ulp(1.0)) -> tuple:
     """numpy's sum of ``xs`` minus ``total``, and a bound past which it has the sign of ``fsum``'s.
 
     Sums along the last axis: one value each for a 1-D array, one per row for
     a 2-D one. A numpy sum of n terms is within ``(n-1)*(eps/2)*sum|x|`` of
-    the exact one (Higham 1993, "The accuracy of floating point summation");
-    the bound ``n*eps*sum|x| + ulp(total)`` covers that twice over, for the
-    roundings of ``sum|x|`` and of the difference, and the rounding of
-    ``math.fsum``.
+    the exact one, in any order (Higham 1993, "The accuracy of floating point
+    summation"); the bound ``n*eps*sum|x| + ulp(total)`` covers that twice
+    over, for the roundings of ``sum|x|`` and of the difference, and the
+    rounding of ``math.fsum``. ``eps`` is that of ``xs``'s type.
     """
-    bound = xs.shape[-1] * math.ulp(1.0) * np.add.reduce(np.abs(xs), axis=-1) + math.ulp(total)
+    bound = xs.shape[-1] * eps * np.add.reduce(np.abs(xs), axis=-1) + math.ulp(total)
     return np.add.reduce(xs, axis=-1) - total, bound
+
+
+def settled_excess(xs, total: float) -> float | None:
+    """``sum(xs) - total`` with the sign of ``math.fsum(xs) - total``, or None.
+
+    The float64 sum of :func:`_cheap_excess` decides past its bound; inside
+    it, the same sum and bound in long double, where that is wider than
+    float64, decide past theirs. None leaves the sign to ``fsum``.
+    """
+    with np.errstate(all="ignore"):  # an overflowed sum has an infinite bound: fsum decides
+        diff, bound = _cheap_excess(xs, total)
+        if not abs(diff) > bound and _LONG_EPS < math.ulp(1.0) and bound < _LONG_LIMIT:
+            diff, bound = _cheap_excess(xs.astype(np.longdouble), total, _LONG_EPS)
+    return float(diff) if abs(diff) > bound else None
 
 
 def _constants(omega, c: float, price: float):
@@ -74,24 +99,24 @@ def inverse_for(omega, c: float, price: float, scalar):
     return inverse
 
 
-def curvature(omega, c: float, price: float, x):
-    """:func:`bandalloc.utility.curvature` elementwise, without its domain check."""
-    arg = c * x + 1.0
-    return -omega * c * c / (arg * arg) - 2.0 * price
-
-
 def inverse_and_slope_for(omega, c: float, price: float, scalar):
-    """:func:`inverse_for`, and ``xs -> `` the numpy sum of ``1/curvature`` over the devices.
+    """:func:`inverse_for`, ``(v, xs) -> `` the numpy sum of ``1/U''(x)`` over
+    the devices, and the least, greatest and summed omega.
 
-    The sum is ``dT/dv`` for the total ``T(v) = sum(xs)``; ``xs`` may be a list.
+    The sum is ``dT/dv`` for the total ``T(v) = sum(xs)``; ``xs`` may be a
+    list. ``U''`` is the curvature ``-(v + 2*price*x)**2/omega - 2*price``.
     """
     omega = np.asarray(omega, dtype=float)
+    two_price = 2.0 * price
 
-    def slope(xs):
+    def slope(v, xs):
         with np.errstate(all="ignore"):
-            return float(np.add.reduce(1.0 / curvature(omega, c, price, np.asarray(xs))))
+            t = v + two_price * np.asarray(xs)
+            return float(np.add.reduce(1.0 / (-t * t / omega - two_price)))
 
-    return inverse_for(omega, c, price, scalar), slope
+    with np.errstate(all="ignore"):  # the sum may overflow, as the builtin sum does
+        summary = float(omega.min()), float(omega.max()), float(np.add.reduce(omega))
+    return inverse_for(omega, c, price, scalar), slope, summary
 
 
 def _inverse(omega_c, disc_const, c, price, v, out=(None, None)):

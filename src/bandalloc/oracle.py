@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import engine
 from .admission import ConfirmedDemands
 from .scenario import Scenario
-from .utility import capacity_coefficient, curvature, derivative, evaluate, inverse_from_constants
+from .utility import capacity_coefficient, derivative, evaluate, inverse_from_constants
 # not called: kept because bench/tracer.py wraps this binding by name
 from .utility import invert_derivative  # noqa: F401
 
@@ -33,7 +33,7 @@ _MAX_BISECTIONS = 1100
 _MAX_WIDENINGS = 200
 # Newton evaluations before the guards are given up; 1 to 8 are usual
 _MAX_NEWTON = 24
-# a device's inverse is within _ROUNDING * (|x| + |v|/|curvature(x)|) of the
+# a device's inverse is within _ROUNDING * (|x| + |v|/|U''(x)|) of the
 # exact one: at most 4.5 ulps of that scale in 3.5 * 10^5 mpmath checks with
 # omega and price from 1e-12 to 1e12
 _ROUNDING = 16.0 * math.ulp(1.0)
@@ -82,13 +82,18 @@ def objective(scenario: Scenario, allocations: tuple[float, ...]) -> float:
 
 
 def _inverse(omegas: tuple[float, ...], c: float, price: float):
-    """``v -> xs``, every device's inverse derivative at the common value v,
-    and ``xs -> `` the sum of ``1/curvature``, the slope of ``sum(xs)`` in v.
+    """``v -> xs``, every device's inverse derivative at the common value v;
+    ``(v, xs) -> `` the sum of ``1/U''(x)``, the slope of ``sum(xs)`` in v;
+    and ``(min(omegas), max(omegas), sum(omegas))``.
 
-    From ``engine.ARRAY_MIN_DEVICES`` devices on, when numpy imports, ``xs``
-    is a float64 array from ``array_kernel``, which hands any value it cannot
-    trust to the scalar loop; otherwise, and as the test reference, a list
-    from one scalar call per device, on constants gathered once per solve.
+    ``U''`` is the curvature in the form ``-(v + 2*price*x)**2/omega - 2*price``,
+    from ``c*x + 1 = omega*c/(v + 2*price*x)``: it does not cancel where x
+    nears the asymptote ``-1/c``, as ``c*x + 1`` does. From
+    ``engine.ARRAY_MIN_DEVICES`` devices on, when numpy imports, ``xs`` is a
+    float64 array from ``array_kernel``, which hands any value it cannot trust
+    to the scalar loop, and the omega column is read as an array; otherwise,
+    and as the test reference, a list from one scalar call per device, on
+    constants gathered once per solve.
     """
     two_price, two_price_c = 2.0 * price, 2.0 * price * c
     constants: list[tuple[float, float]] = []
@@ -104,26 +109,31 @@ def _inverse(omegas: tuple[float, ...], c: float, price: float):
             raise ArithmeticError(_OVERFLOW.format(v, len(xs))) from None
         return xs
 
-    def slope(xs) -> float:
-        return sum(1.0 / curvature(w, c, price, x) for w, x in zip(omegas, xs))
+    def slope(v: float, xs) -> float:
+        total = 0.0
+        for w, x in zip(omegas, xs):
+            t = v + two_price * x
+            total += 1.0 / (-t * t / w - two_price)
+        return total
 
     kernel = engine.array_kernel_for(len(omegas))
     if kernel is None:
-        return scalar, slope
+        return scalar, slope, (min(omegas), max(omegas), sum(omegas))
     return kernel.inverse_and_slope_for(omegas, c, price, scalar)
 
 
 def _excess(xs, target: float) -> float:
     """A float with the sign of ``math.fsum(xs) - target``, NaN included.
 
-    An array's numpy sum decides where it lies past the error bound of
-    ``array_kernel._cheap_excess``; otherwise ``fsum`` decides."""
+    An array's sum decides where it lies past its error bound, in float64
+    and then in long double (``array_kernel.settled_excess``); otherwise
+    ``fsum`` decides."""
     if not isinstance(xs, list):
         from . import array_kernel  # loaded already: xs is its array
 
-        diff, bound = array_kernel._cheap_excess(xs, target)
-        if abs(diff) > bound:
-            return float(diff)
+        diff = array_kernel.settled_excess(xs, target)
+        if diff is not None:
+            return diff
         xs = xs.tolist()
     return math.fsum(xs) - target
 
@@ -185,7 +195,7 @@ def _guards(inverse, slope, lo: float, hi: float, target: float, start: float):
             total, size = sum(xs), sum(map(abs, xs))
         else:
             total, size = float(xs.sum()), float(abs(xs).sum())
-        dt = slope(xs)
+        dt = slope(v, xs)
         return xs, total - target, dt, _ROUNDING * (size - abs(v) * dt) + math.ulp(target)
 
     bounds = [-math.inf, math.inf]
@@ -237,11 +247,11 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
         zeros = tuple(0.0 for _ in range(n))
         return OracleSolution(allocations=zeros, lam=None, objective=objective(scenario, zeros))
 
-    inverse, slope = _inverse(omegas, c, g.price)
+    inverse, slope, (w_min, w_max, w_sum) = _inverse(omegas, c, g.price)
 
     # both ends are monotone in omega, in floating point too
-    lo = derivative(min(omegas), c, g.price, g.bandwidth * n)
-    hi = max(omegas) * c
+    lo = derivative(w_min, c, g.price, g.bandwidth * n)
+    hi = w_max * c
     for _ in range(_MAX_WIDENINGS):
         if _excess(inverse(lo), target) >= 0.0:
             break
@@ -257,7 +267,7 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ArithmeticError("bisection bracket failure: a bracket end is not finite")
 
-    start = derivative(sum(omegas) / n, c, g.price, target / n)
+    start = derivative(w_sum / n, c, g.price, target / n)
     below, above = _guards(inverse, slope, lo, hi, target, start)
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)

@@ -15,6 +15,7 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -166,6 +167,7 @@ _GLOBAL_KEYS = [f.name for f in fields(Globals)]
 _TOP_KEYS = {*_GLOBAL_KEYS, "devices", "edges", "options"}
 _REQUIRED_TOP_KEYS = _TOP_KEYS - {"options"}
 _DEVICE_KEYS = {"omega", "demand"}
+_OMEGA, _DEMAND = itemgetter("omega"), itemgetter("demand")
 _OPTION_KEYS = {f.name for f in fields(SolverOptions)}
 
 
@@ -176,6 +178,25 @@ def _check_keys(doc: dict, allowed: set[str], required: set[str], where: str) ->
     missing = sorted(required - set(doc))
     if missing:
         raise ScenarioError(f"{where}: missing key(s): {', '.join(missing)}")
+
+
+def _device_columns(entries: list) -> tuple[Sequence, Sequence]:
+    """The ``omega`` and the ``demand`` of every device entry, as two columns.
+
+    Plain objects of two keys, the usual document, are read in a few passes
+    in C; any other shape is checked entry by entry, and the first entry that
+    is not an object with exactly those keys is named.
+    """
+    if set(map(type, entries)) == {dict} and set(map(len, entries)) == {2}:
+        try:
+            return tuple(map(_OMEGA, entries)), tuple(map(_DEMAND, entries))
+        except KeyError:
+            pass
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"devices[{k}]: must be an object")
+        _check_keys(entry, _DEVICE_KEYS, _DEVICE_KEYS, f"devices[{k}]")
+    return [entry["omega"] for entry in entries], [entry["demand"] for entry in entries]
 
 
 def scenario_from_dict(doc: Any) -> Scenario:
@@ -191,14 +212,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
     raw_devices = doc["devices"]
     if not isinstance(raw_devices, list) or not raw_devices:
         raise ScenarioError("devices: must be a non-empty array")
-    if not all(type(entry) is dict and entry.keys() == _DEVICE_KEYS for entry in raw_devices):
-        for k, entry in enumerate(raw_devices):
-            if not isinstance(entry, dict):
-                raise ScenarioError(f"devices[{k}]: must be an object")
-            if entry.keys() != _DEVICE_KEYS:
-                _check_keys(entry, _DEVICE_KEYS, _DEVICE_KEYS, f"devices[{k}]")
-    omegas = [entry["omega"] for entry in raw_devices]
-    demands = [entry["demand"] for entry in raw_devices]
+    omegas, demands = _device_columns(raw_devices)
 
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):

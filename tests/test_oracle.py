@@ -330,11 +330,11 @@ def kernel_thresholds() -> dict[str, int]:
     return thresholds
 
 
-def guarded_against_reference(scenario, name) -> dict[str, int]:
-    """Asserts that ``solve`` equals the reference bisection bit for bit on
-    every kernel, in no more evaluations; returns its evaluations per kernel."""
+def guarded_and_reference(scenario) -> dict[str, tuple[str, str, int, int]]:
+    """For every kernel: the outcome of ``solve`` and of the reference
+    bisection, and the evaluations of each."""
     confirmed = admit(scenario.demands, scenario.globals.bandwidth)
-    counts = {}
+    results = {}
     for kernel, threshold in kernel_thresholds().items():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "ARRAY_MIN_DEVICES", threshold)
@@ -343,14 +343,23 @@ def guarded_against_reference(scenario, name) -> dict[str, int]:
             evaluations = []
 
             def counted(*args):
-                inverse, slope = real(*args)
-                return (lambda v: evaluations.append(v) or inverse(v)), slope
+                inverse, *rest = real(*args)
+                return (lambda v: evaluations.append(v) or inverse(v)), *rest
 
             patch.setattr(oracle, "_inverse", counted)
             got = outcome(solve, scenario, confirmed)
+        results[kernel] = got, want, len(evaluations), limit
+    return results
+
+
+def guarded_against_reference(scenario, name) -> dict[str, int]:
+    """Asserts that ``solve`` equals the reference bisection bit for bit on
+    every kernel, in no more evaluations; returns its evaluations per kernel."""
+    counts = {}
+    for kernel, (got, want, count, limit) in guarded_and_reference(scenario).items():
         assert got == want, (name, kernel)
-        assert len(evaluations) <= limit, (name, kernel, len(evaluations), limit)
-        counts[kernel] = len(evaluations)
+        assert count <= limit, (name, kernel, count, limit)
+        counts[kernel] = count
     return counts
 
 
@@ -373,6 +382,25 @@ def wide_scenarios(draw):
         snr=draw(log_uniform(-4.0, 4.0)),
         price=draw(log_uniform(-4.0, 4.0)),
     )
+
+
+def wide_draws(count: int):
+    """Seeded line graphs of 1 to 24 devices, omega and demand spread over
+    40 decades (a tenth of the demands 0), bandwidth over 24, price over 20
+    and snr over 16: many devices sit near the asymptote x -> -1/c."""
+    rng = random.Random(11)
+
+    def spread(decades: float) -> float:
+        return 10.0 ** rng.uniform(-decades / 2, decades / 2)
+
+    for _ in range(count):
+        n = rng.randint(1, 24)
+        omegas = [spread(40) for _ in range(n)]
+        demands = [0.0 if rng.random() < 0.1 else spread(40) for _ in range(n)]
+        yield make_scenario(
+            omegas, demands, [(i, i + 1) for i in range(n - 1)],
+            bandwidth=spread(24), price=spread(20), snr=spread(16),
+        )
 
 
 class TestGuardedBisection:
@@ -409,6 +437,18 @@ class TestGuardedBisection:
     @given(scenario=wide_scenarios())
     def test_wide_inputs(self, scenario):
         guarded_against_reference(scenario, scenario)
+
+    def test_wide_draws(self):
+        # Newton's slope is the sum of 1/U''; with U'' from c*x + 1, which
+        # cancels near the asymptote, these draws took 14,557 evaluations
+        # (up to 90 for one solve, where the plain bisection takes about 50)
+        total = 0
+        for k, scenario in enumerate(wide_draws(300)):
+            for kernel, (got, want, count, limit) in guarded_and_reference(scenario).items():
+                assert got == want, (k, kernel)
+                assert count <= limit + 3, (k, kernel, count, limit)
+                total += count
+        assert total <= 6_000, total
 
     @pytest.mark.parametrize(
         "name, scenario",
@@ -486,6 +526,22 @@ def sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
+def fsum_fallbacks(monkeypatch, scenario) -> tuple[str, int]:
+    """``repr`` of ``solve``'s solution, and how often ``_excess`` left the sign to ``fsum``."""
+    from bandalloc import array_kernel
+
+    real = array_kernel.settled_excess
+    results = []
+
+    def recorded(xs, target):
+        results.append(real(xs, target))
+        return results[-1]
+
+    monkeypatch.setattr(array_kernel, "settled_excess", recorded)
+    solution = solve(scenario, admit(scenario.demands, scenario.globals.bandwidth))
+    return repr(solution), results.count(None)
+
+
 class TestCheapSumDecisions:
     """``oracle._excess`` against the all-``fsum`` bisection it replaces."""
 
@@ -520,6 +576,56 @@ class TestCheapSumDecisions:
         # root falls inside it on four of the five seeds
         assert inside or n < 1000
 
+    @pytest.mark.parametrize("n, seeds", [(16, range(1, 6)), (1000, range(1, 6)), (10_000, [1])])
+    def test_long_double_decisions_match_fsum(self, monkeypatch, n, seeds):
+        import numpy as np
+
+        from bandalloc import array_kernel
+
+        if not array_kernel._LONG_EPS < math.ulp(1.0):
+            pytest.skip("numpy's long double is float64 here")
+        real = oracle._excess
+        # decisions the long double sum settles, and those of them inside float64's bound
+        decided = inside = 0
+        for seed in seeds:
+            scenario = generate_random_scenario(n, seed)
+            seen = []
+            monkeypatch.setattr(
+                oracle, "_excess", lambda xs, t: seen.append((xs, t)) or real(xs, t)
+            )
+            solve(scenario, admit(scenario.demands, scenario.globals.bandwidth))
+            for xs, t in seen:
+                wide = xs.astype(np.longdouble)
+                diff, bound = array_kernel._cheap_excess(wide, t, array_kernel._LONG_EPS)
+                if abs(diff) > bound:
+                    decided += 1
+                    diff64, bound64 = array_kernel._cheap_excess(xs, t)
+                    inside += bool(abs(diff64) <= bound64)
+                    assert sign(float(diff)) == sign(fsum_excess(xs, t)), (n, seed)
+        assert decided
+        # the four comparisons next to the root that float64 leaves open
+        assert inside == 4 or n < 10_000
+
+    def test_long_double_step_changes_no_bit(self, monkeypatch):
+        from bandalloc import array_kernel
+
+        wider = array_kernel._LONG_EPS < math.ulp(1.0)
+        cases = [(n, s) for n in (16, 60, 200, 1000) for s in range(1, 6)] + [(10_000, 1)]
+        for n, seed in cases:
+            scenario = generate_random_scenario(n, seed)
+            with monkeypatch.context() as patch:
+                on, fallbacks = fsum_fallbacks(patch, scenario)
+            with monkeypatch.context() as patch:
+                # long double treated as float64: the step is skipped
+                patch.setattr(array_kernel, "_LONG_EPS", math.ulp(1.0))
+                off, fallbacks_off = fsum_fallbacks(patch, scenario)
+            assert on == off, (n, seed)
+            assert fallbacks <= fallbacks_off, (n, seed)
+            if n == 10_000:
+                # four of the solve's comparisons lie inside numpy's float64 bound
+                assert fallbacks_off == 4
+                assert fallbacks == (0 if wider else 4)
+
     def test_cancellation_inside_the_bound_takes_fsum(self, monkeypatch):
         import numpy as np
 
@@ -535,6 +641,30 @@ class TestCheapSumDecisions:
         monkeypatch.setattr(math, "fsum", lambda v: calls.append(v) or real_fsum(v))
         assert oracle._excess(xs, target) > 0.0
         assert calls
+
+    def test_cancellation_inside_the_long_double_bound_takes_fsum(self, monkeypatch):
+        import numpy as np
+
+        # as above, but the 1e20 terms swallow the ones in long double too
+        xs = np.array([1.0, 1e20, -1e20, 1.0 + 2 * math.ulp(1.0)])
+        target = 2.0
+        assert float(xs.astype(np.longdouble).sum()) < target
+        calls = []
+        real_fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda v: calls.append(v) or real_fsum(v))
+        assert oracle._excess(xs, target) > 0.0
+        assert calls
+
+    def test_overflowing_sum_left_to_fsum(self):
+        import numpy as np
+
+        # float64 sums overflow, a long double one would not: fsum keeps the
+        # decision, and raises
+        xs = np.array([1e308, 1e308, -1e308])
+        with pytest.raises(OverflowError):
+            math.fsum(xs.tolist())
+        with pytest.raises(OverflowError):
+            oracle._excess(xs, 1.0)
 
     def test_clear_comparison_skips_fsum(self, monkeypatch):
         import numpy as np

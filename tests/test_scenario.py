@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -21,6 +22,7 @@ from bandalloc.scenario import (
     generate_random_scenario,
     load_scenario,
     parse_scenario,
+    scenario_from_dict,
     scenario_to_dict,
     serialize_scenario,
 )
@@ -427,6 +429,57 @@ class TestWholeColumnChecks:
         scenario = parse_scenario(json.dumps(doc))
         assert scenario.omegas == tuple(entry["omega"] for entry in entries)
         assert scenario.demands == tuple(entry["demand"] for entry in entries)
+
+    # the texts of the per-entry check, which the two-column read falls back to
+    @pytest.mark.parametrize(
+        "entry, want",
+        [
+            (5, "devices[1]: must be an object"),
+            (None, "devices[1]: must be an object"),
+            ("ab", "devices[1]: must be an object"),
+            ([1.0, 1.0], "devices[1]: must be an object"),
+            ({"omega": 1.0, "weight": 2.0}, "devices[1]: unknown key(s): weight"),
+            ({"omega": 1.0, "demand": 1.0, "watt": 3}, "devices[1]: unknown key(s): watt"),
+            ({"demand": 1.0}, "devices[1]: missing key(s): omega"),
+            ({"omega": 1.0, "watt": 1.0, "volt": 1.0}, "devices[1]: unknown key(s): volt, watt"),
+            ({}, "devices[1]: missing key(s): demand, omega"),
+            (collections.OrderedDict(omega=2.0, demand=2.0), None),
+        ],
+        ids=[
+            "number", "null", "string", "list", "missing key", "extra key", "one key",
+            "three keys", "no keys", "dict subclass",
+        ],
+    )
+    def test_device_entry_errors(self, entry, want):
+        devices = [*BASE_DOC["devices"]]
+        devices[1] = entry
+        doc = {**BASE_DOC, "devices": devices}
+        if want is None:
+            assert scenario_from_dict(doc) == parse_scenario(json.dumps(BASE_DOC))
+            return
+        with pytest.raises(ScenarioError) as excinfo:
+            scenario_from_dict(doc)
+        assert str(excinfo.value) == want
+
+    @pytest.mark.parametrize(
+        "entry, want",
+        [
+            ({"omega": 1.0}, "devices[9999]: missing key(s): demand"),
+            ({"omega": 1.0, "Demand": 1.0}, "devices[9999]: unknown key(s): Demand"),
+            ([1.0, 1.0], "devices[9999]: must be an object"),
+        ],
+        ids=["one key", "renamed key", "list"],
+    )
+    def test_last_of_ten_thousand_devices_named(self, entry, want):
+        doc = scenario_to_dict(generate_random_scenario(10_000, 1))
+        doc["devices"][-1] = entry
+        with pytest.raises(ScenarioError) as excinfo:
+            scenario_from_dict(doc)
+        assert str(excinfo.value) == want
+        # the first bad entry is named, after a good run of them
+        doc["devices"][5000] = {"omega": 1.0, "demand": 1.0, "x": 1}
+        with pytest.raises(ScenarioError, match=r"^devices\[5000\]: unknown key\(s\): x$"):
+            scenario_from_dict(doc)
 
 def handwritten_dict(scenario: Scenario) -> dict:
     """The serializer's dict written out field by field, as it was before it

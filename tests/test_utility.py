@@ -157,16 +157,6 @@ class TestCurvature:
         with pytest.raises(ValueError, match="outside the utility domain"):
             curvature(1.0, C100, 0.01, -1.0 / C100)
 
-    def test_array_twin_same_bits(self):
-        np = pytest.importorskip("numpy")
-        from bandalloc import array_kernel
-
-        omegas = [0.01, 1.0, 3.0, 1e4]
-        xs = [-0.1, 0.0, 2.55, 1e6]
-        got = array_kernel.curvature(np.array(omegas), C100, 0.01, np.array(xs))
-        want = [curvature(w, C100, 0.01, x) for w, x in zip(omegas, xs)]
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-
 
 class TestInvertDerivative:
     def test_matches_bisection_oracle(self):
