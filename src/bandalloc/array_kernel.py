@@ -1,9 +1,10 @@
 """Numpy round kernel: the round of :func:`bandalloc.engine.step` on arrays.
 
-:func:`bandalloc.engine.run` and :func:`bandalloc.oracle.solve` import this
-module lazily, through ``engine.array_kernel_for``, and use it when numpy
-imports and the scenario has at least ``engine.ARRAY_MIN_DEVICES`` devices;
-the package itself needs only the stdlib. The arithmetic follows
+:func:`bandalloc.engine.run`, :func:`bandalloc.oracle.solve` and
+:func:`bandalloc.scenario.scenario_from_dict` import this module lazily,
+through ``engine.array_kernel_for``, and use it when numpy imports and the
+scenario has at least ``engine.ARRAY_MIN_DEVICES`` devices; the package
+itself needs only the stdlib. The arithmetic follows
 ``step`` and :func:`bandalloc.utility.inverse_from_constants`, on the same
 hoisted constants, operation for operation, gossip's sums in sequence and the
 discriminant's square by multiplication included: equal results bit for bit.
@@ -23,11 +24,15 @@ sum with an error bound (:func:`_cheap_excess`); ``math.fsum`` decides inside
 it. A bisection step's comparison takes one step between them
 (:func:`settled_excess`): the same sum and bound in long double, where numpy's
 long double is wider than float64.
+
+:func:`checked_graph` is :func:`bandalloc.topology.build`'s check of an edge
+list and its connectivity test, on one int64 array of the endpoints.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -35,7 +40,14 @@ from . import engine
 from .scenario import Scenario
 from .utility import capacity_coefficient
 
-__all__ = ["inverse_and_slope_for", "inverse_for", "rounds", "settled_excess"]
+__all__ = [
+    "checked_graph",
+    "component_labels",
+    "inverse_and_slope_for",
+    "inverse_for",
+    "rounds",
+    "settled_excess",
+]
 
 
 # the machine epsilon of numpy's long double: x86-64's 80-bit format has
@@ -72,6 +84,74 @@ def settled_excess(xs, total: float) -> float | None:
         if not abs(diff) > bound and _LONG_EPS < math.ulp(1.0) and bound < _LONG_LIMIT:
             diff, bound = _cheap_excess(xs.astype(np.longdouble), total, _LONG_EPS)
     return float(diff) if abs(diff) > bound else None
+
+
+def checked_graph(n: int, edges: tuple) -> tuple[tuple[tuple[int, int], ...], bool] | None:
+    """The pairs of a valid edge list over ``n`` devices, and whether they connect them.
+
+    Valid as :func:`bandalloc.topology.build` defines it: lists or tuples of
+    two ints in ``[0, n)``, no self-loop, no edge repeated in either
+    orientation. None for a list that fails any check, and for an empty one
+    or one of fewer than ``n - 1`` edges, which cannot connect ``n`` devices:
+    ``build``'s per-entry loop then names the first bad entry, or checks the
+    list. So the ``n`` labels of :func:`component_labels` never outgrow the
+    edge list.
+    """
+    if len(edges) < max(n - 1, 1):
+        return None
+    if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}):
+        return None
+    ends = list(chain.from_iterable(edges))
+    if not set(map(type, ends)) <= {int}:
+        return None
+    try:
+        ends = np.fromiter(ends, np.int64, len(ends))
+    except OverflowError:  # beyond int64, so out of range
+        return None
+    if ends.min() < 0 or ends.max() >= n:
+        return None
+    firsts, seconds = ends[0::2], ends[1::2]
+    lo, hi = np.minimum(firsts, seconds), np.maximum(firsts, seconds)
+    if (lo == hi).any():
+        return None
+    # each unordered pair's key; n <= len(edges) + 1, so a key >= 2**63
+    # would take an edge list of over 3*10^9 pairs
+    keys = np.sort(lo * n + hi)
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    labels, _, _ = component_labels(n, lo, hi)
+    return tuple(map(tuple, edges)), not labels.any()
+
+
+def component_labels(n: int, lo, hi) -> tuple:
+    """Each device's least connected device, and the hook and jump rounds taken.
+
+    ``lo`` and ``hi`` are the int64 ends of the edges. A hook round hooks
+    each root to the least neighbouring label below its own (Shiloach and
+    Vishkin, "An O(log n) parallel connectivity algorithm", 1982); jump
+    rounds then replace every label by its label's until all labels are
+    roots. Labels only fall. A root with only greater neighbouring labels is
+    hooked onto in that round, or hooks the round after, since its neighbours
+    hook to labels at most its own; so a component's roots at least halve
+    every two hook rounds, ``O(log n)`` rounds in all. Hooking ends when every
+    edge joins equal labels, each its component's least device.
+    """
+    labels = np.arange(n)
+    hooks = jumps = 0
+    while True:
+        a, b = labels[lo], labels[hi]
+        hooked = labels.copy()
+        np.minimum.at(hooked, np.maximum(a, b), np.minimum(a, b))
+        hooks += 1
+        if np.array_equal(hooked, labels):
+            return labels, hooks, jumps
+        labels = hooked
+        while True:
+            jumped = labels[labels]
+            jumps += 1
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def _constants(omega, c: float, price: float):

@@ -203,6 +203,9 @@ def scenario_from_dict(doc: Any) -> Scenario:
     """Validate a decoded JSON document and build a :class:`Scenario`.
 
     This checks the document's shape; the dataclasses check the values.
+    From ``engine.ARRAY_MIN_DEVICES`` devices on it imports the numpy
+    kernels, as ``engine.array_kernel_for`` does, so that
+    :func:`bandalloc.topology.build` checks the edges on arrays.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("top level must be a JSON object")
@@ -213,6 +216,8 @@ def scenario_from_dict(doc: Any) -> Scenario:
     if not isinstance(raw_devices, list) or not raw_devices:
         raise ScenarioError("devices: must be a non-empty array")
     omegas, demands = _device_columns(raw_devices)
+    from . import engine  # engine imports this module
+    engine.array_kernel_for(len(omegas))
 
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):

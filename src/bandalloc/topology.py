@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +28,12 @@ class Topology:
         return tuple(tuple(sorted(nbrs)) for nbrs in neighbors)
 
     def is_connected(self) -> bool:
-        """True when the edges join all devices into one component (union-find)."""
+        """True when the edges join all devices into one component."""
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
+        """Connectivity by union-find, unless :func:`build`'s array check settled it."""
         parent = list(range(self.n))
         for i, j in self.edges:
             while (p := parent[i]) != i:  # path halving
@@ -47,21 +53,22 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Topology:
     The one check of an edge list: a non-pair, endpoints that are not ints
     (bools included) or lie outside ``[0, n)``, self-loops, and an edge
     repeated in either orientation raise ``ValueError`` naming ``edges[k]``.
-    Pairs are checked a column at a time; a per-entry loop names the first bad one.
+    Where ``engine.array_kernel_for(n)`` would pick the numpy kernel and it
+    is already imported, it checks the list and settles connectivity on
+    arrays; building a topology never imports it. A per-entry loop checks
+    the list otherwise, and names the first bad entry.
     """
     if n < 1:
         raise ValueError(f"device count must be >= 1, got {n}")
     edges = tuple(edges)
-    if set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}:
-        firsts, seconds = zip(*edges) if edges else ((), ())
-        ends, pairs = firsts + seconds, tuple(zip(firsts, seconds))
-        if (
-            set(map(type, ends)) <= {int}
-            and (not ends or (min(ends) >= 0 and max(ends) < n))
-            and not any(map(eq, firsts, seconds))
-            and len({i * n + j if i < j else j * n + i for i, j in pairs}) == len(pairs)
-        ):
-            return Topology(n=n, edges=pairs)
+    kernel = sys.modules.get(f"{__package__}.array_kernel")
+    if kernel is not None and n >= kernel.engine.ARRAY_MIN_DEVICES:
+        checked = kernel.checked_graph(n, edges)
+        if checked is not None:
+            pairs, connected = checked
+            topo = Topology(n=n, edges=pairs)
+            vars(topo)["_connected"] = connected
+            return topo
     seen: dict[tuple[int, int], None] = {}  # the pairs, in order
     for k, edge in enumerate(edges):
         try:

@@ -20,7 +20,12 @@ import pytest
 import bandalloc
 from bandalloc import cli, engine
 from bandalloc.cli import ExitStatus, main
-from bandalloc.scenario import generate_random_scenario, parse_scenario, serialize_scenario
+from bandalloc.scenario import (
+    generate_random_scenario,
+    parse_scenario,
+    scenario_to_dict,
+    serialize_scenario,
+)
 from bandalloc.topology import Topology
 
 from conftest import BENCH_PATH
@@ -440,6 +445,48 @@ class TestOracleCommand:
         assert child.returncode == code == ExitStatus.OK, child.stderr
         assert child.stdout == out
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("duplicate last edge", "edges[16248]: duplicate edge (996, 4727)"),
+            ("last device disconnected", "edges: communication graph is not connected"),
+            (
+                "endpoint 2**63",
+                "edges[16248]: endpoint out of range [0, 10000) in (0, 9223372036854775808)",
+            ),
+        ],
+    )
+    def test_edge_errors_agree_without_numpy(self, capsys, tmp_path, fault, message):
+        # at n=10^4 numpy's array check and connectivity test run, and
+        # without numpy the per-entry loop and the union-find
+        pytest.importorskip("numpy")
+        doc = scenario_to_dict(generate_random_scenario(10_000, 1))
+        edges = doc["edges"]
+        if fault == "duplicate last edge":
+            edges.append(edges[-1])
+        elif fault == "last device disconnected":
+            edges[:] = [edge for edge in edges if 9_999 not in edge]
+            assert len(edges) >= 9_999  # enough edges that the array test runs
+        else:
+            edges.append([0, 2**63])
+        path = tmp_path / "faulty.json"
+        path.write_text(json.dumps(doc))
+        code = main(["oracle", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (ExitStatus.INVALID_INPUT, "")
+        assert err.endswith(f": {message}\n"), err
+        child = run_child(
+            "-c",
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from bandalloc.cli import main\n"
+            "code = main(['oracle', sys.argv[1]])\n"
+            "assert 'bandalloc.array_kernel' not in sys.modules\n"
+            "raise SystemExit(code)\n",
+            str(path),
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+
     def test_degenerate_lambda_not_applicable(self, capsys, tmp_path):
         doc = {
             "bandwidth": 5.0,
@@ -732,6 +779,22 @@ def test_oracle_loads_array_kernel_from_threshold(tmp_path):
         "import sys\n"
         "from bandalloc.cli import main\n"
         "assert main(['oracle', sys.argv[1]]) == 0\n"
+        "print('bandalloc.array_kernel' in sys.modules, file=sys.stderr)\n",
+        str(write_generated(tmp_path, 50, 1)),
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == "True\n"
+
+
+def test_load_scenario_loads_array_kernel_from_threshold(tmp_path):
+    # parsing a document loads the kernels that check its edges on arrays
+    pytest.importorskip("numpy")
+    assert 50 >= engine.ARRAY_MIN_DEVICES
+    child = run_child(
+        "-c",
+        "import sys\n"
+        "from bandalloc import load_scenario\n"
+        "load_scenario(sys.argv[1])\n"
         "print('bandalloc.array_kernel' in sys.modules, file=sys.stderr)\n",
         str(write_generated(tmp_path, 50, 1)),
     )

@@ -2,10 +2,30 @@
 
 from __future__ import annotations
 
+import math
+import random
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+from bandalloc import engine
 from bandalloc.topology import build
+
+# ``engine.ARRAY_MIN_DEVICES`` for each path of ``build`` that can run: the
+# per-entry loop and the union-find at every size, and numpy's arrays from one
+# device on when numpy imports. ``build`` never imports the array kernel
+# itself, so this does.
+EDGE_PATHS = {"stdlib": sys.maxsize}
+if engine.array_kernel_for(sys.maxsize) is not None:
+    EDGE_PATHS["array"] = 1
+
+
+def build_on(path, n, edges):
+    """``build`` on the path named, as in ``EDGE_PATHS``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "ARRAY_MIN_DEVICES", EDGE_PATHS[path])
+        return build(n, edges)
 
 
 def test_line_graph_neighbors():
@@ -60,25 +80,45 @@ def test_connectivity():
 
 @st.composite
 def random_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(
-        st.lists(st.sampled_from(possible), max_size=12, unique=True) if possible else st.just([])
-    )
-    return n, edges
+    """Up to 8 devices on any edges, or 16 to 40 in one to four components."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=8))
+        possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = draw(
+            st.lists(st.sampled_from(possible), max_size=12, unique=True)
+            if possible
+            else st.just([])
+        )
+        return n, edges
+    # each component a random tree on shuffled ids, with up to one extra edge
+    # per device inside it: graphs of several components reach the n - 1
+    # edges below which the array check leaves a list to the loop
+    n = draw(st.integers(min_value=16, max_value=40))
+    ids = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1), max_size=3)))
+    edges = set()
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        part = ids[lo:hi]
+        edges.update((part[draw(st.integers(0, k - 1))], part[k]) for k in range(1, len(part)))
+        for _ in range(draw(st.integers(min_value=0, max_value=len(part)))):
+            i, j = draw(st.sampled_from(part)), draw(st.sampled_from(part))
+            if i != j and (j, i) not in edges:
+                edges.add((i, j))
+    return n, sorted(edges)
 
 
 @given(random_graphs())
 def test_symmetry_and_degree_sum(graph):
     n, edges = graph
-    topo = build(n, edges)
-    for i in range(n):
-        for j in topo.adjacency[i]:
-            assert i in topo.adjacency[j]
-            assert i != j
-    degree_sum = sum(len(topo.adjacency[i]) for i in range(n))
-    assert degree_sum == 2 * len(topo.edges)
-    assert len(topo.edges) == len({(min(i, j), max(i, j)) for i, j in edges})
+    for path in EDGE_PATHS:
+        topo = build_on(path, n, edges)
+        for i in range(n):
+            for j in topo.adjacency[i]:
+                assert i in topo.adjacency[j]
+                assert i != j
+        degree_sum = sum(len(topo.adjacency[i]) for i in range(n))
+        assert degree_sum == 2 * len(topo.edges)
+        assert len(topo.edges) == len({(min(i, j), max(i, j)) for i, j in edges})
 
 
 def test_adjacency_built_on_first_read():
@@ -131,19 +171,22 @@ def oriented_graphs(draw):
 
 @st.composite
 def mixed_edge_lists(draw):
-    """Valid edge lists, entries as lists or tuples, with up to two bad entries or repeats."""
-    n, edges = draw(oriented_graphs())
-    edges = [list(edge) if draw(st.booleans()) else edge for edge in edges]
+    """Valid edge lists, entries as lists or tuples, with up to two bad entries or
+    repeats, and maybe a reversed repeat at the last index."""
+    n, pairs = draw(oriented_graphs())
+    edges = [list(edge) if draw(st.booleans()) else edge for edge in pairs]
     index = st.integers(min_value=0, max_value=n - 1)
     bad_end = st.one_of(
         st.integers(min_value=-3, max_value=-1),
         st.integers(min_value=n, max_value=n + 2),
         st.booleans(),
         st.floats(allow_nan=True, allow_infinity=True),
-        st.just(None),
+        # beyond int64 on either side, and not ints at all
+        st.sampled_from([2**63, -(2**63) - 1, 10**30, True, 1.0, None, "1"]),
     )
     odd = st.one_of(
         st.tuples(index, index),  # a self-loop, a repeat or a new edge
+        index.map(lambda i: [i, i]),
         st.tuples(index, bad_end),
         st.tuples(bad_end, index).map(list),
         st.integers(min_value=0, max_value=n),
@@ -159,6 +202,9 @@ def mixed_edge_lists(draw):
         else:
             entry = draw(odd)
         edges.insert(draw(st.integers(min_value=0, max_value=len(edges))), entry)
+    if pairs and draw(st.booleans()):  # a repeat at the last index, reversed
+        i, j = draw(st.sampled_from(pairs))
+        edges.append((j, i))
     return n, edges
 
 
@@ -168,17 +214,116 @@ def test_build_matches_per_entry_reference(case):
     try:
         want = reference_build(n, edges)
     except ValueError as exc:
-        with pytest.raises(ValueError) as excinfo:
-            build(n, edges)
-        assert str(excinfo.value) == str(exc)
+        for path in EDGE_PATHS:
+            with pytest.raises(ValueError) as excinfo:
+                build_on(path, n, edges)
+            assert str(excinfo.value) == str(exc), path
     else:
-        topo = build(n, edges)
-        assert topo.adjacency == want
-        assert topo.edges == tuple(map(tuple, edges))
-        assert all(type(edge) is tuple for edge in topo.edges)
+        for path in EDGE_PATHS:
+            topo = build_on(path, n, edges)
+            assert topo.adjacency == want, path
+            assert topo.edges == tuple(map(tuple, edges)), path
+            assert all(type(edge) is tuple for edge in topo.edges), path
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        (0, 2**63),
+        (-(2**63) - 1, 0),
+        [0, 10**30],
+        (True, 1),
+        (0, 1.0),
+        (None, 0),
+        ("1", 0),
+        (3, 3),
+        (0, 20),
+        [-1, 0],
+        (19, 18),
+        [0, 1, 2],
+        5,
+    ],
+    ids=repr,
+)
+def test_bad_last_entry_named_on_both_paths(entry):
+    # 19 valid edges first, enough for the array check to run at n=20
+    edges = [(k, k + 1) for k in range(19)] + [entry]
+    with pytest.raises(ValueError) as want:
+        reference_build(20, edges)
+    for path in EDGE_PATHS:
+        with pytest.raises(ValueError) as excinfo:
+            build_on(path, 20, edges)
+        assert str(excinfo.value) == str(want.value), path
 
 
 @given(oriented_graphs())
 def test_connectivity_matches_breadth_first_search(graph):
     n, edges = graph
-    assert build(n, edges).is_connected() == reference_connected(n, edges)
+    want = reference_connected(n, edges)
+    for path in EDGE_PATHS:
+        assert build_on(path, n, edges).is_connected() == want, path
+
+
+def test_array_path_settles_connectivity_at_build():
+    # the array check tests connectivity from its own arrays; the union-find
+    # runs only on the loop's topologies, when first asked
+    if "array" not in EDGE_PATHS:
+        pytest.skip("numpy is not installed")
+    edges = [(k, k + 1) for k in range(19)]
+    assert vars(build_on("array", 20, edges))["_connected"] is True
+    assert vars(build_on("array", 20, edges[:9] + edges[10:] + [(0, 2)]))["_connected"] is False
+    for topo in (build_on("stdlib", 20, edges), build_on("array", 20, edges[1:])):
+        assert "_connected" not in vars(topo)
+        assert topo.is_connected() is (len(topo.edges) == 19)
+
+
+def shapes(n: int) -> dict[str, tuple[int, list[tuple[int, int]]]]:
+    """Graphs whose labels fall slowly under hooking, and disconnected ones."""
+    rng = random.Random(20)
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    zigzag = [k // 2 if k % 2 == 0 else n - 1 - k // 2 for k in range(n)]
+    tree_ids = list(range(n))
+    rng.shuffle(tree_ids)
+    half = n // 2
+    return {
+        "path sorted": (n, [(k, k + 1) for k in range(n - 1)]),
+        "path reversed": (n, [(k + 1, k) for k in reversed(range(n - 1))]),
+        "path shuffled": (n, list(zip(shuffled, shuffled[1:]))),
+        "path zigzag": (n, list(zip(zigzag, zigzag[1:]))),
+        "star on n-1": (n, [(n - 1, k) for k in range(n - 1)]),
+        "random recursive tree": (
+            n,
+            [(tree_ids[rng.randrange(k)], tree_ids[k]) for k in range(1, n)],
+        ),
+        "two halves": (
+            n,
+            [(k, k + 1) for k in range(half - 1)] + [(k, k + 1) for k in range(half, n - 1)],
+        ),
+        "last device isolated": (n, [(k, k + 1) for k in range(n - 2)]),
+        "no edges at n=16": (16, []),
+    }
+
+
+@pytest.mark.parametrize("shape", list(shapes(10_000)))
+def test_component_labels_on_adversarial_shapes(shape):
+    np = pytest.importorskip("numpy")
+    from bandalloc.array_kernel import component_labels
+
+    n, edges = shapes(10_000)[shape]
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    labels, hooks, jumps = component_labels(n, ends.min(axis=1), ends.max(axis=1))
+    topo = build_on("stdlib", n, edges)
+    # each device's label is the least device of its component
+    want = [None] * n
+    for start in range(n):  # breadth-first from each least device, in order
+        frontier = [start] if want[start] is None else []
+        while frontier:
+            for i in frontier:
+                want[i] = start
+            frontier = [j for i in frontier for j in topo.adjacency[i] if want[j] is None]
+    assert labels.tolist() == want
+    assert (not labels.any()) is topo.is_connected()
+    rounds = math.ceil(math.log2(n))
+    assert hooks <= 2 * rounds + 2
+    assert jumps <= hooks * (rounds + 1)
