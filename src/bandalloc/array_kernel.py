@@ -5,8 +5,9 @@
 through ``engine.array_kernel_for``, and use it when numpy imports and the
 scenario has at least ``engine.ARRAY_MIN_DEVICES`` devices; the package
 itself needs only the stdlib. The arithmetic follows
-``step`` and :func:`bandalloc.utility.inverse_from_constants`, on the same
-hoisted constants, operation for operation, gossip's sums in sequence and the
+``step`` and :func:`bandalloc.utility.inverse_from_constants`, on constants
+from the same :func:`bandalloc.utility.inverse_constants`, hoisted once per
+run or solve, operation for operation, gossip's sums in sequence and the
 discriminant's square by multiplication included: equal results bit for bit.
 
 An array result is used only where it and its discriminant are finite.
@@ -38,13 +39,12 @@ import numpy as np
 
 from . import engine
 from .scenario import Scenario
-from .utility import capacity_coefficient
+from .utility import capacity_coefficient, inverse_constants
 
 __all__ = [
     "checked_graph",
     "component_labels",
     "inverse_and_slope_for",
-    "inverse_for",
     "rounds",
     "settled_excess",
 ]
@@ -154,40 +154,26 @@ def component_labels(n: int, lo, hi) -> tuple:
             labels = jumped
 
 
-def _constants(omega, c: float, price: float):
-    """``omega*c`` and the discriminant constant ``8*omega*price*c*c``, elementwise."""
-    omega = np.asarray(omega, dtype=float)
-    with np.errstate(all="ignore"):
-        return omega * c, 8.0 * omega * price * c * c
-
-
-def inverse_for(omega, c: float, price: float, scalar):
-    """``v -> xs``: :func:`bandalloc.utility.invert_derivative` of every device at ``v``.
+def inverse_and_slope_for(omega, c: float, price: float, scalar):
+    """``v -> xs``, :func:`bandalloc.utility.invert_derivative` of every device
+    at ``v``; ``(v, xs) -> `` the numpy sum of ``1/U''(x)`` over the devices;
+    and the least, greatest and summed omega.
 
     ``xs`` is a float64 array where it and its discriminant are finite;
-    otherwise ``scalar(v)`` computes it, or raises.
+    otherwise ``scalar(v)`` computes it, or raises. The sum is ``dT/dv`` for
+    the total ``T(v) = sum(xs)``; ``xs`` may be a list. ``U''`` is
+    ``-(v + 2*price*x)**2/omega - 2*price``.
     """
-    omega_c, disc_const = _constants(omega, c, price)
+    omega = np.asarray(omega, dtype=float)
+    consts = _constants(omega, c, price)
+    two_price = 2.0 * price
 
     def inverse(v):
         with np.errstate(all="ignore"):
-            xs, disc = _inverse(omega_c, disc_const, c, price, v)
+            xs, disc = _inverse(*consts, v)
             if np.logical_and.reduce(np.isfinite(xs + disc)):
                 return xs
         return scalar(v)
-
-    return inverse
-
-
-def inverse_and_slope_for(omega, c: float, price: float, scalar):
-    """:func:`inverse_for`, ``(v, xs) -> `` the numpy sum of ``1/U''(x)`` over
-    the devices, and the least, greatest and summed omega.
-
-    The sum is ``dT/dv`` for the total ``T(v) = sum(xs)``; ``xs`` may be a
-    list. ``U''`` is the curvature ``-(v + 2*price*x)**2/omega - 2*price``.
-    """
-    omega = np.asarray(omega, dtype=float)
-    two_price = 2.0 * price
 
     def slope(v, xs):
         with np.errstate(all="ignore"):
@@ -196,24 +182,31 @@ def inverse_and_slope_for(omega, c: float, price: float, scalar):
 
     with np.errstate(all="ignore"):  # the sum may overflow, as the builtin sum does
         summary = float(omega.min()), float(omega.max()), float(np.add.reduce(omega))
-    return inverse_for(omega, c, price, scalar), slope, summary
+    return inverse, slope, summary
 
 
-def _inverse(omega_c, disc_const, c, price, v, out=(None, None)):
+def _constants(omega, c: float, price: float) -> tuple:
+    """:func:`_inverse`'s constants for the float64 array ``omega``, once per run or solve."""
+    with np.errstate(all="ignore"):
+        return (*inverse_constants(omega, c, price), 2.0 * price, 2.0 * price * c, c)
+
+
+def _inverse(omega_c, disc_const, two_price, two_price_c, c, v, out=(None, None)):
     """The closed-form inverse and its discriminant, in the scalar operation order.
 
-    ``out`` names the arrays to write the two results to; None allocates one.
+    The arguments are :func:`bandalloc.utility.inverse_from_constants`'s;
+    ``out`` names the arrays to write the two results to, None allocating one.
     """
     x, disc = out
     vc = v * c
-    b = 2.0 * price + vc
+    b = two_price + vc
     const = v - omega_c
-    t = 2.0 * price - vc
+    t = two_price - vc
     disc = np.add(t * t, disc_const, disc)
     root = np.sqrt(disc)
     # b = 2*price + v*c is never -0.0, so copysign pairs b == 0 with +root
     q = -0.5 * (b + np.copysign(root, b))
-    return np.maximum(q / (2.0 * price * c), const / q, out=x), disc
+    return np.maximum(q / two_price_c, const / q, out=x), disc
 
 
 def block_rows(n: int) -> int:
@@ -245,7 +238,7 @@ def rounds(state: engine.EngineState, scenario: Scenario):
     """
     g = scenario.globals
     c = capacity_coefficient(g.snr)
-    consts = (*_constants(scenario.omegas, c, g.price), c, g.price)
+    consts = _constants(np.array(scenario.omegas), c, g.price)
     eta, mu = g.eta, g.mu
     # directed edge list: device src[e] hears from device dst[e]
     adjacency = scenario.topology.adjacency

@@ -28,7 +28,7 @@ from .scenario import Scenario
 # not called: kept because bench/tracer.py wraps these bindings by name
 from .topology import build as build_topology  # noqa: F401
 from .utility import invert_derivative  # noqa: F401
-from .utility import capacity_coefficient, derivative
+from .utility import capacity_coefficient, derivative, inverse_constants
 
 __all__ = [
     "NumericalError",
@@ -180,8 +180,7 @@ def _scalar_rounds(state: EngineState, scenario: Scenario):
     c = capacity_coefficient(g.snr)
     eta, mu, two_price, two_price_c = g.eta, g.mu, 2.0 * g.price, 2.0 * g.price * c
     isfinite, sqrt, copysign, inf = math.isfinite, math.sqrt, math.copysign, math.inf
-    # per device, omega*c and 8*omega*price*c*c of utility.inverse_from_constants
-    constants = [(w * c, 8.0 * w * g.price * c * c) for w in scenario.omegas]
+    constants = [inverse_constants(w, c, g.price) for w in scenario.omegas]
     rows = tuple(zip(scenario.topology.adjacency, constants, state.confirmed.values, strict=True))
     total = state.confirmed.total
     k = state.iteration

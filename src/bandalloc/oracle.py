@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from . import engine
 from .admission import ConfirmedDemands
 from .scenario import Scenario
-from .utility import capacity_coefficient, derivative, evaluate, inverse_from_constants
+from .utility import capacity_coefficient, derivative, evaluate
+from .utility import inverse_constants, inverse_from_constants
 # not called: kept because bench/tracer.py wraps this binding by name
 from .utility import invert_derivative  # noqa: F401
 
@@ -86,21 +87,22 @@ def _inverse(omegas: tuple[float, ...], c: float, price: float):
     ``(v, xs) -> `` the sum of ``1/U''(x)``, the slope of ``sum(xs)`` in v;
     and ``(min(omegas), max(omegas), sum(omegas))``.
 
-    ``U''`` is the curvature in the form ``-(v + 2*price*x)**2/omega - 2*price``,
-    from ``c*x + 1 = omega*c/(v + 2*price*x)``: it does not cancel where x
-    nears the asymptote ``-1/c``, as ``c*x + 1`` does. From
-    ``engine.ARRAY_MIN_DEVICES`` devices on, when numpy imports, ``xs`` is a
-    float64 array from ``array_kernel``, which hands any value it cannot trust
-    to the scalar loop, and the omega column is read as an array; otherwise,
-    and as the test reference, a list from one scalar call per device, on
-    constants gathered once per solve.
+    ``U''`` is written ``-(v + 2*price*x)**2/omega - 2*price``, from
+    ``c*x + 1 = omega*c/(v + 2*price*x)``: it does not cancel where x nears
+    the asymptote ``-1/c``, as ``c*x + 1`` does. From
+    ``engine.ARRAY_MIN_DEVICES`` devices on, when numpy imports, all three
+    come from ``array_kernel.inverse_and_slope_for``, which reads the omega
+    column as an array once per solve and hands any value it cannot trust to
+    the scalar loop; otherwise, and as the test reference, ``xs`` is a list
+    from one ``inverse_from_constants`` call per device. Either way each
+    device's constants come from ``inverse_constants``, once per solve.
     """
     two_price, two_price_c = 2.0 * price, 2.0 * price * c
     constants: list[tuple[float, float]] = []
 
     def scalar(v: float) -> list[float]:
         if not constants:  # on first use: the array path rarely hands a value back
-            constants.extend((w * c, 8.0 * w * price * c * c) for w in omegas)
+            constants.extend(inverse_constants(w, c, price) for w in omegas)
         xs: list[float] = []
         try:
             for omega_c, disc in constants:

@@ -8,7 +8,8 @@ where ``c`` converts bandwidth to achievable rate for the shared channel
 quality. The derivative of this function is strictly decreasing on its
 domain, so it has a global inverse; the inverse is the larger root of a
 quadratic, computed in a cancellation-free form by
-:func:`inverse_from_constants` from constants gathered once per run or solve.
+:func:`inverse_from_constants` from constants gathered once per run or solve,
+each device's by :func:`inverse_constants`.
 The distributed engine and the centralized oracle are built on these functions.
 """
 
@@ -20,8 +21,8 @@ __all__ = [
     "capacity_coefficient",
     "evaluate",
     "derivative",
-    "curvature",
     "invert_derivative",
+    "inverse_constants",
     "inverse_from_constants",
 ]
 
@@ -66,16 +67,6 @@ def derivative(omega: float, c: float, price: float, x: float) -> float:
     return omega * c / arg - 2.0 * price * x
 
 
-def curvature(omega: float, c: float, price: float, x: float) -> float:
-    """Second derivative ``-omega*c**2/(c*x + 1)**2 - 2*price``, always negative.
-
-    Its reciprocal is the slope ``dx/dv`` of :func:`invert_derivative` at the
-    value ``v`` whose inverse is ``x``.
-    """
-    arg = _check_log_domain(c, x)
-    return -omega * c * c / (arg * arg) - 2.0 * price
-
-
 def invert_derivative(omega: float, c: float, price: float, v: float) -> float:
     """Unique bandwidth ``x`` with ``derivative(omega, c, price, x) == v``.
 
@@ -93,13 +84,21 @@ def invert_derivative(omega: float, c: float, price: float, v: float) -> float:
         raise ValueError(f"price must be a positive finite number, got {price}")
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"capacity coefficient must be positive, got {c}")
-    constants = omega * c, 8.0 * omega * price * c * c, 2.0 * price, 2.0 * price * c
+    constants = *inverse_constants(omega, c, price), 2.0 * price, 2.0 * price * c
     return inverse_from_constants(*constants, c, v)
 
 
+def inverse_constants(omega, c: float, price: float):
+    """``(omega*c, 8*omega*price*c*c)``, the per-device constants of
+    :func:`inverse_from_constants`: for one omega, or elementwise, with the
+    same bits, for a float64 array of them."""
+    return omega * c, 8.0 * omega * price * c * c
+
+
 def inverse_from_constants(omega_c, disc_const, two_price, two_price_c, c, v) -> float:
-    """:func:`invert_derivative`'s operations, unchecked, on ``omega_c = omega*c``,
-    ``disc_const = 8*omega*price*c*c``, ``two_price = 2*price``, ``two_price_c = 2*price*c``."""
+    """:func:`invert_derivative`'s operations, unchecked, on ``omega_c`` and
+    ``disc_const`` from :func:`inverse_constants`, ``two_price = 2*price`` and
+    ``two_price_c = 2*price*c``."""
     b = two_price + v * c
     const = v - omega_c
     t = two_price - v * c

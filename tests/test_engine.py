@@ -802,17 +802,19 @@ class TestArrayKernel:
     def test_inverse_matches_scalar(self):
         import numpy as np
 
-        from bandalloc.array_kernel import inverse_for
+        from bandalloc.array_kernel import inverse_and_slope_for
 
         rng = random.Random(7)
         for _ in range(20):
-            omega = rng.uniform(0.5, 5.0)
             c = capacity_coefficient(rng.uniform(10.0, 500.0))
             price = rng.uniform(0.002, 0.05)
             vs = [rng.uniform(-50.0, 50.0) for _ in range(100)] + [0.0, -2.0 * price / c]
+            # a device's own omega, so its omega*c and discriminant constant
+            # must stay in line with each other and with its v
+            omegas = [rng.uniform(0.5, 5.0) for _ in vs]
             # every value is finite: a call of the scalar fallback would fail
-            got = inverse_for([omega] * len(vs), c, price, None)(np.array(vs))
-            want = [invert_derivative(omega, c, price, v) for v in vs]
+            got = inverse_and_slope_for(omegas, c, price, None)[0](np.array(vs))
+            want = [invert_derivative(w, c, price, v) for w, v in zip(omegas, vs)]
             assert got.tolist() == want
 
 

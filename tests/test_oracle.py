@@ -178,9 +178,11 @@ class TestArrayPath:
         from bandalloc import array_kernel
 
         seen = []
-        real = array_kernel.inverse_for
+        real = array_kernel.inverse_and_slope_for
         monkeypatch.setattr(
-            array_kernel, "inverse_for", lambda w, *args: seen.append(len(w)) or real(w, *args)
+            array_kernel,
+            "inverse_and_slope_for",
+            lambda w, *args: seen.append(len(w)) or real(w, *args),
         )
         n = engine.ARRAY_MIN_DEVICES
         for size in (n - 1, n):

@@ -8,9 +8,9 @@ import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
+from bandalloc import oracle
 from bandalloc.utility import (
     capacity_coefficient,
-    curvature,
     derivative,
     evaluate,
     invert_derivative,
@@ -132,30 +132,43 @@ class TestDerivative:
             derivative(1.0, C100, 0.01, -0.5)
 
 
-class TestCurvature:
+def slope_closure(path: str, omega: float, c: float, price: float):
+    """``oracle.solve``'s slope ``(v, xs) -> sum(1/U''(x))`` for one device of
+    ``omega``: the scalar loop's, or the array kernel's."""
+    if path == "scalar":
+        return oracle._inverse((omega,), c, price)[1]
+    np = pytest.importorskip("numpy")
+    from bandalloc.array_kernel import inverse_and_slope_for
+
+    return inverse_and_slope_for(np.array([omega]), c, price, None)[1]
+
+
+@pytest.mark.parametrize("path", ["scalar", "array"])
+class TestInverseSlope:
+    """``1/U''`` in the slope's form ``-(v + 2*price*x)**2/omega - 2*price``,
+    at ``x = invert_derivative(v)``."""
+
     @given(
         omega=st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0**e),
         x=st.floats(min_value=-0.14, max_value=1e3),
     )
-    def test_is_the_derivative_of_the_marginal(self, omega, x):
+    def test_is_the_reciprocal_of_the_marginal_derivative(self, path, omega, x):
+        v = derivative(omega, C100, 0.01, x)
+        x = invert_derivative(omega, C100, 0.01, v)
         c = mpmath.log(101, 2)
-        xm = mpmath.mpf(x)
-        want = mpmath.diff(lambda t: omega * c / (c * t + 1) - mpmath.mpf("0.02") * t, xm)
-        assert curvature(omega, C100, 0.01, x) == pytest.approx(float(want), rel=1e-12)
+        want = mpmath.diff(lambda t: omega * c / (c * t + 1) - mpmath.mpf("0.02") * t, x)
+        slope = slope_closure(path, omega, C100, 0.01)
+        assert slope(v, [x]) == pytest.approx(float(1 / want), rel=1e-12)
 
-    def test_reciprocal_is_the_inverse_slope(self):
+    def test_is_the_inverse_slope(self, path):
+        def inverse(v):
+            return invert_derivative(3.0, C100, 0.01, v)
+
         h = 1e-6
+        slope = slope_closure(path, 3.0, C100, 0.01)
         for v in (-50.0, -1.0, 0.0, 1.0617, 5.0, 6.0, 1e3):
-            def inverse(v):
-                return invert_derivative(3.0, C100, 0.01, v)
-
             numeric = (inverse(v + h) - inverse(v - h)) / (2.0 * h)
-            slope = 1.0 / curvature(3.0, C100, 0.01, inverse(v))
-            assert slope == pytest.approx(numeric, rel=1e-6), v
-
-    def test_domain_checked(self):
-        with pytest.raises(ValueError, match="outside the utility domain"):
-            curvature(1.0, C100, 0.01, -1.0 / C100)
+            assert slope(v, [inverse(v)]) == pytest.approx(numeric, rel=1e-6), v
 
 
 class TestInvertDerivative:
@@ -211,9 +224,9 @@ class TestInvertDerivative:
         q = -0.5 * math.sqrt((2.0 * price - v * c) ** 2 + 8.0 * omega * price * c * c)
         assert x.hex() == max(q / (2.0 * price * c), (v - omega * c) / q).hex()
         np = pytest.importorskip("numpy")
-        from bandalloc.array_kernel import inverse_for
+        from bandalloc.array_kernel import inverse_and_slope_for
 
-        xs = inverse_for(np.array([omega]), c, price, None)(v)
+        xs = inverse_and_slope_for(np.array([omega]), c, price, None)[0](v)
         assert [got.hex() for got in xs.tolist()] == [x.hex()]
 
     def test_overflows_where_pow_does(self):
