@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -974,6 +976,105 @@ class TestRepeatedCalls:
             assert main(["run", str(BENCH_PATH), "--warp", "9"]) == ExitStatus.INVALID_INPUT
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == "error: unrecognized arguments: --warp 9\n"
+
+
+@contextlib.contextmanager
+def collector_state(enabled: bool):
+    """The cyclic collector enabled or disabled; its state restored after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic garbage collector for one command only."""
+
+    EXITS = {
+        "ok": (["oracle", str(BENCH_PATH)], ExitStatus.OK),
+        "unreadable_file": (["run", "does_not_exist.json"], ExitStatus.INVALID_INPUT),
+        "usage_error": (["run", str(BENCH_PATH), "--warp", "9"], ExitStatus.INVALID_INPUT),
+        "not_converged": (["run", str(BENCH_PATH), "--max-iters", "1"], ExitStatus.NOT_CONVERGED),
+        "numerical_failure": (
+            ["run", str(BENCH_PATH), "--eta", "50"],
+            ExitStatus.NUMERICAL_FAILURE,
+        ),
+        "help": (["--help"], SystemExit),
+        "uncaught": (["oracle", str(BENCH_PATH)], RuntimeError),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+    @pytest.mark.parametrize("path", list(EXITS))
+    def test_state_restored_on_every_exit(self, capsys, monkeypatch, path, enabled):
+        argv, expected = self.EXITS[path]
+        if path == "uncaught":
+
+            def solve(*args):
+                raise RuntimeError("an error that no exit status names")
+
+            monkeypatch.setattr(cli.oracle, "solve", solve)
+        with collector_state(enabled):
+            if isinstance(expected, int):
+                assert main(argv) == expected
+            else:
+                with pytest.raises(expected):
+                    main(argv)
+            capsys.readouterr()
+            assert gc.isenabled() is enabled
+
+    def test_no_collection_inside_a_command(self, capsys, tmp_path):
+        path = write_generated(tmp_path, 2000, 1)
+        document = path.read_bytes()
+        starts = []  # per collection started: are main and parse_scenario on the stack
+
+        def record(phase, info):
+            if phase == "start":
+                codes = set()
+                frame = sys._getframe(1)
+                while frame is not None:
+                    codes.add(frame.f_code)
+                    frame = frame.f_back
+                starts.append((main.__code__ in codes, parse_scenario.__code__ in codes))
+
+        with collector_state(True):
+            gc.callbacks.append(record)
+            try:
+                assert main(["oracle", str(path)]) == ExitStatus.OK
+                parse_scenario(document)
+            finally:
+                gc.callbacks.remove(record)
+        capsys.readouterr()
+        assert not any(in_main for in_main, _ in starts)
+        # the control: the same parse outside a command is collected
+        assert any(in_parse for _, in_parse in starts)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("source", ["paper_s5_scalar", "n20_array"])
+    def test_no_cycles_left_per_round(self, capsys, tmp_path, source, traced):
+        # the collector runs only between commands, so a round that made
+        # reference cycles would leave more of them after a longer run
+        if source == "n20_array":
+            pytest.importorskip("numpy")
+            path = write_generated(tmp_path, 20, 1)
+        else:
+            path = BENCH_PATH
+        trace = ["--trace", str(tmp_path / "trace.csv")] if traced else []
+        never_converge = ["--tol-consensus", "1e-300", "--tol-constraint", "1e-300"]
+
+        def unreachable_after(rounds: int) -> int:
+            argv = ["run", str(path), "--max-iters", str(rounds), *never_converge]
+            gc.collect()
+            assert main([*argv, *trace]) == ExitStatus.NOT_CONVERGED
+            left = gc.collect()
+            assert report_dict(capsys.readouterr().out)["iterations"] == str(rounds)
+            return left
+
+        with collector_state(True):
+            unreachable_after(20)  # the parser's and lazy imports' one-off cycles
+            short, long = unreachable_after(20), unreachable_after(2000)
+        assert long <= short
 
 
 def test_module_entry_point():
