@@ -49,14 +49,15 @@ _EPS = math.ulp(1.0)
 # Device count from which ``run`` iterates with the numpy kernel in
 # ``array_kernel``, and ``oracle.solve`` bisects on its elementwise inverse,
 # when numpy imports. The kernels give equal results, so it decides speed
-# alone. The scalar code is faster below about 20 devices for a run and 28
+# alone. The scalar code is faster below about 22 devices for a run and 28
 # for a solve (median us, scalar/array, then the median paired ratio; seeds
-# 1-3 in-process on 2 shared vCPUs; per round of ``run``: 12/28 (0.42) at 8,
-# 15/26 (0.58) at 12, 12/15 (0.85) at 16, 15/15 (1.01) at 20; per solve, at
-# about 12 evaluations each: 257/386 (0.67) at 16, 298/372 (0.80) at 20,
-# 334/365 (0.91) at 24, 404/349 (1.16) at 32). One rule serves both; from 16
-# to 20 devices a run loses a few us per round and a solve < 0.1 ms, and
-# 20-device runs, which the benchmark times, stay on the array kernel.
+# 1-3 in-process on 2 shared vCPUs; per round of ``run``: 6.4/14.0 (0.45) at
+# 8, 8.7/14.1 (0.62) at 12, 11.4/14.2 (0.80) at 16, 14.8/15.4 (0.95) at 20,
+# 16.3/14.4 (1.12) at 24; per solve, at about 12 evaluations each: 257/386
+# (0.67) at 16, 298/372 (0.80) at 20, 334/365 (0.91) at 24, 404/349 (1.16)
+# at 32). One rule serves both; from 16 to 22 devices a run loses a few us
+# per round and a solve < 0.1 ms, and 20-device runs, which the benchmark
+# times, stay on the array kernel.
 ARRAY_MIN_DEVICES = 16
 
 
@@ -171,51 +172,76 @@ def _scalar_rounds(state: EngineState, scenario: Scenario):
 
     Yields ``(consensus, constraint, bound, fields)`` once per round: the
     round's exact residuals, a bound of 0.0, and ``(x, u_prime, zeta, q)`` as
-    new lists.
+    new lists. A round checks one sum of its values, ``t*t`` included; only
+    when that is not finite, or the round raises, does :func:`_scan_round`
+    look for the failing device.
     """
     n = scenario.n
-    if len(state.x) != n:
-        raise ValueError(f"state holds {len(state.x)} devices, scenario has {n}")
+    # checked once here, not by a strict zip per round
+    sizes = {len(field) for field in (state.x, state.u_prime, state.zeta, state.confirmed.values)}
+    if sizes != {n}:
+        raise ValueError(f"state fields hold {sorted(sizes)} devices, scenario has {n}")
     g = scenario.globals
     c = capacity_coefficient(g.snr)
     eta, mu, two_price, two_price_c = g.eta, g.mu, 2.0 * g.price, 2.0 * g.price * c
-    isfinite, sqrt, copysign, inf = math.isfinite, math.sqrt, math.copysign, math.inf
-    constants = [inverse_constants(w, c, g.price) for w in scenario.omegas]
-    rows = tuple(zip(scenario.topology.adjacency, constants, state.confirmed.values, strict=True))
+    isfinite, sqrt, copysign = math.isfinite, math.sqrt, math.copysign
+    omega_cs, discs = zip(*(inverse_constants(w, c, g.price) for w in scenario.omegas))
+    adjacency, dstars = scenario.topology.adjacency, state.confirmed.values
     total = state.confirmed.total
     k = state.iteration
     xs, ys, zetas = state.x, state.u_prime, state.zeta
     while True:
         k += 1
         xs_new, ys_new, zetas_new, qs_new = [], [], [], []
-        columns = zip(rows, xs, ys, zetas, strict=True)
-        for i, ((nbrs, (omega_c, disc), dstar), x, y, zeta) in enumerate(columns):
-            # added in sequence, as np.bincount does; fsum and (from 3.12) sum would compensate
-            gossip = 0.0
-            for j in nbrs:
-                gossip += ys[j] - y
-            q = eta * gossip
-            # grouped so a stationary state reproduces u_prime bit for bit
-            u_new = y + (q - zeta + mu * (x - dstar))
-            zeta_new = zeta - mu * q
-            if not (isfinite(u_new) and isfinite(zeta_new)):
-                raise NumericalError(k, i)
-            # utility.inverse_from_constants written out: a call per device measured slower
-            vc = u_new * c
-            b, t = two_price + vc, two_price - vc
-            if t * t == inf and isfinite(t):
-                raise NumericalError(k, i, "arithmetic overflow")
-            half = -0.5 * (b + copysign(sqrt(t * t + disc), b))
-            x_new, other = half / two_price_c, (u_new - omega_c) / half
-            x_new = other if other > x_new else x_new  # max(x_new, other), bit for bit
-            if not isfinite(x_new):
-                raise NumericalError(k, i)
-            xs_new.append(x_new)
-            ys_new.append(u_new)
-            zetas_new.append(zeta_new)
-            qs_new.append(q)
+        check = 0.0
+        columns = zip(adjacency, omega_cs, discs, dstars, xs, ys, zetas)
+        try:
+            for nbrs, omega_c, disc, dstar, x, y, zeta in columns:
+                # added in sequence, as np.bincount does; fsum and (from 3.12) sum would compensate
+                gossip = 0.0
+                for j in nbrs:
+                    gossip += ys[j] - y
+                q = eta * gossip
+                # grouped so a stationary state reproduces u_prime bit for bit
+                u_new = y + (q - zeta + mu * (x - dstar))
+                zeta_new = zeta - mu * q
+                ys_new.append(u_new)
+                zetas_new.append(zeta_new)
+                qs_new.append(q)
+                # utility.inverse_from_constants written out: a call per device measured slower
+                vc = u_new * c
+                b, t = two_price + vc, two_price - vc
+                tt = t * t
+                half = -0.5 * (b + copysign(sqrt(tt + disc), b))
+                x_new, other = half / two_price_c, (u_new - omega_c) / half
+                x_new = other if other > x_new else x_new  # max(x_new, other), bit for bit
+                xs_new.append(x_new)
+                # not finite if any term is: an infinite t*t, a NaN, or an overflow
+                check += u_new + zeta_new + tt + x_new
+        except ArithmeticError:  # a division by 2*price*c or half rounded to 0.0
+            _scan_round(k, ys_new, zetas_new, xs_new, c, two_price)
+            raise
+        if not isfinite(check):
+            _scan_round(k, ys_new, zetas_new, xs_new, c, two_price)
         xs, ys, zetas = xs_new, ys_new, zetas_new
         yield max(ys) - min(ys), abs(math.fsum(xs) - total), 0.0, (xs, ys, zetas, qs_new)
+
+
+def _scan_round(k: int, ys, zetas, xs, c: float, two_price: float) -> None:
+    """Raise the :class:`NumericalError` of round ``k``'s first failing device, if any.
+
+    Device by device: a non-finite ``u_prime`` or ``zeta``, then an
+    overflowing ``t*t`` with ``t`` finite, then a non-finite ``x``. A device
+    whose inverse raised has no ``x``; the caller re-raises its exception.
+    """
+    for i, (y, zeta) in enumerate(zip(ys, zetas)):
+        if not (math.isfinite(y) and math.isfinite(zeta)):
+            raise NumericalError(k, i)
+        t = two_price - y * c
+        if t * t == math.inf and math.isfinite(t):
+            raise NumericalError(k, i, "arithmetic overflow")
+        if i < len(xs) and not math.isfinite(xs[i]):
+            raise NumericalError(k, i)
 
 
 def array_kernel_for(n: int):
@@ -364,12 +390,21 @@ def run(
         if trace is not None and k % trace_stride == 0:
             trace(k, *map(_listed, fields))
             recorded.append(k)
-        if cons <= opts.tol_consensus and not _exceeds(constr, tol_constraint, bound, exact_stop):
+        # exact residuals, from the scalar round, compare directly
+        if cons <= opts.tol_consensus and not (
+            _exceeds(constr, tol_constraint, bound, exact_stop)
+            if bound
+            else constr > tol_constraint
+        ):
             converged = True
             continue
         combined = cons + constr
         slack = bound + prev_bound
-        if prev_combined is not None and _exceeds(combined, prev_combined, slack, exact_growth):
+        if prev_combined is not None and (
+            _exceeds(combined, prev_combined, slack, exact_growth)
+            if slack
+            else combined > prev_combined
+        ):
             growth_streak += 1
         else:
             growth_streak = 0

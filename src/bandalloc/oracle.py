@@ -108,7 +108,7 @@ def _inverse(omegas: tuple[float, ...], c: float, price: float):
             for omega_c, disc in constants:
                 xs.append(inverse_from_constants(omega_c, disc, two_price, two_price_c, c, v))
         except OverflowError:
-            raise ArithmeticError(_OVERFLOW.format(v, len(xs))) from None
+            raise OverflowError(_OVERFLOW.format(v, len(xs))) from None
         return xs
 
     def slope(v: float, xs) -> float:
@@ -225,14 +225,16 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
     derivative per device, until the bracket width falls below
     ``1e-12 * max(1, |v|)``, which any finite bracket reaches. The initial
     bracket spans [min derivative at bandwidth*n, max omega*c] and is widened
-    first if it does not straddle the target; a bracket end that is not
-    finite raises ``ArithmeticError``. A midpoint beyond one of the guards
-    of :func:`_guards` takes the side the guard has settled; any other is
-    evaluated, so the steps are the plain bisection's, in about 12
-    evaluations instead of 47 to 64. From ``engine.ARRAY_MIN_DEVICES``
-    devices on, when numpy imports, the inverse runs on arrays; a total is
-    compared with the target as its exactly rounded sum would be, and the
-    two paths give equal solutions bit for bit.
+    first if it does not straddle the target; where the inverse overflows at
+    that lower end, it restarts at the least-omega device's derivative at the
+    confirmed total. A bracket end that is not finite raises
+    ``ArithmeticError``, an inverse that overflows ``OverflowError``. A
+    midpoint beyond one of the guards of :func:`_guards` takes the side the
+    guard has settled; any other is evaluated, so the steps are the plain
+    bisection's, in about 12 evaluations instead of 47 to 64. From
+    ``engine.ARRAY_MIN_DEVICES`` devices on, when numpy imports, the inverse
+    runs on arrays; a total is compared with the target as its exactly
+    rounded sum would be, and the two paths give equal solutions bit for bit.
     """
     n = scenario.n
     if len(confirmed.values) != n:
@@ -254,8 +256,17 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
     # both ends are monotone in omega, in floating point too
     lo = derivative(w_min, c, g.price, g.bandwidth * n)
     hi = w_max * c
-    for _ in range(_MAX_WIDENINGS):
-        if _excess(inverse(lo), target) >= 0.0:
+    for widening in range(_MAX_WIDENINGS):
+        try:
+            xs = inverse(lo)
+        except OverflowError:
+            if widening:
+                raise
+            # squaring 2*price - v*c overflows far below the root; where the
+            # least-omega device alone takes the total, every device takes as much
+            lo = derivative(w_min, c, g.price, target)
+            xs = inverse(lo)
+        if _excess(xs, target) >= 0.0:
             break
         lo -= abs(lo) + 1.0
     else:

@@ -374,10 +374,12 @@ class TestOracleCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: invalid scenario {bad}: bandwidth ")
 
-    @pytest.mark.parametrize("bandwidth", ["1e20", "1e60", "1e100"])
+    @pytest.mark.parametrize("bandwidth", ["1e20", "1e60", "1e100", "3.4e154", "1e200", "1e300"])
     def test_large_bandwidth_keeps_the_optimum(self, capsys, tmp_path, bandwidth):
         # the paper instance's demands fit, so its optimum does not depend on
-        # the bandwidth; the bisection bracket's lower end grows with it
+        # the bandwidth; the bisection bracket's lower end grows with it, and
+        # from about 3.356e154 on, where the inverse overflows there, restarts
+        # at the least-omega device's derivative at the confirmed total
         assert main(["oracle", str(BENCH_PATH)]) == ExitStatus.OK
         want = report_dict(capsys.readouterr().out)
         path = tmp_path / "wide.json"
@@ -389,6 +391,10 @@ class TestOracleCommand:
         assert report["bandwidth"] == f"{float(bandwidth):g}"
         assert floats(report["allocations"]) == pytest.approx(floats(want["allocations"]), abs=1e-9)
         assert float(report["lambda"]) == pytest.approx(float(want["lambda"]), abs=1e-9)
+        code = main(["compare", str(path)])
+        report = report_dict(capsys.readouterr().out)
+        assert code == ExitStatus.OK
+        assert float(report["max_gap"]) <= float(report["gap_threshold"])
 
     def test_overflowing_bracket_is_a_numerical_failure(self, capsys, tmp_path):
         # bandwidth * n overflows, and with it the bracket's lower end
@@ -416,16 +422,21 @@ class TestOracleCommand:
         assert capsys.readouterr().err == ""
 
     def test_overflowing_inverse_names_device_and_value(self, capsys, tmp_path):
-        # the bracket's lower end is finite, but squaring 2*price - v*c overflows there
+        # the bracket's lower end is finite, but squaring 2*price - v*c overflows
+        # there, and at the restart from the confirmed total of 5e155 too
+        doc = json.loads(BENCH_PATH.read_text())
+        doc["bandwidth"] = 1e300
+        for device, demand in zip(doc["devices"], (1e155, 2e155, 2e155)):
+            device["demand"] = demand
         path = tmp_path / "overflow.json"
-        path.write_text(BENCH_PATH.read_text().replace('"bandwidth": 5.0', '"bandwidth": 1e300'))
+        path.write_text(json.dumps(doc))
         code = main(["oracle", str(path)])
         captured = capsys.readouterr()
         assert code == ExitStatus.NUMERICAL_FAILURE
         assert captured.out == ""
         assert captured.err == (
             "numerical failure: bisection failure: arithmetic overflow inverting the "
-            "derivative at v = -6.000000000000001e+298, device 0\n"
+            "derivative at v = -1e+154, device 0\n"
         )
 
     def test_stdlib_fallback_agrees(self, capsys, tmp_path):

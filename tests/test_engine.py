@@ -616,6 +616,175 @@ class TestScalarKernel:
         assert all(a is b for pair in zip(drawn, traced[1:]) for a, b in zip(*pair))
 
 
+def round_kernels() -> list[str]:
+    """The round kernels that can run here: the scalar one, and numpy's when it imports."""
+    return ["scalar"] + (["array"] if engine.array_kernel_for(sys.maxsize) is not None else [])
+
+
+def reference_round(state, scenario):
+    """``reference_step``'s round, the device whose square overflowed in it,
+    or the exception another inverse raised."""
+    try:
+        return reference_step(state, scenario)
+    except OverflowError as exc:
+        return exc.args[0]
+    except ArithmeticError as exc:
+        return exc
+
+
+def dividing_by_zero():
+    """Two devices on which every inverse raises: ``2*price*c`` rounds to 0.0."""
+    return make_scenario(
+        omegas=(1.0, 2.0), demands=(1.0, 1.0), edges=((0, 1),), price=5e-324, snr=0.1, eta=10.0
+    )
+
+
+def failing_rounds():
+    """Round-1 states that fail by each of the per-device checks, the failure
+    they name, and what ``reference_step`` computes for them."""
+    pair = make_scenario(omegas=(1.0, 1.0), demands=(1.0, 1.0), edges=((0, 1),), eta=10.0)
+    state = dataclasses.replace(initial_state(pair), u_prime=(0.0, 1e308))
+    yield pytest.param(
+        pair, state, "non-finite value at iteration 1, device 0",
+        lambda ref: ref.u_prime[0] == math.inf, id="u_prime",
+    )
+    # zeta' = 1e300 - 1e10 * 1e300 overflows while u' and x stay finite
+    pair = make_scenario(
+        omegas=(1.0, 1.0), demands=(1.0, 1.0), edges=((0, 1),), mu=1e10, eta=1.0
+    )
+    state = dataclasses.replace(initial_state(pair), u_prime=(0.0, 1e300), zeta=(1e300, 0.0))
+    yield pytest.param(
+        pair, state, "non-finite value at iteration 1, device 0",
+        lambda ref: ref.zeta[0] == -math.inf and all(map(math.isfinite, ref.u_prime + ref.x)),
+        id="zeta",
+    )
+    # c = 1: device 2's t = 1 - u' is finite and its square overflows; its x
+    # comes out finite (-0.0), so only the square shows the failure
+    line = make_scenario(
+        omegas=(3.0, 8.0, 0.7, 2.0, 1.5), demands=(1.0, 2.0, 0.5, 1.0, 0.5),
+        edges=((0, 1), (1, 2), (2, 3), (3, 4)), snr=1.0, price=0.5,
+    )
+    state = state_from_values(line, [-1.0] * 5)
+    state = dataclasses.replace(
+        state, x=state.confirmed.values, u_prime=(0.5, 1.0, 3e154, 2.0, 0.0)
+    )
+    yield pytest.param(
+        line, state, "arithmetic overflow at iteration 1, device 2", lambda ref: ref == 2,
+        id="square",
+    )
+    # device 0's t*t = 1.44e308 is finite, its discriminant adds 8e307 and is
+    # not; device 2's x is off its target, so that run does not stop at round 0
+    heavy = make_scenario(
+        omegas=(2e307, 1.0, 1.0), demands=(1.0,) * 3, edges=((0, 1), (1, 2)),
+        snr=1.0, price=0.5, eta=1e-300,
+    )
+    state = state_from_values(heavy, [1.0 - 1.2e154] * 3)
+    state = dataclasses.replace(state, x=(1.0, 1.0, 2.0))
+    yield pytest.param(
+        heavy, state, "non-finite value at iteration 1, device 0",
+        lambda ref: ref.x[0] == math.inf and all(map(math.isfinite, ref.u_prime)),
+        id="discriminant",
+    )
+    # device 2's square overflows too, a check before the one device 0 fails:
+    # the earlier device is named
+    yield pytest.param(
+        heavy, dataclasses.replace(state, u_prime=(*state.u_prime[:2], -3e154)),
+        "non-finite value at iteration 1, device 0", lambda ref: ref == 2, id="later-device",
+    )
+    # device 0's u' is infinite and its inverse raises: the u' check comes first
+    pair = dividing_by_zero()
+    yield pytest.param(
+        pair, dataclasses.replace(initial_state(pair), u_prime=(0.0, 1e308)),
+        "non-finite value at iteration 1, device 0",
+        lambda ref: isinstance(ref, ZeroDivisionError), id="raising-inverse",
+    )
+
+
+class TestRoundCheck:
+    """The scalar round's one finiteness check per round, and the scan that
+    names a failure device by device, on ``step``, on ``run`` and through the
+    array kernel's hand-off of a flagged round."""
+
+    @pytest.mark.parametrize("scenario, state, want, reference", failing_rounds())
+    def test_first_failing_device_named(
+        self, monkeypatch, scenario, state, want, reference
+    ):
+        assert reference(reference_round(state, scenario))
+        with pytest.raises(NumericalError) as got:
+            step(state, scenario)
+        assert failure(got.value) == ("numerical", 1, int(want.rsplit(" ", 1)[1]), want)
+        monkeypatch.setattr(engine, "init", lambda *args: state)
+        for kernel in round_kernels():
+            with pytest.raises(NumericalError) as got:
+                run_on(kernel, scenario, monkeypatch)
+            assert str(got.value) == want, kernel
+        if "array" in round_kernels():
+            from bandalloc import array_kernel
+
+            handed, scalar_rounds = [], engine._scalar_rounds
+            monkeypatch.setattr(
+                engine, "_scalar_rounds", lambda *a: handed.append(a) or scalar_rounds(*a)
+            )
+            with pytest.raises(NumericalError) as got:
+                next(array_kernel.rounds(state, scenario))
+            assert str(got.value) == want
+            assert handed == [(state, scenario)]
+
+    def test_exception_without_failure_is_raised_again(self, monkeypatch):
+        # every value before device 0's inverse is finite, so its
+        # ZeroDivisionError goes on up, as the reference's does
+        scenario = dividing_by_zero()
+        state = initial_state(scenario)
+        assert isinstance(reference_round(state, scenario), ZeroDivisionError)
+        with pytest.raises(ZeroDivisionError):
+            step(state, scenario)
+        for kernel in round_kernels():
+            with pytest.raises(ZeroDivisionError):
+                run_on(kernel, scenario, monkeypatch)
+
+    def test_false_flag_is_yielded_as_computed(self, monkeypatch):
+        # a stationary state at x = 8e307 with zeta = mu*(x - d*) = 8e307: every
+        # value is finite, but u' + zeta' + t*t + x summed over a round overflows
+        price, rounds = 1e-160, 40
+        scenario = make_scenario(
+            omegas=(1.0, 1.0), demands=(1.0, 1.0), edges=((0, 1),),
+            snr=1.0, price=price, mu=1.0, max_iters=rounds,
+        )
+        state = stationary_state(scenario, derivative(1.0, 1.0, price, 8e307))
+        want = reference_step(state, scenario)
+        assert all(map(math.isfinite, want.x + want.u_prime + want.zeta))
+        check = 0.0
+        for y, zeta, x in zip(want.u_prime, want.zeta, want.x):
+            t = 2.0 * price - y  # c = 1
+            check += y + zeta + t * t + x
+        assert check == math.inf
+        assert step(state, scenario) == want
+        chained = [state]
+        for _ in range(rounds):
+            chained.append(reference_step(chained[-1], scenario))
+        chained = [(s.iteration, *vectors(s)) for s in chained]
+        monkeypatch.setattr(engine, "init", lambda *args: state)
+        for kernel in round_kernels():
+            sink, recorded = recording()
+            result = run_on(kernel, scenario, monkeypatch, trace=sink)
+            assert (result.iterations_used, result.converged) == (rounds, False)
+            assert recorded == chained, kernel
+        if "array" in round_kernels():
+            # round 5 flagged: the scalar round runs it, finds no failure and yields it
+            poisoned_inverse(monkeypatch, 5)
+            handed, scalar_rounds = [], engine._scalar_rounds
+            monkeypatch.setattr(
+                engine,
+                "_scalar_rounds",
+                lambda *a: handed.append(a[0].iteration) or scalar_rounds(*a),
+            )
+            sink, recorded = recording()
+            result = run_on("array", scenario, monkeypatch, trace=sink)
+            assert handed == [4]
+            assert (result.iterations_used, result.converged) == (rounds, False)
+            assert recorded == chained
+
+
 def test_gossip_sums_in_sequence(monkeypatch):
     # neighbor differences on which a sum in sequence gives 0.0, and fsum, or
     # the built-in sum from Python 3.12 on, gives 1.0

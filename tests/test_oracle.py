@@ -280,8 +280,15 @@ def reference_solve(scenario, confirmed):
             return oracle.OracleSolution(zeros, None, objective(scenario, zeros))
         lo = derivative(min(omegas), c, g.price, g.bandwidth * n)
         hi = max(omegas) * c
-        for _ in range(oracle._MAX_WIDENINGS):
-            if excess(lo) >= 0.0:
+        for widening in range(oracle._MAX_WIDENINGS):
+            try:
+                low = excess(lo)
+            except OverflowError:  # the first lower end restarts once
+                if widening:
+                    raise
+                lo = derivative(min(omegas), c, g.price, target)
+                low = excess(lo)
+            if low >= 0.0:
                 break
             lo -= abs(lo) + 1.0
         else:
@@ -407,6 +414,27 @@ def wide_draws(count: int):
 
 class TestGuardedBisection:
     """``solve`` replays the plain bisection, skipping the midpoints its guards settle."""
+
+    @pytest.mark.parametrize("bandwidth", [3.4e154, 1e300])
+    def test_lower_end_restarts_past_an_overflow(self, bandwidth):
+        # squaring 2*price - v*c overflows at the bracket's first lower end, which
+        # restarts at the least-omega device's derivative at the confirmed total;
+        # the demands fit, so the optimum is the one at a bandwidth of 10^6
+        cases = [("paper_s5", bench_scenario()), ("n=20", generate_random_scenario(20, 1))]
+        for name, scenario in cases:
+            g = scenario.globals
+            c = capacity_coefficient(g.snr)
+            lo = derivative(min(scenario.omegas), c, g.price, bandwidth * scenario.n)
+            with pytest.raises(OverflowError, match="arithmetic overflow"):
+                oracle._inverse(scenario.omegas, c, g.price)[0](lo)
+            wide, fits = (
+                dataclasses.replace(scenario, globals=dataclasses.replace(g, bandwidth=b))
+                for b in (bandwidth, 1e6)
+            )
+            guarded_against_reference(wide, name)
+            got = solve(wide, admit(wide.demands, bandwidth))
+            want = solve(fits, admit(fits.demands, 1e6))
+            assert got.allocations == pytest.approx(want.allocations, rel=1e-9, abs=1e-12)
 
     def test_pinned_inputs(self):
         # the inputs of the pinned digests in test_cli, but n=10^4 (see below),
