@@ -41,12 +41,16 @@ def main() -> int:
     args = parser.parse_args()
 
     trace_path = pathlib.Path(args.trace)
-    with open(trace_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["iter", "device", "x", "u_prime", "zeta", "q"]:
-            print(f"error: unexpected trace header {reader.fieldnames}", file=sys.stderr)
-            return 1
-        devices = {int(row["device"]) for row in reader}
+    try:
+        with open(trace_path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != ["iter", "device", "x", "u_prime", "zeta", "q"]:
+                print(f"error: unexpected trace header {reader.fieldnames}", file=sys.stderr)
+                return 1
+            devices = {int(row["device"]) for row in reader}
+    except OSError as exc:
+        print(f"error: cannot read {trace_path}: {exc}", file=sys.stderr)
+        return 1
     if not devices:
         print("error: trace has no rows", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ from .scenario import (
     parse_scenario,
     serialize_scenario,
 )
-from .topology import Topology, build
+from .topology import build
 from .utility import capacity_coefficient, derivative, evaluate, invert_derivative
 
 __version__ = "0.1.0"
@@ -44,7 +44,6 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "serialize_scenario",
-    "Topology",
     "build",
     "capacity_coefficient",
     "derivative",

@@ -87,7 +87,8 @@ def settled_excess(xs, total: float) -> float | None:
 
 
 def checked_graph(n: int, edges: tuple) -> tuple[tuple[tuple[int, int], ...], bool] | None:
-    """The pairs of a valid edge list over ``n`` devices, and whether they connect them.
+    """The pairs of a valid edge list over ``n`` devices, and whether they
+    connect them: ``build`` raises its disconnected-graph error on False.
 
     Valid as :func:`bandalloc.topology.build` defines it: lists or tuples of
     two ints in ``[0, n)``, no self-loop, no edge repeated in either
@@ -241,7 +242,7 @@ def rounds(state: engine.EngineState, scenario: Scenario):
     consts = _constants(np.array(scenario.omegas), c, g.price)
     eta, mu = g.eta, g.mu
     # directed edge list: device src[e] hears from device dst[e]
-    adjacency = scenario.topology.adjacency
+    adjacency = scenario.adjacency
     degrees = [len(nbrs) for nbrs in adjacency]
     src = np.repeat(np.arange(scenario.n), degrees)
     dst = np.fromiter(

@@ -151,7 +151,7 @@ def step(state: EngineState, scenario: Scenario) -> EngineState:
 
     The round is one of ``run``'s scalar kernel, :func:`_scalar_rounds`.
     Raises :class:`NumericalError` when any update produces a non-finite
-    value or overflows the inverse-derivative arithmetic.
+    value, or overflows or divides by zero in the inverse-derivative arithmetic.
     """
     fields = next(_scalar_rounds(state, scenario))[3]
     return EngineState(*map(tuple, fields), state.iteration + 1, state.confirmed)
@@ -173,8 +173,8 @@ def _scalar_rounds(state: EngineState, scenario: Scenario):
     Yields ``(consensus, constraint, bound, fields)`` once per round: the
     round's exact residuals, a bound of 0.0, and ``(x, u_prime, zeta, q)`` as
     new lists. A round checks one sum of its values, ``t*t`` included; only
-    when that is not finite, or the round raises, does :func:`_scan_round`
-    look for the failing device.
+    when that is not finite, or an inverse divides by zero, does
+    :func:`_scan_round` look for the failing device.
     """
     n = scenario.n
     # checked once here, not by a strict zip per round
@@ -186,7 +186,7 @@ def _scalar_rounds(state: EngineState, scenario: Scenario):
     eta, mu, two_price, two_price_c = g.eta, g.mu, 2.0 * g.price, 2.0 * g.price * c
     isfinite, sqrt, copysign = math.isfinite, math.sqrt, math.copysign
     omega_cs, discs = zip(*(inverse_constants(w, c, g.price) for w in scenario.omegas))
-    adjacency, dstars = scenario.topology.adjacency, state.confirmed.values
+    adjacency, dstars = scenario.adjacency, state.confirmed.values
     total = state.confirmed.total
     k = state.iteration
     xs, ys, zetas = state.x, state.u_prime, state.zeta
@@ -218,9 +218,9 @@ def _scalar_rounds(state: EngineState, scenario: Scenario):
                 xs_new.append(x_new)
                 # not finite if any term is: an infinite t*t, a NaN, or an overflow
                 check += u_new + zeta_new + tt + x_new
-        except ArithmeticError:  # a division by 2*price*c or half rounded to 0.0
+        except ZeroDivisionError:  # half is 0.0: b and the discriminant rounded to 0.0
             _scan_round(k, ys_new, zetas_new, xs_new, c, two_price)
-            raise
+            raise NumericalError(k, len(xs_new), "division by zero") from None
         if not isfinite(check):
             _scan_round(k, ys_new, zetas_new, xs_new, c, two_price)
         xs, ys, zetas = xs_new, ys_new, zetas_new
@@ -232,7 +232,7 @@ def _scan_round(k: int, ys, zetas, xs, c: float, two_price: float) -> None:
 
     Device by device: a non-finite ``u_prime`` or ``zeta``, then an
     overflowing ``t*t`` with ``t`` finite, then a non-finite ``x``. A device
-    whose inverse raised has no ``x``; the caller re-raises its exception.
+    whose inverse divided by zero has no ``x``; the caller names that failure.
     """
     for i, (y, zeta) in enumerate(zip(ys, zetas)):
         if not (math.isfinite(y) and math.isfinite(zeta)):

@@ -45,7 +45,7 @@ _MIN_GUARD = 2.0**-40
 # a guard counts when its excess is past _MARGIN rounding bounds: two cover
 # the roundings at the guard and at any midpoint beyond it
 _MARGIN = 3.0
-_OVERFLOW = "bisection failure: arithmetic overflow inverting the derivative at v = {}, device {}"
+_FAILURE = "bisection failure: {} inverting the derivative at v = {}, device {}"
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,9 @@ def _inverse(omegas: tuple[float, ...], c: float, price: float):
         try:
             for omega_c, disc in constants:
                 xs.append(inverse_from_constants(omega_c, disc, two_price, two_price_c, c, v))
-        except OverflowError:
-            raise OverflowError(_OVERFLOW.format(v, len(xs))) from None
+        except (OverflowError, ZeroDivisionError) as exc:
+            what = "arithmetic overflow" if type(exc) is OverflowError else "division by zero"
+            raise type(exc)(_FAILURE.format(what, v, len(xs))) from None
         return xs
 
     def slope(v: float, xs) -> float:
@@ -228,7 +229,8 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
     first if it does not straddle the target; where the inverse overflows at
     that lower end, it restarts at the least-omega device's derivative at the
     confirmed total. A bracket end that is not finite raises
-    ``ArithmeticError``, an inverse that overflows ``OverflowError``. A
+    ``ArithmeticError``, an inverse that overflows ``OverflowError``, one
+    that divides by zero ``ZeroDivisionError``, naming the value and device. A
     midpoint beyond one of the guards of :func:`_guards` takes the side the
     guard has settled; any other is evaluated, so the steps are the plain
     bisection's, in about 12 evaluations instead of 47 to 64. From

@@ -15,13 +15,14 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
 from . import topology
 from .admission import _floats
-from .topology import Topology
+from .utility import capacity_coefficient
 
 __all__ = [
     "ScenarioError",
@@ -81,6 +82,10 @@ class Globals:
             object.__setattr__(self, f.name, _positive(f.name, getattr(self, f.name)))
         if 1.0 + self.snr == 1.0:
             raise ScenarioError(f"snr is too small: log2(1 + snr) rounds to 0, got {self.snr}")
+        if 2.0 * self.price * capacity_coefficient(self.snr) == 0.0:  # the inverse's divisor
+            raise ScenarioError(
+                f"price is too small: 2*price*log2(1 + snr) rounds to 0, got {self.price}"
+            )
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,10 @@ class Scenario:
     """A complete, validated problem instance.
 
     Device ``k`` is ``(omegas[k], demands[k])``, two columns of floats.
-    ``topology`` is the communication graph built from ``edges`` when the
-    scenario is constructed; it takes no part in ``==``, ``hash`` or ``repr``.
+    ``edges`` is the communication graph, as pairs of tuples once
+    :func:`bandalloc.topology.build` has checked it and its connectivity.
+    ``adjacency``, its neighbor lists, is built on first read, by the engine
+    alone; it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     globals: Globals
@@ -121,7 +128,6 @@ class Scenario:
     demands: tuple[float, ...]
     edges: tuple[tuple[int, int], ...]
     options: SolverOptions = field(default_factory=SolverOptions)
-    topology: Topology = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         omegas, demands = tuple(self.omegas), tuple(self.demands)
@@ -150,17 +156,18 @@ class Scenario:
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "demands", demands)
         try:
-            topo = topology.build(len(omegas), self.edges)
+            object.__setattr__(self, "edges", topology.build(len(omegas), self.edges))
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
-        if not topo.is_connected():
-            raise ScenarioError("edges: communication graph is not connected")
-        object.__setattr__(self, "edges", topo.edges)
-        object.__setattr__(self, "topology", topo)
 
     @property
     def n(self) -> int:
         return len(self.omegas)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor indices of every device."""
+        return topology.adjacency(self.n, self.edges)
 
 
 _GLOBAL_KEYS = [f.name for f in fields(Globals)]

@@ -20,15 +20,15 @@ import warnings
 import pytest
 
 import bandalloc
-from bandalloc import cli, engine
+from bandalloc import cli, engine, topology
 from bandalloc.cli import ExitStatus, main
 from bandalloc.scenario import (
+    Scenario,
     generate_random_scenario,
     parse_scenario,
     scenario_to_dict,
     serialize_scenario,
 )
-from bandalloc.topology import Topology
 
 from conftest import BENCH_PATH
 
@@ -722,10 +722,14 @@ def test_fmt_vec_bytes(values, text):
 def test_adjacency_built_once_by_the_engine_only(capsys, monkeypatch, tmp_path):
     # oracle reads the edge list alone; run and compare build the adjacency once
     built = []
-    build_adjacency = Topology.adjacency.func
-    counted = functools.cached_property(lambda topo: built.append(topo) or build_adjacency(topo))
-    counted.__set_name__(Topology, "adjacency")
-    monkeypatch.setattr(Topology, "adjacency", counted)
+    build_adjacency = Scenario.adjacency.func
+    counted = functools.cached_property(
+        lambda scenario: built.append(scenario) or build_adjacency(scenario)
+    )
+    counted.__set_name__(Scenario, "adjacency")
+    monkeypatch.setattr(Scenario, "adjacency", counted)
+    calls, pure = [], topology.adjacency
+    monkeypatch.setattr(topology, "adjacency", lambda *args: calls.append(args) or pure(*args))
     seen, original = [], engine.run
     monkeypatch.setattr(
         engine, "run", lambda scenario, **kwargs: seen.append(scenario) or original(scenario)
@@ -735,10 +739,12 @@ def test_adjacency_built_once_by_the_engine_only(capsys, monkeypatch, tmp_path):
         assert built == []
         main(["run", str(path), "--eta", "0.1"])
         main(["compare", str(path)])
-        assert list(map(id, built)) == [id(scenario.topology) for scenario in seen]
+        assert list(map(id, built)) == list(map(id, seen))
         assert len(set(map(id, built))) == 2
+        assert calls == [(scenario.n, scenario.edges) for scenario in seen]
         built.clear()
         seen.clear()
+        calls.clear()
     capsys.readouterr()
 
 
@@ -832,8 +838,12 @@ def write_bench_with(tmp_path, **changes) -> pathlib.Path:
             "demands: the total overflows a float",
         ),
         ({"snr": 1e-300}, "snr is too small: log2(1 + snr) rounds to 0, got 1e-300"),
+        (
+            {"price": 5e-324, "snr": 0.1},
+            "price is too small: 2*price*log2(1 + snr) rounds to 0, got 5e-324",
+        ),
     ],
-    ids=["demand-total", "snr"],
+    ids=["demand-total", "snr", "price"],
 )
 def test_unusable_scenario_is_invalid_input(capsys, tmp_path, command, changes, message):
     path = write_bench_with(tmp_path, **changes)
@@ -842,6 +852,76 @@ def test_unusable_scenario_is_invalid_input(capsys, tmp_path, command, changes, 
     assert code == ExitStatus.INVALID_INPUT
     assert captured.err == f"error: invalid scenario {path}: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("source", ["paper_s5", "gen n=20"])
+@pytest.mark.parametrize("command", ["run", "oracle", "compare"])
+def test_tiny_price_rejected_alike_without_numpy(capsys, tmp_path, command, source):
+    # with numpy, oracle once printed allocations here and run failed in
+    # round 1; without it, both ended in a bare float division by zero
+    doc = json.loads(
+        BENCH_PATH.read_text(encoding="utf-8")
+        if source == "paper_s5"
+        else serialize_scenario(generate_random_scenario(20, 1))
+    )
+    doc.update(price=5e-324, snr=0.1)
+    path = tmp_path / "tiny-price.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    want = (
+        f"error: invalid scenario {path}: "
+        "price is too small: 2*price*log2(1 + snr) rounds to 0, got 5e-324\n"
+    )
+    assert (code, out, err) == (ExitStatus.INVALID_INPUT, "", want)
+    child = run_child(
+        "-c",
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from bandalloc.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "assert 'bandalloc.array_kernel' not in sys.modules\n"
+        "raise SystemExit(code)\n",
+        command,
+        str(path),
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--init", "uniform"], "division by zero at iteration 1, device 0"),
+        (
+            ["oracle"],
+            "bisection failure: division by zero inverting the derivative "
+            "at v = -4.819839730205768e-181, device 0",
+        ),
+    ],
+    ids=["run", "oracle"],
+)
+def test_division_by_zero_named_alike_without_numpy(capsys, tmp_path, argv, message):
+    # at x = bandwidth = 1, u' = -2*price exactly: the bracket's lower end,
+    # and the engine's start, which mu = 1e-300 keeps in round 1; there the
+    # inverse's 2*price + v*c, t*t and discriminant all round to 0.0
+    path = write_bench_with(
+        tmp_path, bandwidth=1.0, snr=1.0, price=2.0**-600, mu=1e-300,
+        devices=[{"omega": 1e-200, "demand": 0.5}], edges=[],
+    )
+    argv = [argv[0], str(path), *argv[1:]]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    want = f"numerical failure: {message}\n"
+    assert (code, out, err) == (ExitStatus.NUMERICAL_FAILURE, "", want)
+    child = run_child(
+        "-c",
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from bandalloc.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n",
+        *argv,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
 
 
 def write_domain_boundary(tmp_path) -> pathlib.Path:

@@ -23,7 +23,7 @@ from bandalloc.engine import (
 )
 from bandalloc.oracle import solve
 from bandalloc.scenario import generate_random_scenario, parse_scenario
-from bandalloc.topology import build
+from bandalloc.topology import adjacency
 from bandalloc.utility import capacity_coefficient, derivative, invert_derivative
 
 from conftest import BENCH_PATH, bench_scenario, generated_scenario, make_scenario, recording
@@ -42,13 +42,13 @@ def reference_step(state: EngineState, scenario) -> EngineState:
     """Two-phase reference: snapshot all round-k values, then write."""
     g = scenario.globals
     c = capacity_coefficient(g.snr)
-    topo = build(scenario.n, scenario.edges)
+    neighbors = adjacency(scenario.n, scenario.edges)
     ys, xs, zs = state.u_prime, state.x, state.zeta
     dstar = state.confirmed.values
     out = []
     for i in range(scenario.n):
         gossip = 0.0  # in sequence, as np.bincount adds
-        for j in topo.adjacency[i]:
+        for j in neighbors[i]:
             gossip += ys[j] - ys[i]
         q = g.eta * gossip
         u_new = ys[i] + (q - zs[i] + g.mu * (xs[i] - dstar[i]))
@@ -632,10 +632,25 @@ def reference_round(state, scenario):
         return exc
 
 
-def dividing_by_zero():
-    """Two devices on which every inverse raises: ``2*price*c`` rounds to 0.0."""
-    return make_scenario(
-        omegas=(1.0, 2.0), demands=(1.0, 1.0), edges=((0, 1),), price=5e-324, snr=0.1, eta=10.0
+DIVIDING_PRICE = 2.0**-600
+
+
+def dividing_by_zero(omegas=(1e-200,), **kwargs):
+    """Devices at snr 1 and price 2**-600, and a state at u' = -2*price, where
+    round 1's inverse of a device of omega 1e-200 divides by zero:
+    ``2*price + v*c``, ``t*t`` and the discriminant all round to 0.0.
+
+    ``mu`` is 1e-300 unless given, so that the round keeps u' bit for bit, and
+    x is off its target, so that a run does not stop at round 0.
+    """
+    n = len(omegas)
+    scenario = make_scenario(
+        omegas=omegas, demands=(1.0,) * n, edges=tuple((k, k + 1) for k in range(n - 1)),
+        snr=1.0, price=DIVIDING_PRICE, **{"mu": 1e-300, **kwargs},
+    )
+    state = initial_state(scenario)
+    return scenario, dataclasses.replace(
+        state, x=(0.5,) * n, u_prime=(-2.0 * DIVIDING_PRICE,) * n
     )
 
 
@@ -691,10 +706,14 @@ def failing_rounds():
         heavy, dataclasses.replace(state, u_prime=(*state.u_prime[:2], -3e154)),
         "non-finite value at iteration 1, device 0", lambda ref: ref == 2, id="later-device",
     )
-    # device 0's u' is infinite and its inverse raises: the u' check comes first
-    pair = dividing_by_zero()
+    # device 0's zeta' = 1e300 - 1e10 * 1e300 overflows, and its u' stays at
+    # -2*price, where its inverse divides by zero: the zeta' check comes first
+    pair, state = dividing_by_zero((1e-200, 1.0), mu=1e10, eta=1.0)
     yield pytest.param(
-        pair, dataclasses.replace(initial_state(pair), u_prime=(0.0, 1e308)),
+        pair,
+        dataclasses.replace(
+            state, x=state.confirmed.values, u_prime=(state.u_prime[0], 1e300), zeta=(1e300, 0.0)
+        ),
         "non-finite value at iteration 1, device 0",
         lambda ref: isinstance(ref, ZeroDivisionError), id="raising-inverse",
     )
@@ -730,17 +749,23 @@ class TestRoundCheck:
             assert str(got.value) == want
             assert handed == [(state, scenario)]
 
-    def test_exception_without_failure_is_raised_again(self, monkeypatch):
-        # every value before device 0's inverse is finite, so its
-        # ZeroDivisionError goes on up, as the reference's does
-        scenario = dividing_by_zero()
-        state = initial_state(scenario)
+    @pytest.mark.parametrize("omegas", [(1e-200,), (1.0, 1e-200)], ids=["alone", "second"])
+    def test_division_by_zero_without_failure_is_named(self, monkeypatch, omegas):
+        # every value up to the last device's inverse is finite, so the scan
+        # finds no failure, and the division by zero the reference raises is
+        # named by its round and device
+        scenario, state = dividing_by_zero(omegas)
+        device = len(omegas) - 1
         assert isinstance(reference_round(state, scenario), ZeroDivisionError)
-        with pytest.raises(ZeroDivisionError):
+        want = ("numerical", 1, device, f"division by zero at iteration 1, device {device}")
+        with pytest.raises(NumericalError) as got:
             step(state, scenario)
+        assert failure(got.value) == want
+        monkeypatch.setattr(engine, "init", lambda *args: state)
         for kernel in round_kernels():
-            with pytest.raises(ZeroDivisionError):
+            with pytest.raises(NumericalError) as got:
                 run_on(kernel, scenario, monkeypatch)
+            assert failure(got.value) == want, kernel
 
     def test_false_flag_is_yielded_as_computed(self, monkeypatch):
         # a stationary state at x = 8e307 with zeta = mu*(x - d*) = 8e307: every

@@ -507,6 +507,25 @@ def test_allocation_on_the_domain_boundary_is_an_arithmetic_error():
     )
 
 
+@pytest.mark.parametrize("omegas", [(1e-200,), (1.0, 1e-200)], ids=["alone", "second"])
+def test_division_by_zero_names_value_and_device(monkeypatch, omegas):
+    # at snr 1, price 2**-600 and v = -2*price, 2*price + v*c, t*t and the
+    # discriminant of the omega-1e-200 device all round to 0.0; the array
+    # kernel hands v to the scalar loop, which names the division
+    price = 2.0**-600
+    device = len(omegas) - 1
+    want = (
+        "bisection failure: division by zero inverting the derivative "
+        f"at v = {-2.0 * price!r}, device {device}"
+    )
+    for name, threshold in kernel_thresholds().items():
+        monkeypatch.setattr(engine, "ARRAY_MIN_DEVICES", threshold)
+        inverse, _, _ = oracle._inverse(omegas, capacity_coefficient(1.0), price)
+        with pytest.raises(ZeroDivisionError) as excinfo:
+            inverse(-2.0 * price)
+        assert str(excinfo.value) == want, name
+
+
 class TestObjective:
     def test_zero_allocation_zero_welfare(self, bench):
         assert objective(bench, (0.0, 0.0, 0.0)) == 0.0

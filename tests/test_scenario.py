@@ -279,6 +279,18 @@ class TestDirectConstruction:
         g = Globals(bandwidth=5.0, snr=2.0**-52, price=0.01, mu=0.2, eta=0.2)
         assert capacity_coefficient(g.snr) > 0.0
 
+    def test_price_without_inverse_rejected(self):
+        # the inverse derivative divides by 2*price*c; the snr rule comes first
+        with pytest.raises(
+            ScenarioError,
+            match=r"^price is too small: 2\*price\*log2\(1 \+ snr\) rounds to 0, got 5e-324$",
+        ):
+            Globals(bandwidth=5.0, snr=0.1, price=5e-324, mu=0.2, eta=0.2)
+        with pytest.raises(ScenarioError, match="^snr"):
+            Globals(bandwidth=5.0, snr=1e-300, price=5e-324, mu=0.2, eta=0.2)
+        g = Globals(bandwidth=5.0, snr=1.0, price=5e-324, mu=0.2, eta=0.2)
+        assert 2.0 * g.price * capacity_coefficient(g.snr) > 0.0
+
     def test_column_lengths_must_match(self):
         with pytest.raises(ScenarioError, match=r"^demands: 2 entries for 3 omegas$"):
             make_scenario(omegas=(1.0, 1.0, 1.0), demands=(1.0, 1.0), edges=((0, 1), (1, 2)))
@@ -301,7 +313,8 @@ class TestTopologyCarried:
     def test_built_once_per_scenario(self, build_calls, bench_path):
         scenario = parse_scenario(bench_path.read_text())
         assert len(build_calls) == 1
-        assert scenario.topology.adjacency == ((1,), (0, 2), (1,))
+        assert "adjacency" not in vars(scenario)
+        assert scenario.adjacency == ((1,), (0, 2), (1,))
         confirmed = admit(scenario.demands, scenario.globals.bandwidth)
         engine.run(scenario)
         oracle.solve(scenario, confirmed)
@@ -309,20 +322,33 @@ class TestTopologyCarried:
 
     def test_no_part_in_equality_hash_or_repr(self):
         a, b = bench_scenario(), bench_scenario()
-        object.__setattr__(b, "topology", None)
+        assert a.adjacency == ((1,), (0, 2), (1,))
+        assert "adjacency" in vars(a) and "adjacency" not in vars(b)
         assert a == b and hash(a) == hash(b)
-        assert "topology" not in repr(a) and repr(a) == repr(b)
+        assert "adjacency" not in repr(a) and repr(a) == repr(b)
+        vars(b)["adjacency"] = None
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         with pytest.raises(TypeError):
-            Scenario(a.globals, a.omegas, a.demands, a.edges, a.options, a.topology)
+            Scenario(a.globals, a.omegas, a.demands, a.edges, a.options, a.adjacency)
+        with pytest.raises(TypeError):
+            Scenario(a.globals, a.omegas, a.demands, a.edges, adjacency=a.adjacency)
 
     def test_replace_rebuilds_and_validates(self, build_calls):
         scenario = bench_scenario()
+        assert scenario.adjacency == ((1,), (0, 2), (1,))
         ring = dataclasses.replace(scenario, edges=((0, 1), (1, 2), (2, 0)))
         assert len(build_calls) == 2
-        assert ring.topology.adjacency == ((1, 2), (0, 2), (0, 1))
-        assert scenario.topology.adjacency == ((1,), (0, 2), (1,))
+        assert "adjacency" not in vars(ring)
+        assert ring.adjacency == ((1, 2), (0, 2), (0, 1))
+        assert scenario.adjacency == ((1,), (0, 2), (1,))
+        # a copy with the same edges builds its own adjacency on first read
+        same = dataclasses.replace(scenario)
+        assert "adjacency" not in vars(same)
+        assert same.adjacency == scenario.adjacency and same.adjacency is not scenario.adjacency
         with pytest.raises(ScenarioError, match=r"edges\[1\]: duplicate edge"):
             dataclasses.replace(scenario, edges=((0, 1), (1, 0), (1, 2)))
+        with pytest.raises(ScenarioError, match="^edges: communication graph is not connected$"):
+            dataclasses.replace(scenario, edges=((0, 1),))
 
 
 

@@ -1,4 +1,4 @@
-"""Graph construction, adjacency, and connectivity."""
+"""Edge-list checks, connectivity, and adjacency."""
 
 from __future__ import annotations
 
@@ -9,8 +9,12 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from bandalloc import engine
-from bandalloc.topology import build
+from bandalloc import engine, topology
+from bandalloc.topology import adjacency, build
+
+from conftest import make_scenario
+
+DISCONNECTED = "^edges: communication graph is not connected$"
 
 # ``engine.ARRAY_MIN_DEVICES`` for each path of ``build`` that can run: the
 # per-entry loop and the union-find at every size, and numpy's arrays from one
@@ -29,24 +33,22 @@ def build_on(path, n, edges):
 
 
 def test_line_graph_neighbors():
-    topo = build(3, [(0, 1), (1, 2)])
-    assert topo.adjacency[0] == (1,)
-    assert topo.adjacency[1] == (0, 2)
-    assert topo.adjacency[2] == (1,)
+    neighbors = adjacency(3, build(3, [(0, 1), (1, 2)]))
+    assert neighbors[0] == (1,)
+    assert neighbors[1] == (0, 2)
+    assert neighbors[2] == (1,)
 
 
 def test_single_device():
-    topo = build(1, [])
-    assert topo.adjacency[0] == ()
-    assert len(topo.edges) == 0
-    assert topo.is_connected()
+    assert build(1, []) == ()
+    assert adjacency(1, ()) == ((),)
 
 
 def test_complete_graph_neighbors():
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    topo = build(4, edges)
-    assert topo.adjacency[2] == (0, 1, 3)
-    assert len(topo.edges) == 6
+    pairs = build(4, edges)
+    assert adjacency(4, pairs)[2] == (0, 1, 3)
+    assert len(pairs) == 6
 
 
 def test_duplicate_edges_rejected():
@@ -73,9 +75,10 @@ def test_bad_device_count_rejected():
 
 
 def test_connectivity():
-    assert build(3, [(0, 1), (1, 2)]).is_connected()
-    assert not build(3, [(0, 1)]).is_connected()
-    assert not build(4, [(0, 1), (2, 3)]).is_connected()
+    assert build(3, [(0, 1), (1, 2)]) == ((0, 1), (1, 2))
+    for n, edges in ((3, [(0, 1)]), (4, [(0, 1), (2, 3)]), (2, [])):
+        with pytest.raises(ValueError, match=DISCONNECTED):
+            build(n, edges)
 
 
 @st.composite
@@ -109,25 +112,33 @@ def random_graphs(draw):
 
 @given(random_graphs())
 def test_symmetry_and_degree_sum(graph):
+    # on any checked edge list, connected or not
     n, edges = graph
+    neighbors = adjacency(n, edges)
+    assert len(neighbors) == n
+    for i in range(n):
+        assert list(neighbors[i]) == sorted(neighbors[i])
+        for j in neighbors[i]:
+            assert i in neighbors[j]
+            assert i != j
+    degree_sum = sum(len(neighbors[i]) for i in range(n))
+    assert degree_sum == 2 * len(edges)
+    assert len(edges) == len({(min(i, j), max(i, j)) for i, j in edges})
     for path in EDGE_PATHS:
-        topo = build_on(path, n, edges)
-        for i in range(n):
-            for j in topo.adjacency[i]:
-                assert i in topo.adjacency[j]
-                assert i != j
-        degree_sum = sum(len(topo.adjacency[i]) for i in range(n))
-        assert degree_sum == 2 * len(topo.edges)
-        assert len(topo.edges) == len({(min(i, j), max(i, j)) for i, j in edges})
+        if reference_connected(n, edges):
+            assert build_on(path, n, edges) == tuple(edges), path
+        else:
+            with pytest.raises(ValueError, match=DISCONNECTED):
+                build_on(path, n, edges)
 
 
 def test_adjacency_built_on_first_read():
-    topo = build(3, [(0, 1), (2, 1)])
-    assert "adjacency" not in vars(topo)
-    adjacency = topo.adjacency
-    assert adjacency == ((1,), (0, 2), (1,))
-    assert topo.adjacency is adjacency
-    assert topo.edges == ((0, 1), (2, 1))
+    scenario = make_scenario(omegas=(1.0,) * 3, demands=(1.0,) * 3, edges=[(0, 1), [2, 1]])
+    assert "adjacency" not in vars(scenario)
+    neighbors = scenario.adjacency
+    assert neighbors == ((1,), (0, 2), (1,)) == adjacency(3, scenario.edges)
+    assert scenario.adjacency is neighbors
+    assert scenario.edges == ((0, 1), (2, 1))
 
 
 def reference_build(n, edges):
@@ -220,10 +231,14 @@ def test_build_matches_per_entry_reference(case):
             assert str(excinfo.value) == str(exc), path
     else:
         for path in EDGE_PATHS:
-            topo = build_on(path, n, edges)
-            assert topo.adjacency == want, path
-            assert topo.edges == tuple(map(tuple, edges)), path
-            assert all(type(edge) is tuple for edge in topo.edges), path
+            if not reference_connected(n, edges):
+                with pytest.raises(ValueError, match=DISCONNECTED):
+                    build_on(path, n, edges)
+                continue
+            pairs = build_on(path, n, edges)
+            assert adjacency(n, pairs) == want, path
+            assert pairs == tuple(map(tuple, edges)), path
+            assert all(type(edge) is tuple for edge in pairs), path
 
 
 @pytest.mark.parametrize(
@@ -261,20 +276,32 @@ def test_connectivity_matches_breadth_first_search(graph):
     n, edges = graph
     want = reference_connected(n, edges)
     for path in EDGE_PATHS:
-        assert build_on(path, n, edges).is_connected() == want, path
+        if want:
+            assert build_on(path, n, edges) == tuple(edges), path
+        else:
+            with pytest.raises(ValueError, match=DISCONNECTED):
+                build_on(path, n, edges)
 
 
-def test_array_path_settles_connectivity_at_build():
+def test_array_path_settles_connectivity_at_build(monkeypatch):
     # the array check tests connectivity from its own arrays; the union-find
-    # runs only on the loop's topologies, when first asked
+    # runs only on lists the loop checks
     if "array" not in EDGE_PATHS:
         pytest.skip("numpy is not installed")
+    calls, union_find = [], topology._connected
+    monkeypatch.setattr(
+        topology, "_connected", lambda *args: calls.append(args) or union_find(*args)
+    )
     edges = [(k, k + 1) for k in range(19)]
-    assert vars(build_on("array", 20, edges))["_connected"] is True
-    assert vars(build_on("array", 20, edges[:9] + edges[10:] + [(0, 2)]))["_connected"] is False
-    for topo in (build_on("stdlib", 20, edges), build_on("array", 20, edges[1:])):
-        assert "_connected" not in vars(topo)
-        assert topo.is_connected() is (len(topo.edges) == 19)
+    assert build_on("array", 20, edges) == tuple(edges)
+    with pytest.raises(ValueError, match=DISCONNECTED):
+        build_on("array", 20, edges[:9] + edges[10:] + [(0, 2)])
+    assert calls == []
+    assert build_on("stdlib", 20, edges) == tuple(edges)
+    with pytest.raises(ValueError, match=DISCONNECTED):  # too few edges for the array check
+        build_on("array", 20, edges[1:])
+    want = [(20, tuple(edges)), (20, tuple(edges[1:]))]
+    assert [(n, tuple(pairs)) for n, pairs in calls] == want
 
 
 def shapes(n: int) -> dict[str, tuple[int, list[tuple[int, int]]]]:
@@ -313,7 +340,7 @@ def test_component_labels_on_adversarial_shapes(shape):
     n, edges = shapes(10_000)[shape]
     ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
     labels, hooks, jumps = component_labels(n, ends.min(axis=1), ends.max(axis=1))
-    topo = build_on("stdlib", n, edges)
+    neighbors = adjacency(n, edges)
     # each device's label is the least device of its component
     want = [None] * n
     for start in range(n):  # breadth-first from each least device, in order
@@ -321,9 +348,10 @@ def test_component_labels_on_adversarial_shapes(shape):
         while frontier:
             for i in frontier:
                 want[i] = start
-            frontier = [j for i in frontier for j in topo.adjacency[i] if want[j] is None]
+            frontier = [j for i in frontier for j in neighbors[i] if want[j] is None]
     assert labels.tolist() == want
-    assert (not labels.any()) is topo.is_connected()
+    # and the union-find agrees
+    assert (not labels.any()) is (set(want) == {0}) is topology._connected(n, tuple(edges))
     rounds = math.ceil(math.log2(n))
     assert hooks <= 2 * rounds + 2
     assert jumps <= hooks * (rounds + 1)
