@@ -13,6 +13,7 @@ import csv
 import pathlib
 import sys
 
+HEADER = ["iter", "device", "x", "u_prime", "zeta", "q"]
 TEMPLATE = """\
 set datafile separator ","
 set terminal pngcairo size 900,700
@@ -43,12 +44,24 @@ def main() -> int:
     trace_path = pathlib.Path(args.trace)
     try:
         with open(trace_path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["iter", "device", "x", "u_prime", "zeta", "q"]:
-                print(f"error: unexpected trace header {reader.fieldnames}", file=sys.stderr)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != HEADER:
+                print(f"error: unexpected trace header {header}", file=sys.stderr)
                 return 1
-            devices = {int(row["device"]) for row in reader}
-    except OSError as exc:
+            devices = set()
+            for row in reader:
+                if not row:  # a blank line
+                    continue
+                if len(row) != len(HEADER) or not (row[1].isascii() and row[1].isdigit()):
+                    print(
+                        f"error: line {reader.line_num}: expected {','.join(HEADER)} with a "
+                        f"device index >= 0, got {','.join(row)!r}",
+                        file=sys.stderr,
+                    )
+                    return 1
+                devices.add(int(row[1]))
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {trace_path}: {exc}", file=sys.stderr)
         return 1
     if not devices:

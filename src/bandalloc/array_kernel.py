@@ -222,14 +222,14 @@ def block_rows(n: int) -> int:
 def rounds(state: engine.EngineState, scenario: Scenario):
     """Engine rounds on float64 arrays, from ``state`` on, computed in blocks.
 
-    Yields the rounds of ``engine._rounds``, with a constraint residual and
-    its bound from :func:`_cheap_excess`. A block is up to :func:`block_rows`
-    rounds, each written in place to one row of ``(rows, n)`` buffers for x,
-    u_prime, zeta, q and the discriminant; no block runs past the scenario's
-    ``max_iters``. After it, one set of reductions along the rows gives every
-    round's residuals and flags the first round with a non-finite value,
-    which ends the block. Two buffer sets take the blocks in turn, so the
-    round before a block stays readable.
+    Yields the rounds of ``engine._scalar_rounds``, with a constraint
+    residual and its bound from :func:`_cheap_excess`, and float64 fields,
+    readable until two more rounds are drawn. A block is up to
+    :func:`block_rows` rounds, each written in place to one row of
+    ``(rows, n)`` buffers for x, u_prime, zeta, q and the discriminant; no
+    block runs past ``max_iters``. After it, one set of reductions along the
+    rows gives every round's residuals and flags the first round with a
+    non-finite value, which ends the block; two buffer sets take turns.
 
     A flagged round is run again by the scalar round, ``engine._scalar_rounds``,
     from the round before: it raises its ``NumericalError``, or its round, with

@@ -260,20 +260,6 @@ def array_kernel_for(n: int):
     return array_kernel
 
 
-def _rounds(state: EngineState, scenario: Scenario):
-    """The rounds after ``state``, by the numpy kernel from ``ARRAY_MIN_DEVICES`` devices on.
-
-    Each round is ``(consensus, constraint, bound, fields)``: its consensus
-    residual, a constraint residual within ``bound`` of the exact one, and
-    ``(x, u_prime, zeta, q)`` as lists or float64 arrays, which stay readable
-    until two more rounds are drawn.
-    """
-    kernel = array_kernel_for(scenario.n)
-    if kernel is None:
-        return _scalar_rounds(state, scenario)
-    return kernel.rounds(state, scenario)
-
-
 def _listed(field):
     """Floats as a sequence: ``tolist()`` of an array, a list or tuple as it is."""
     return field if isinstance(field, (list, tuple)) else field.tolist()
@@ -365,7 +351,8 @@ def run(
     growth_streak = 0
     prev_combined: float | None = None
     prev_cons = prev_bound = 0.0
-    rounds = _rounds(state, scenario)
+    kernel = array_kernel_for(scenario.n)
+    rounds = (_scalar_rounds if kernel is None else kernel.rounds)(state, scenario)
     fields = (state.x, state.u_prime, state.zeta, state.q)
     # [x, its exact constraint residual once computed] of this round; ``before``
     # holds the round before's

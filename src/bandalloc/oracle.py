@@ -224,11 +224,12 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
 
     Bisects on the common marginal value v, using the closed-form inverse
     derivative per device, until the bracket width falls below
-    ``1e-12 * max(1, |v|)``, which any finite bracket reaches. The initial
-    bracket spans [min derivative at bandwidth*n, max omega*c] and is widened
-    first if it does not straddle the target; where the inverse overflows at
-    that lower end, it restarts at the least-omega device's derivative at the
-    confirmed total. A bracket end that is not finite raises
+    ``1e-12 * max(1, |v|)``, which any finite bracket reaches. The bracket's
+    lower end starts at the least-omega derivative at bandwidth*n and is
+    widened down until it straddles the target; where the inverse overflows
+    there, it restarts at that device's derivative at the confirmed total.
+    Its upper end, max omega*c, needs no search: no device's inverse is
+    positive there. A bracket end that is not finite raises
     ``ArithmeticError``, an inverse that overflows ``OverflowError``, one
     that divides by zero ``ZeroDivisionError``, naming the value and device. A
     midpoint beyond one of the guards of :func:`_guards` takes the side the
@@ -273,12 +274,9 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
         lo -= abs(lo) + 1.0
     else:
         raise ArithmeticError("bisection bracket failure: no lower bound found")
-    for _ in range(_MAX_WIDENINGS):
-        if _excess(inverse(hi), target) <= 0.0:
-            break
-        hi += abs(hi) + 1.0
-    else:
-        raise ArithmeticError("bisection bracket failure: no upper bound found")
+    # no search above: every omega*c rounds to at most hi, where both candidates
+    # of the inverse are <= 0; evaluated still, for the overflow it may raise
+    inverse(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ArithmeticError("bisection bracket failure: a bracket end is not finite")
 

@@ -307,29 +307,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(Path(path).read_bytes())
 
 
-class _PairsOutside(Sequence):
-    """The pairs ``(i, j)``, ``i < j < n``, not in ``tree``, in lexicographic
-    order, each computed when it is read: O(n) memory, not O(n**2)."""
-
-    def __init__(self, n: int, tree: list[tuple[int, int]]) -> None:
-        # pair (i, j) has rank row_starts[i] + j - i - 1 among all pairs
-        self._row_starts = [i * (2 * n - i - 1) // 2 for i in range(n)]
-        ranks = sorted(self._row_starts[i] + j - i - 1 for i, j in tree)
-        # the k-th pair kept has rank k + (the number of m with ranks[m] - m <= k)
-        self._gaps = [r - m for m, r in enumerate(ranks)]
-        self._len = n * (n - 1) // 2 - len(ranks)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, k: int) -> tuple[int, int]:
-        if not 0 <= k < self._len:
-            raise IndexError(k)
-        rank = k + bisect.bisect_right(self._gaps, k)
-        i = bisect.bisect_right(self._row_starts, rank) - 1
-        return (i, rank - self._row_starts[i] + i + 1)
-
-
 def generate_random_scenario(n: int, seed: int) -> Scenario:
     """Deterministic random instance with ``n`` devices.
 
@@ -351,9 +328,17 @@ def generate_random_scenario(n: int, seed: int) -> Scenario:
     edges: list[tuple[int, int]] = []
     for v in range(1, n):
         edges.append((rng.randrange(v), v))
-    candidates = _PairsOutside(n, edges)
-    n_extra = rng.randint(0, min(n, len(candidates)))
-    edges += rng.sample(candidates, n_extra)
+    # extra edges by rank among the pairs i < j < n outside the tree, in
+    # lexicographic order, in O(n) memory: (i, j) has rank row_starts[i] + j - i - 1
+    # among all pairs, and the k-th pair outside has rank k + #{m: gaps[m] <= k}
+    row_starts = [i * (2 * n - i - 1) // 2 for i in range(n)]
+    ranks = sorted(row_starts[i] + j - i - 1 for i, j in edges)
+    gaps = [r - m for m, r in enumerate(ranks)]
+    spare = n * (n - 1) // 2 - len(ranks)
+    for k in rng.sample(range(spare), rng.randint(0, min(n, spare))):
+        rank = k + bisect.bisect_right(gaps, k)
+        i = bisect.bisect_right(row_starts, rank) - 1
+        edges.append((i, rank - row_starts[i] + i + 1))
 
     return Scenario(
         globals=Globals(bandwidth=bandwidth, snr=100.0, price=0.01, mu=0.2, eta=0.2),

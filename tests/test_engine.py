@@ -513,9 +513,10 @@ def kernel_rounds(scenario, k: int) -> list:
     One entry per round, its residuals and state, then the
     ``NumericalError`` that ended the rounds early, if one did.
     """
+    # the kernel run picks for this scenario
+    assert engine.array_kernel_for(scenario.n) is None, scenario.n
     state = initial_state(scenario)
-    rounds = engine._rounds(state, scenario)
-    assert rounds.__qualname__ == "_scalar_rounds"
+    rounds = engine._scalar_rounds(state, scenario)
     out = []
     try:
         for iteration in range(1, k + 1):
@@ -603,14 +604,14 @@ class TestScalarKernel:
         assert [tuple(field) for field in first] == kept
         # run hands the kernel's lists to the trace sink as they are
         drawn, traced = [], []
-        real = engine._rounds
+        real = engine._scalar_rounds
 
         def recorded_rounds(*args):
             for drawn_round in real(*args):
                 drawn.append(drawn_round[3])
                 yield drawn_round
 
-        monkeypatch.setattr(engine, "_rounds", recorded_rounds)
+        monkeypatch.setattr(engine, "_scalar_rounds", recorded_rounds)
         result = run(bench, trace=lambda k, *fields: traced.append(fields))
         assert len(drawn) == result.iterations_used == len(traced) - 1
         assert all(a is b for pair in zip(drawn, traced[1:]) for a, b in zip(*pair))

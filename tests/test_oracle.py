@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import fractions
+import inspect
 import math
 import random
 import sys
@@ -11,12 +12,12 @@ import warnings
 
 import mpmath
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from bandalloc import engine, oracle
 from bandalloc.admission import admit
 from bandalloc.oracle import objective, solve
-from bandalloc.scenario import generate_random_scenario
+from bandalloc.scenario import Globals, ScenarioError, generate_random_scenario
 from bandalloc.utility import capacity_coefficient, derivative, evaluate, invert_derivative
 
 from conftest import bench_scenario, generated_scenario, make_scenario
@@ -491,6 +492,142 @@ class TestGuardedBisection:
         # the plain bisection takes 48 and 64
         counts = guarded_against_reference(scenario(), name)
         assert max(counts.values()) <= 14, counts
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    omegas=st.lists(log_uniform(-12.0, 12.0), min_size=1, max_size=8),
+    price=log_uniform(-12.0, 12.0),
+    snr=log_uniform(-3.0, 6.0),
+)
+def test_no_device_takes_bandwidth_at_the_upper_bracket_end(omegas, price, snr):
+    # solve searches no upper bracket end: every omega*c rounds to at most
+    # max(omegas)*c, where both candidates of each inverse are <= 0
+    try:
+        Globals(bandwidth=1.0, snr=snr, price=price, mu=1.0, eta=1.0)
+    except ScenarioError:
+        assume(False)
+    c = capacity_coefficient(snr)
+    v = max(omegas) * c
+    assert all(invert_derivative(w, c, price, v) <= 0.0 for w in omegas)
+    if engine.array_kernel_for(sys.maxsize) is not None:
+        import numpy as np
+
+        from bandalloc import array_kernel
+
+        consts = array_kernel._constants(np.array(omegas), c, price)
+        xs, _ = array_kernel._inverse(*consts, v)
+        assert (xs <= 0.0).all(), xs
+
+
+def oracle_lines_run(call) -> set[int]:
+    """The numbers of the lines of ``oracle.py`` that ``call()`` runs."""
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == oracle.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+def line_of(func, text: str, below: int = 0) -> int:
+    """The number of the line ``below`` lines under the first of ``func`` holding ``text``."""
+    lines, first = inspect.getsourcelines(func)
+    return first + next(i for i, line in enumerate(lines) if text in line) + below
+
+
+def scaled_slope(factor: float):
+    """``oracle._inverse`` with its Newton slope multiplied by ``factor``."""
+    real = oracle._inverse
+
+    def inverse(*args):
+        values, slope, summary = real(*args)
+        return values, (lambda v, xs: factor * slope(v, xs)), summary
+
+    return inverse
+
+
+def raising(error: type):
+    """An ``oracle._newton`` that raises ``error``."""
+
+    def newton(*args):
+        raise error("forced")
+
+    return newton
+
+
+NEWTON_GIVES_UP = line_of(oracle._guards, "if found is None:", 1)
+SWALLOWED = [line_of(oracle._guards, "except (ArithmeticError, ValueError):", k) for k in (0, 1)]
+# how each give-up path of the guards is forced, and the lines it runs
+GIVE_UPS = {
+    # a NaN slope makes the Newton step and the guard width NaN
+    "non-finite step": (
+        lambda patch: patch.setattr(oracle, "_inverse", scaled_slope(math.nan)),
+        [line_of(oracle._newton, "if not math.isfinite(step + width):", 1), NEWTON_GIVES_UP],
+    ),
+    # a slope 10^12 times too flat steps out of the bracket, so _newton
+    # bisects; a huge guard width spans the bracket, so no guard lies inside it
+    "bisection step": (
+        lambda patch: (
+            patch.setattr(oracle, "_inverse", scaled_slope(1e-12)),
+            patch.setattr(oracle, "_GUARD", 2.0**100),
+        ),
+        [line_of(oracle._newton, "if hi - lo <= width:", 1)],
+    ),
+    **{
+        f"{count} Newton evaluations": (
+            lambda patch, count=count: patch.setattr(oracle, "_MAX_NEWTON", count),
+            [line_of(oracle._newton, "before, last = last, abs(step)", 1), NEWTON_GIVES_UP],
+        )
+        for count in (0, 1)
+    },
+    **{
+        f"Newton raises {error.__name__}": (
+            lambda patch, error=error: patch.setattr(oracle, "_newton", raising(error)),
+            SWALLOWED,
+        )
+        for error in (ArithmeticError, ValueError)
+    },
+}
+
+
+class TestGuardsGiveUp:
+    """Where the guards give up, ``solve`` evaluates every midpoint: it is the
+    plain bisection, bit for bit."""
+
+    @pytest.mark.parametrize("path", GIVE_UPS)
+    @pytest.mark.parametrize(
+        "scenario",
+        [bench_scenario, lambda: generate_random_scenario(20, 1),
+         lambda: generate_random_scenario(60, 1)],
+        ids=["paper_s5", "n=20", "n=60"],
+    )
+    def test_every_midpoint_evaluated(self, path, scenario):
+        scenario = scenario()
+        confirmed = admit(scenario.demands, scenario.globals.bandwidth)
+        force, lines = GIVE_UPS[path]
+        for kernel, threshold in kernel_thresholds().items():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "ARRAY_MIN_DEVICES", threshold)
+                want, _ = reference_solve(scenario, confirmed)
+                force(patch)
+                real, bounds, got = oracle._guards, [], []
+                patch.setattr(oracle, "_guards", lambda *a: bounds.append(real(*a)) or bounds[-1])
+                run = oracle_lines_run(lambda: got.append(outcome(solve, scenario, confirmed)))
+            assert got == [want], kernel
+            assert bounds == [[-math.inf, math.inf]], kernel
+            assert set(lines) <= run, (kernel, sorted(set(lines) - run))
 
 
 def test_allocation_on_the_domain_boundary_is_an_arithmetic_error():

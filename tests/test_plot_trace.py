@@ -5,6 +5,8 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
+
 from bandalloc.cli import ExitStatus, main
 
 from conftest import BENCH_PATH, REPO_ROOT
@@ -60,4 +62,36 @@ def test_missing_file_is_an_error(tmp_path):
     done = plot(trace)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith(f"error: cannot read {trace}: ")
+    assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "rows, line, row",
+    [
+        ("0,a,1,1,1,1\r\n", 2, "0,a,1,1,1,1"),
+        ("0,0,1,1,1,1\r\n0\r\n", 3, "0"),
+        ("0,-3,1,1,1,1\r\n", 2, "0,-3,1,1,1,1"),
+        # an unclosed quote runs to the end of the file, line breaks included
+        ('0,0,1,"1\r\n', 2, "0,0,1,1\r\n"),
+    ],
+    ids=["device-not-an-int", "short-row", "negative-device", "unclosed-quote"],
+)
+def test_malformed_row_is_an_error(tmp_path, rows, line, row):
+    trace = tmp_path / "bad.csv"
+    trace.write_text(HEADER + rows, encoding="utf-8")
+    done = plot(trace)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        f"error: line {line}: expected iter,device,x,u_prime,zeta,q with a device "
+        f"index >= 0, got {row!r}\n"
+    )
+    assert not trace.with_suffix(".gp").exists()
+
+
+def test_undecodable_trace_is_an_error(tmp_path):
+    trace = tmp_path / "latin.csv"
+    trace.write_bytes(HEADER.encode() + b"0,0,1,1,1,\xff\r\n")
+    done = plot(trace)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith(f"error: cannot read {trace}: 'utf-8' codec can't decode")
     assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1

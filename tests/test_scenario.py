@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -654,6 +655,18 @@ class TestGenerator:
         for n in [*range(1, 40), 60, 200]:
             for seed in range(1, 8):
                 assert generate_random_scenario(n, seed) == list_drawn_scenario(n, seed), (n, seed)
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (2000, "cf3503647df97dad6bc65ea180fe617be7c6d4aaf391bbedd16a5fd97338551b"),
+            (10_000, "b5bd5e00ff84868b7665544d229092fcae389f55ae2ca28db9b8ad191f42a051"),
+        ],
+    )
+    def test_pinned_digest_beyond_the_reference(self, n, digest):
+        # sizes whose list of every non-tree pair is too large to draw from
+        text = serialize_scenario(generate_random_scenario(n, 1))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_memory_linear_in_devices(self):
         # a list of every non-tree pair peaked near 190 MB at this size
