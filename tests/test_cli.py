@@ -8,11 +8,14 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import io
 import json
 import math
 import os
 import pathlib
+import random
 import stat
+import struct
 import subprocess
 import sys
 import warnings
@@ -138,6 +141,19 @@ def kernel(request, monkeypatch):
     return request.param
 
 
+def orjson_modes(monkeypatch):
+    """Yield "orjson" with orjson imported, when it is installed, so that a
+    trace sink writes every round through it, then "hidden" with orjson not
+    importable, so that ``repr`` writes every round."""
+    with contextlib.suppress(ImportError):
+        import orjson  # noqa: F401
+
+        yield "orjson"
+    with monkeypatch.context() as patch:
+        patch.setitem(sys.modules, "orjson", None)
+        yield "hidden"
+
+
 def run_child(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter with ``args``, importing this process's package."""
     package_root = str(pathlib.Path(bandalloc.__file__).resolve().parents[1])
@@ -238,16 +254,17 @@ class TestRunCommand:
         assert code == ExitStatus.INVALID_INPUT
         capsys.readouterr()
 
-    def test_trace_bytes_pinned(self, capsys, tmp_path):
+    def test_trace_bytes_pinned(self, capsys, tmp_path, monkeypatch):
         # digest of the benchmark trace as first written; any change to the
-        # engine arithmetic or the CSV format shows up here
+        # engine arithmetic or the CSV format shows up here, with orjson or without
         trace = tmp_path / "trace.csv"
-        code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
-        capsys.readouterr()
-        assert code == ExitStatus.OK
-        data = trace.read_bytes()
-        assert (len(data), data.count(b"\n")) == (29205, 340)
-        assert hashlib.sha256(data).hexdigest() == BENCH_TRACE_SHA256
+        for mode in orjson_modes(monkeypatch):
+            code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
+            capsys.readouterr()
+            assert code == ExitStatus.OK, mode
+            data = trace.read_bytes()
+            assert (len(data), data.count(b"\n")) == (29205, 340), mode
+            assert hashlib.sha256(data).hexdigest() == BENCH_TRACE_SHA256, mode
 
     def test_numerical_failure_leaves_no_trace(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -572,14 +589,18 @@ class TestCompareCommand:
         assert report["engine_allocations"].split() == final
 
     @pytest.mark.parametrize("n, seed, stride", sorted(ARRAY_TRACE_SHA256))
-    def test_array_kernel_trace_bytes_pinned(self, capsys, tmp_path, n, seed, stride, kernel):
+    def test_array_kernel_trace_bytes_pinned(
+        self, capsys, tmp_path, monkeypatch, n, seed, stride, kernel
+    ):
         assert kernel == "scalar" or n >= engine.ARRAY_MIN_DEVICES
         trace = tmp_path / "trace.csv"
         argv = ["compare", str(write_generated(tmp_path, n, seed)), "--trace", str(trace)]
-        code = main([*argv, "--stride", str(stride)])
-        capsys.readouterr()
-        assert code == ExitStatus.OK
-        assert hashlib.sha256(trace.read_bytes()).hexdigest() == ARRAY_TRACE_SHA256[n, seed, stride]
+        pinned = ARRAY_TRACE_SHA256[n, seed, stride]
+        for mode in orjson_modes(monkeypatch):
+            code = main([*argv, "--stride", str(stride)])
+            capsys.readouterr()
+            assert code == ExitStatus.OK, mode
+            assert hashlib.sha256(trace.read_bytes()).hexdigest() == pinned, mode
 
     def test_array_kernel_failure_leaves_no_trace_and_no_warning(self, capsys, tmp_path):
         pytest.importorskip("numpy")
@@ -819,6 +840,116 @@ def test_load_scenario_loads_array_kernel_from_threshold(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert child.stderr == "True\n"
+
+
+def float_corpus() -> list[float]:
+    """Finite floats on both sides of every form in which orjson writes a
+    float otherwise than ``repr``, every decade, and random bit patterns."""
+    values = [
+        0.0, 5e-324, 2.2250738585072014e-308, sys.float_info.max, 1e-05,
+        9.999999999999999e-05, 0.0001, 9999999999999998.0, 1e16, 1e22, 10.00001, 10.000015,
+    ]
+    for exponent in range(-324, 309):
+        for mantissa in ("1", "1.5", "2.5", "9.999999999999999"):
+            values.append(float(f"{mantissa}e{exponent}"))
+    rng = random.Random(26)
+    values += struct.unpack("<20000d", rng.randbytes(8 * 20000))
+    values += [rng.uniform(1e-05, 1e-04) for _ in range(2000)]
+    return [v for x in values if math.isfinite(x) for v in (x, -x)]
+
+
+class TestTraceFloatForms:
+    """The trace sink's ``orjson.dumps`` path writes what ``repr`` writes."""
+
+    @staticmethod
+    def fast_rows():
+        pytest.importorskip("orjson")
+        rows = cli._orjson_rows()
+        assert rows is not None, "the installed orjson failed the probe"
+        return rows
+
+    def test_orjson_rows_match_repr_row_for_row(self):
+        rows = self.fast_rows()
+        x = float_corpus()
+        n = len(x)
+        fields = (x, x[::-1], x[1:] + x[:1], x[n // 2 :] + x[: n // 2])
+        got = rows(12345, range(n), *fields).split(b"\r\n")
+        want = cli._repr_rows(12345, map(str, range(n)), *fields).split(b"\r\n")
+        assert len(got) == len(want) == n + 1
+        assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_round_written_by_repr(self, bad):
+        rows = self.fast_rows()
+        fields = ([1e-05, bad], [1e16, 2.0], [3.0, 1e-06], [0.0, -0.0])
+        assert rows(4, range(2), *fields) is None
+        out = io.BytesIO()
+        record = cli._csv_sink(out, 2)
+        record(3, *([1e-05, 1e16],) * 4)
+        record(4, *fields)
+        assert out.getvalue() == (
+            cli._repr_rows(3, ["0", "1"], *([1e-05, 1e16],) * 4)
+            + cli._repr_rows(4, ["0", "1"], *fields)
+        )
+
+    def test_probe_keeps_repr_for_another_form(self, monkeypatch):
+        orjson = pytest.importorskip("orjson")
+        dumps = orjson.dumps
+        monkeypatch.setattr(orjson, "dumps", lambda obj: dumps(obj).replace(b"1e16", b"1.0e16"))
+        assert cli._orjson_rows() is None
+        fields = ([1e16, 2.0, 1e-05],) * 4
+        out = io.BytesIO()
+        cli._csv_sink(out, 3)(0, *fields)
+        assert out.getvalue() == cli._repr_rows(0, ["0", "1", "2"], *fields)
+
+    def test_orjson_tried_once_after_the_import_threshold(self, monkeypatch):
+        tried = []
+        monkeypatch.delitem(sys.modules, "orjson", raising=False)
+        monkeypatch.setattr(cli, "_orjson_rows", lambda: tried.append(1))
+        record = cli._csv_sink(io.BytesIO(), 10)
+        rounds = -(-cli._ORJSON_IMPORT_FLOATS // 40)  # 4 floats for each of 10 devices
+        for k in range(rounds):
+            record(k, *([0.5] * 10,) * 4)
+        assert tried == []
+        for k in range(rounds, 2 * rounds):
+            record(k, *([0.5] * 10,) * 4)
+        assert tried == [1]
+
+
+def test_orjson_not_loaded_by_small_or_untraced_calls(tmp_path):
+    # import costs about as much as repr on 10^4 floats: a call that formats
+    # fewer does not pay for it
+    child = run_child(
+        "-c",
+        "import sys\n"
+        "from bandalloc.cli import main\n"
+        "assert main(['run', sys.argv[1], '--trace', sys.argv[3]]) == 0\n"
+        "assert main(['run', sys.argv[1]]) == 0\n"
+        "assert main(['compare', sys.argv[1]]) == 0\n"
+        "assert main(['compare', sys.argv[2]]) == 0\n"
+        "print('orjson' in sys.modules, file=sys.stderr)\n",
+        str(BENCH_PATH),
+        str(write_generated(tmp_path, 60, 3)),
+        str(tmp_path / "trace.csv"),
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == "False\n"
+
+
+def test_long_trace_loads_orjson_midway_with_bytes_unchanged(tmp_path):
+    pytest.importorskip("orjson")
+    trace = tmp_path / "trace.csv"
+    child = run_child(
+        "-c",
+        "import sys\n"
+        "from bandalloc.cli import main\n"
+        "code = main(['compare', sys.argv[1], '--trace', sys.argv[2], '--stride', '7'])\n"
+        "print(code, 'orjson' in sys.modules, file=sys.stderr)\n",
+        str(write_generated(tmp_path, 60, 3)),
+        str(trace),
+    )
+    assert child.stderr == "0 True\n"
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == ARRAY_TRACE_SHA256[60, 3, 7]
 
 
 def write_bench_with(tmp_path, **changes) -> pathlib.Path:
