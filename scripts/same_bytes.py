@@ -10,11 +10,15 @@ exit status, stdout, stderr and, for a traced call, the trace file's bytes.
 The case list runs twice: once with every installed package, and once with
 numpy, scipy and orjson hidden from the import system.
 
-Cases: ``gen`` at n in {3, 15, 20, 60, 200} for seeds 1 to 3, and at n = 10^4
-for seed 1. Then ``run --trace`` and ``compare --trace --stride 7`` on
-``scenarios/paper_s5.json`` and on each smaller ``gen`` output, and ``oracle``
-on the n = 10^4 output. The inputs are REV's ``gen`` outputs, so both trees
-read the same files.
+137 cases: ``gen`` at n in {1, 2, 3, 8, 15, 20, 60, 200, 2000} for seeds 1 to
+3, and at n = 10^4 for seed 1. Then ``run``, ``run --trace``, ``compare`` and
+``compare --trace --stride 7`` on ``scenarios/paper_s5.json`` and on each
+``gen`` output of n <= 200; ``oracle`` and ``compare`` on three extreme
+variants of ``paper_s5`` (bandwidth 1e300, omegas times 1e152, omegas 1e308);
+two stalled runs that end at their iteration cap, ``compare`` at n = 60 and
+``run`` at n = 200, with tolerances of 1e-300 and eta 0.05; and ``oracle`` on
+the n = 10^4 output. The inputs are REV's ``gen`` outputs, so both trees read
+the same files.
 
 Prints one line per environment, and one line per case that differs. Exits
 1 if any case differs.
@@ -23,6 +27,7 @@ Prints one line per environment, and one line per case that differs. Exits
 from __future__ import annotations
 
 import argparse
+import json
 import subprocess
 import sys
 import tempfile
@@ -31,13 +36,27 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 # label: the packages hidden, comma-separated
 ENVIRONMENTS = {"all packages": "", "numpy, scipy and orjson hidden": "numpy,scipy,orjson"}
-GEN = [(n, seed) for n in (3, 15, 20, 60, 200) for seed in (1, 2, 3)]
+GEN = [(n, seed) for n in (1, 2, 3, 8, 15, 20, 60, 200, 2000) for seed in (1, 2, 3)]
 GEN_ORACLE = (10_000, 1)
+ENGINE_MAX_N = 200  # the gen outputs the engine runs on
 ENGINE_ARGS = (
+    ("run",),
     ("run", "--trace", "trace.csv"),
+    ("compare",),
     ("compare", "--trace", "trace.csv", "--stride", "7"),
 )
-CASES = len(GEN) + 1 + len(ENGINE_ARGS) * (1 + len(GEN)) + 1
+EXTREME_COMMANDS = ("oracle", "compare")  # on each of the three variants of extremes()
+# stalled, to the cap: most stop and streak comparisons of the numpy rounds
+# fall inside their error bound, and math.fsum decides them
+STALLED_ARGS = (
+    "--eta", "0.05", "--tol-consensus", "1e-300", "--tol-constraint", "1e-300", "--max-iters", "3000"
+)
+STALLED = (("compare", "g60-3.json"), ("run", "g200-1.json"))
+ENGINE_FILES = 1 + sum(n <= ENGINE_MAX_N for n, _ in GEN)
+CASES = (
+    len(GEN) + 1 + len(ENGINE_ARGS) * ENGINE_FILES
+    + 3 * len(EXTREME_COMMANDS) + len(STALLED) + 1
+)
 
 # argv: a src directory, the comma-separated names to hide (or ""), the CLI's
 # arguments. Runs the CLI from that src directory with those packages unimportable.
@@ -94,20 +113,41 @@ def compare_trees(rev: Path, head: Path, hide: str, work: Path) -> list[str]:
             differ.append(f"{' '.join(argv)}: {', '.join(moved)}")
         return old
 
-    (work / "in" / "paper_s5.json").write_bytes((REPO / "scenarios" / "paper_s5.json").read_bytes())
+    s5 = (REPO / "scenarios" / "paper_s5.json").read_bytes()
+    (work / "in" / "paper_s5.json").write_bytes(s5)
     files = ["../in/paper_s5.json"]
     for n, seed in [*GEN, GEN_ORACLE]:
         code, out, err, _ = case(["gen", "--n", str(n), "--seed", str(seed)])
         if code != 0:
             raise RuntimeError(f"gen --n {n} --seed {seed} failed: {err.decode()}")
         (work / "in" / f"g{n}-{seed}.json").write_bytes(out)
-        files.append(f"../in/g{n}-{seed}.json")
-    oracle_file = files.pop()  # GEN_ORACLE's, generated last, is for the oracle alone
+        if n <= ENGINE_MAX_N:
+            files.append(f"../in/g{n}-{seed}.json")
     for file in files:
         for command, *args in ENGINE_ARGS:
             case([command, file, *args])
-    case(["oracle", oracle_file])
+    for name, doc in extremes(json.loads(s5)).items():
+        (work / "in" / name).write_text(json.dumps(doc))
+        for command in EXTREME_COMMANDS:
+            case([command, f"../in/{name}"])
+    for command, name in STALLED:
+        case([command, f"../in/{name}", *STALLED_ARGS])
+    n, seed = GEN_ORACLE
+    case(["oracle", f"../in/g{n}-{seed}.json"])
     return differ
+
+
+def extremes(doc: dict) -> dict[str, dict]:
+    """``doc`` with its bandwidth 1e300, its omegas times 1e152 and its omegas 1e308, by file name."""
+
+    def devices(omega) -> list[dict]:
+        return [{**device, "omega": omega(device["omega"])} for device in doc["devices"]]
+
+    return {
+        "s5-bandwidth-1e300.json": {**doc, "bandwidth": 1e300},
+        "s5-omegas-x1e152.json": {**doc, "devices": devices(lambda w: w * 1e152)},
+        "s5-omegas-1e308.json": {**doc, "devices": devices(lambda w: 1e308)},
+    }
 
 
 def main() -> int:

@@ -197,22 +197,21 @@ def _run_traced(scenario: Scenario, path: str, stride: int) -> engine.RunResult:
         raise _CliError(f"cannot write trace file {path}: it is a directory")
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
+        try:
+            with open(fd, "wb") as fh:
+                fh.write(b"iter,device,x,u_prime,zeta,q\r\n")
+                result = engine.run(scenario, trace=_csv_sink(fh, scenario.n), trace_stride=stride)
+            # the bits ``open(path, "w")`` gives a new file, not mkstemp's 0600
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, target)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
     except OSError as exc:
-        raise _CliError(f"cannot write trace file {path}: {exc}") from None
-    try:
-        with open(fd, "wb") as fh:
-            fh.write(b"iter,device,x,u_prime,zeta,q\r\n")
-            result = engine.run(scenario, trace=_csv_sink(fh, scenario.n), trace_stride=stride)
-        # the bits ``open(path, "w")`` gives a new file, not mkstemp's 0600
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, target)
-    except BaseException as exc:
-        Path(tmp).unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise _CliError(f"cannot write trace file {path}: {exc}") from None
-        raise
+        # the reason alone: the full message names the temporary file, a random name
+        raise _CliError(f"cannot write trace file {path}: {exc.strerror or exc}") from None
     return result
 
 

@@ -44,6 +44,10 @@ __all__ = [
 
 # consecutive residual-growth rounds before a run is declared divergent
 _DIVERGENCE_STREAK = 100
+_DIVERGED = (
+    f"residuals grew for {_DIVERGENCE_STREAK} consecutive iterations; "
+    "the gains are too aggressive, reduce eta and mu"
+)
 _EPS = math.ulp(1.0)
 
 # Device count from which ``run`` iterates with the numpy kernel in
@@ -265,21 +269,15 @@ def _listed(field):
     return field if isinstance(field, (list, tuple)) else field.tolist()
 
 
-def _exceeds(a: float, b: float, slack: float, exact: Callable[[], tuple[float, float]]) -> bool:
-    """Whether ``a > b`` holds between the exact values ``a`` and ``b`` stand for.
+def _unsure(a: float, b: float, slack: float) -> bool:
+    """Whether ``a > b`` may not decide as it would between the exact values.
 
     ``a`` and ``b`` are residuals, or sums of two, whose constraint residuals
-    lie within ``slack`` in total of the exact ones; ``slack`` is 0 when both
-    are exact. A difference past ``slack`` and a few ulps of either side (the
-    roundings of the sums and of the difference) decides; otherwise
-    ``exact()`` returns the exact values, and they decide.
+    lie within ``slack`` in total of the exact ones. A finite difference past
+    ``slack`` and a few ulps of either side (the roundings of the sums and of
+    the difference) is sure; any other is not, with a ``slack`` of 0 too.
     """
-    if slack:
-        d = a - b
-        if slack + 4.0 * _EPS * (abs(a) + abs(b)) < abs(d) < math.inf:
-            return d > 0.0
-        a, b = exact()
-    return a > b
+    return not slack + 4.0 * _EPS * (abs(a) + abs(b)) < abs(a - b) < math.inf
 
 
 def _check_domain(state: EngineState, c: float) -> None:
@@ -307,12 +305,12 @@ def run(
     ``trace_stride``-th iteration and at the final one; ``run`` keeps none
     of it, and ``result.trace`` lists the iterations handed over.
 
-    From ``ARRAY_MIN_DEVICES`` devices on, and when numpy imports, the
-    rounds run in the numpy kernel of ``array_kernel``, computed in blocks of
-    up to 16 and handed out one at a time; its results equal :func:`step`'s
-    bit for bit. Its stop test and divergence streak decide from numpy sums
-    as exact residuals would, with ``math.fsum`` inside their error bound;
-    reported residuals are exact.
+    From ``ARRAY_MIN_DEVICES`` devices on, when numpy imports, the rounds
+    run in ``array_kernel``, equal to :func:`step`'s bit for bit. Each round
+    drawn is a record ``[cons, constr, bound, x]``, its constraint residual
+    within ``bound`` of the exact one; a stop or streak comparison inside the
+    bound makes the record exact, by one ``math.fsum``, with bound 0.0, so
+    both decide as exact residuals would. Reported residuals are exact.
 
     Raises :class:`NumericalError` on non-finite arithmetic and when a run
     that did not diverge ends outside the utility domain ``c*x + 1 > 0``,
@@ -343,66 +341,44 @@ def run(
             confirmed=confirmed,
         )
 
-    tol_constraint, total = opts.tol_constraint, confirmed.total
+    tol_consensus, tol_constraint = opts.tol_consensus, opts.tol_constraint
     cons = consensus_residual(state)
-    converged = cons <= opts.tol_consensus and constraint_residual(state) <= tol_constraint
-    diverged = False
-    warnings: list[str] = []
+    converged = cons <= tol_consensus and constraint_residual(state) <= tol_constraint
     growth_streak = 0
-    prev_combined: float | None = None
-    prev_cons = prev_bound = 0.0
     kernel = array_kernel_for(scenario.n)
     rounds = (_scalar_rounds if kernel is None else kernel.rounds)(state, scenario)
     fields = (state.x, state.u_prime, state.zeta, state.q)
-    # [x, its exact constraint residual once computed] of this round; ``before``
-    # holds the round before's
-    held = [state.x, None]
+    prev = None  # the record of the round before
     k = 0
 
-    def exact(pair):  # math.fsum at most once per round
-        if pair[1] is None:
-            pair[1] = abs(math.fsum(_listed(pair[0])) - total)
-        return pair[1]
+    def settle(*records):  # exact residual and bound 0.0: math.fsum at most once per round
+        for record in records:
+            if record[2]:
+                record[1:3] = abs(math.fsum(_listed(record[3])) - confirmed.total), 0.0
 
-    def exact_stop():  # for _exceeds: called only where a kernel returned a bound
-        return exact(held), tol_constraint
-
-    def exact_growth():
-        return cons + exact(held), prev_cons + exact(before)
-
-    while not converged and not diverged and k < opts.max_iters:
+    while not converged and growth_streak < _DIVERGENCE_STREAK and k < opts.max_iters:
         cons, constr, bound, fields = next(rounds)
         k += 1
-        before, held = held, [fields[0], None]
+        record = [cons, constr, bound, fields[0]]
         if trace is not None and k % trace_stride == 0:
             trace(k, *map(_listed, fields))
             recorded.append(k)
-        # exact residuals, from the scalar round, compare directly
-        if cons <= opts.tol_consensus and not (
-            _exceeds(constr, tol_constraint, bound, exact_stop)
-            if bound
-            else constr > tol_constraint
-        ):
-            converged = True
-            continue
-        combined = cons + constr
-        slack = bound + prev_bound
-        if prev_combined is not None and (
-            _exceeds(combined, prev_combined, slack, exact_growth)
-            if slack
-            else combined > prev_combined
-        ):
-            growth_streak += 1
-        else:
-            growth_streak = 0
-        prev_combined, prev_cons, prev_bound = combined, cons, bound
-        if growth_streak >= _DIVERGENCE_STREAK:
-            diverged = True
-            warnings.append(
-                f"residuals grew for {_DIVERGENCE_STREAK} consecutive iterations; "
-                "the gains are too aggressive, reduce eta and mu"
-            )
+        # a bound of 0.0, from the scalar round, marks exact residuals: they compare directly
+        if cons <= tol_consensus:
+            if bound and _unsure(constr, tol_constraint, bound):
+                settle(record)
+            if not record[1] > tol_constraint:
+                converged = True
+                continue
+        if prev is not None:
+            slack = record[2] + prev[2]
+            if slack and _unsure(cons + record[1], prev[0] + prev[1], slack):
+                settle(record, prev)
+            growth_streak = growth_streak + 1 if cons + record[1] > prev[0] + prev[1] else 0
+        prev = record
 
+    diverged = growth_streak >= _DIVERGENCE_STREAK
+    warnings = [_DIVERGED] if diverged else []
     state = EngineState(*(tuple(_listed(field)) for field in fields), k, confirmed)
     if not diverged:  # a diverged run is reported as such, wherever it ended
         _check_domain(state, capacity_coefficient(scenario.globals.snr))

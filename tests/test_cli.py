@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import errno
 import functools
 import gc
 import hashlib
@@ -289,12 +290,32 @@ class TestRunCommand:
         assert list(tmp_path.iterdir()) == [trace]
 
     def test_trace_in_missing_directory(self, capsys, tmp_path):
+        # the error names the user's path and the reason, never the random
+        # name of the temporary file, so two calls print the same line
         trace = tmp_path / "missing" / "trace.csv"
+        errors = []
+        for _ in range(2):
+            code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
+            captured = capsys.readouterr()
+            assert code == ExitStatus.INVALID_INPUT
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors == [f"error: cannot write trace file {trace}: No such file or directory\n"] * 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_write_failure_names_the_path_not_the_temporary_file(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        trace = tmp_path / "trace.csv"
+
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, "Permission denied", src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
         code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
         captured = capsys.readouterr()
         assert code == ExitStatus.INVALID_INPUT
-        assert captured.err.startswith(f"error: cannot write trace file {trace}: ")
-        assert captured.out == ""
+        assert captured.err == f"error: cannot write trace file {trace}: Permission denied\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_trace_into_directory_rejected_before_the_run(self, capsys, tmp_path, monkeypatch):

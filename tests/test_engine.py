@@ -1215,11 +1215,17 @@ class TestCheapDecisions:
         assert all(i < r for i, r in enumerate(in_rounds))
 
 
-def test_exceeds_allows_for_the_rounding_of_sums():
+def test_unsure_allows_for_the_rounding_of_sums():
     # cheap and exact constraint residuals 2**-80 apart, well within the
     # bound, whose sums with a consensus residual of 1 round to neighbors:
     # the cheap sum grew by an ulp, the exact one did not grow
     cons, exact, cheap, bound = 1.0, 2.0**-53, 2.0**-53 + 2.0**-80, 2.0**-70
     assert (cons + exact, cons + cheap) == (1.0, 1.0 + 2.0**-52)
-    assert not engine._exceeds(cons + cheap, 1.0, bound, lambda: (cons + exact, 1.0))
-    assert engine._exceeds(cons + cheap, 1.0, 0.0, None)  # exact operands compare directly
+    assert engine._unsure(cons + cheap, 1.0, bound)
+    assert not cons + exact > 1.0
+    # a slack of 0 still allows for the roundings, so run never asks about
+    # exact residuals, which compare directly; a wider difference is sure
+    assert engine._unsure(cons + cheap, 1.0, 0.0)
+    assert not engine._unsure(1.5, 1.0, 0.0) and not engine._unsure(1.5, 1.0, bound)
+    # a difference that is not finite is never sure
+    assert engine._unsure(math.inf, 1.0, bound) and engine._unsure(math.nan, 1.0, bound)
