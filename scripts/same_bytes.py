@@ -20,13 +20,18 @@ two stalled runs that end at their iteration cap, ``compare`` at n = 60 and
 the n = 10^4 output. The inputs are REV's ``gen`` outputs, so both trees read
 the same files.
 
-Prints one line per environment, and one line per case that differs. Exits
-1 if any case differs.
+Then the working tree's outputs in the two environments are compared case
+by case, so that a package that changes an output shows even where REV has
+the same fault.
+
+Prints one line per environment and one for the comparison across them, each
+followed by one line per case that differs. Exits 1 if any case differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -97,20 +102,32 @@ def call(src: Path, hide: str, cwd: Path, argv: list[str]) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr, data
 
 
-def compare_trees(rev: Path, head: Path, hide: str, work: Path) -> list[str]:
+def differs(case: str, old: tuple, new: tuple) -> str | None:
+    """``case`` and the parts in which two outputs of it differ, or None."""
+    if old == new:
+        return None
+    parts = ("exit", "stdout", "stderr", "trace")
+    moved = [part for part, a, b in zip(parts, old, new) if a != b]
+    return f"{case}: {', '.join(moved)}"
+
+
+def compare_trees(rev: Path, head: Path, hide: str, work: Path) -> tuple[list[str], dict]:
     """The cases whose outputs differ between the trees ``rev`` and ``head``,
-    each with the parts that differ."""
+    each with the parts that differ; and ``head``'s outputs by case, with
+    sha256 digests in place of bytes."""
     for d in ("in", "rev", "head"):
         (work / d).mkdir()
     differ: list[str] = []
+    outputs: dict[str, tuple] = {}
 
     def case(argv: list[str]) -> tuple:
         old = call(rev / "src", hide, work / "rev", argv)
         new = call(head / "src", hide, work / "head", argv)
-        if old != new:
-            parts = ("exit", "stdout", "stderr", "trace")
-            moved = [part for part, a, b in zip(parts, old, new) if a != b]
-            differ.append(f"{' '.join(argv)}: {', '.join(moved)}")
+        name = " ".join(argv)
+        if line := differs(name, old, new):
+            differ.append(line)
+        digests = (hashlib.sha256(part).digest() if part else part for part in new[1:])
+        outputs[name] = (new[0], *digests)
         return old
 
     s5 = (REPO / "scenarios" / "paper_s5.json").read_bytes()
@@ -134,7 +151,7 @@ def compare_trees(rev: Path, head: Path, hide: str, work: Path) -> list[str]:
         case([command, f"../in/{name}", *STALLED_ARGS])
     n, seed = GEN_ORACLE
     case(["oracle", f"../in/g{n}-{seed}.json"])
-    return differ
+    return differ, outputs
 
 
 def extremes(doc: dict) -> dict[str, dict]:
@@ -148,6 +165,14 @@ def extremes(doc: dict) -> dict[str, dict]:
         "s5-omegas-x1e152.json": {**doc, "devices": devices(lambda w: w * 1e152)},
         "s5-omegas-1e308.json": {**doc, "devices": devices(lambda w: 1e308)},
     }
+
+
+def report(title: str, differ: list[str]) -> bool:
+    """Print ``title`` with a count, then each case in ``differ``; True if any."""
+    print(f"{title}: {len(differ)} differ" if differ else f"{title}: all identical")
+    for line in differ:
+        print(f"  differs: {line}")
+    return bool(differ)
 
 
 def main() -> int:
@@ -164,6 +189,7 @@ def main() -> int:
         print(f"error: {rev} is not a commit of this repository", file=sys.stderr)
         return 2
     failed = False
+    heads = []
     with tempfile.TemporaryDirectory(prefix="same_bytes.") as tmp:
         checkout = Path(tmp, "rev")
         add = [*git, "worktree", "add", "--detach", "--quiet", str(checkout), commit]
@@ -172,14 +198,17 @@ def main() -> int:
             for k, (label, hide) in enumerate(ENVIRONMENTS.items()):
                 work = Path(tmp, f"env{k}")
                 work.mkdir()
-                differ = compare_trees(checkout, REPO, hide, work)
-                status = f"{len(differ)} differ" if differ else "all identical"
-                print(f"{label}: {CASES} cases against {rev} ({commit[:12]}): {status}")
-                for line in differ:
-                    print(f"  differs: {line}")
-                failed |= bool(differ)
+                differ, outputs = compare_trees(checkout, REPO, hide, work)
+                failed |= report(f"{label}: {CASES} cases against {rev} ({commit[:12]})", differ)
+                heads.append(outputs)
         finally:
             subprocess.run([*git, "worktree", "remove", "--force", str(checkout)], check=True)
+    first, second = heads
+    across = [differs(name, first[name], second[name]) for name in first]
+    failed |= report(
+        f"working tree, {' against '.join(ENVIRONMENTS)}: {CASES} cases",
+        [line for line in across if line],
+    )
     return 1 if failed else 0
 
 

@@ -5,6 +5,7 @@ lines; warnings and errors go to standard error."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -186,21 +187,29 @@ def _csv_sink(fh, n: int):
     return record
 
 
-def _run_traced(scenario: Scenario, path: str, stride: int) -> engine.RunResult:
-    """Run the engine, streaming its trace to a temporary sibling of ``path``.
+@contextlib.contextmanager
+def _trace_sink(args: argparse.Namespace, n: int):
+    """The engine's trace sink for the command's body: None without
+    ``--trace``, else one that streams CSV rows to a temporary sibling of
+    FILE.
 
-    The file replaces ``path`` once the run returns; on any exception it is
-    removed and ``path`` is left as it was.
+    The file replaces FILE once the body returns; on any exception it is
+    removed and FILE is left as it was.
     """
-    target = Path(path)
+    if args.stride < 1:
+        raise _CliError(f"--stride must be >= 1, got {args.stride}")
+    if args.trace is None:
+        yield None
+        return
+    target = Path(args.trace)
     if target.is_dir():
-        raise _CliError(f"cannot write trace file {path}: it is a directory")
+        raise _CliError(f"cannot write trace file {args.trace}: it is a directory")
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
         try:
             with open(fd, "wb") as fh:
                 fh.write(b"iter,device,x,u_prime,zeta,q\r\n")
-                result = engine.run(scenario, trace=_csv_sink(fh, scenario.n), trace_stride=stride)
+                yield _csv_sink(fh, n)
             # the bits ``open(path, "w")`` gives a new file, not mkstemp's 0600
             umask = os.umask(0)
             os.umask(umask)
@@ -211,16 +220,7 @@ def _run_traced(scenario: Scenario, path: str, stride: int) -> engine.RunResult:
             raise
     except OSError as exc:
         # the reason alone: the full message names the temporary file, a random name
-        raise _CliError(f"cannot write trace file {path}: {exc.strerror or exc}") from None
-    return result
-
-
-def _run_engine(scenario: Scenario, args: argparse.Namespace) -> engine.RunResult:
-    if args.stride < 1:
-        raise _CliError(f"--stride must be >= 1, got {args.stride}")
-    if args.trace is None:
-        return engine.run(scenario)
-    return _run_traced(scenario, args.trace, args.stride)
+        raise _CliError(f"cannot write trace file {args.trace}: {exc.strerror or exc}") from None
 
 
 def _emit_common_header(scenario: Scenario, confirmed: ConfirmedDemands) -> None:
@@ -232,7 +232,8 @@ def _emit_common_header(scenario: Scenario, confirmed: ConfirmedDemands) -> None
 
 def cmd_run(args: argparse.Namespace) -> ExitStatus:
     scenario = _apply_overrides(_load_scenario_file(args.scenario), args)
-    result = _run_engine(scenario, args)
+    with _trace_sink(args, scenario.n) as trace:
+        result = engine.run(scenario, trace=trace, trace_stride=args.stride)
     _emit("command", "run")
     _emit_common_header(scenario, result.confirmed)
     _emit("converged", "true" if result.converged else "false")
@@ -265,8 +266,9 @@ def cmd_oracle(args: argparse.Namespace) -> ExitStatus:
 
 def cmd_compare(args: argparse.Namespace) -> ExitStatus:
     scenario = _apply_overrides(_load_scenario_file(args.scenario), args)
-    result = _run_engine(scenario, args)
-    solution = oracle.solve(scenario, result.confirmed)
+    with _trace_sink(args, scenario.n) as trace:
+        result = engine.run(scenario, trace=trace, trace_stride=args.stride)
+        solution = oracle.solve(scenario, result.confirmed)
     gaps = [abs(a - b) for a, b in zip(result.allocations, solution.allocations)]
     max_gap = max(gaps)
     threshold = 10.0 * (scenario.options.tol_consensus + scenario.options.tol_constraint)
