@@ -137,9 +137,14 @@ def _orjson_rows():
 
     def rows(k, devices, x, u_prime, zeta, q) -> bytes | None:
         data = dumps(list(zip(repeat(k), devices, x, u_prime, zeta, q)))
-        if b"null" in data:  # orjson's form of inf and nan
+        if b"n" in data:  # orjson writes n only in null, its form of inf and nan
             return None
-        data = band(_band_repr, e_one_digit(b"e-0", e_plus(b"e+", data)))
+        # each pass runs only on bytes that hold its trigger: a skipped pass
+        # would have rewritten nothing
+        if b"e" in data:
+            data = e_one_digit(b"e-0", e_plus(b"e+", data))
+        if b"0.0000" in data:
+            data = band(_band_repr, data)
         return data[2:-2].replace(b"],[", b"\r\n") + b"\r\n"
 
     probe = [_PROBE] * 4
@@ -162,9 +167,11 @@ def _csv_sink(fh, n: int):
     - exponents -6 to -9 without the zero: ``1e-6`` for ``1e-06``;
     - positive exponents without the sign: ``1e16`` for ``1e+16``.
 
-    ``repr`` writes a round that holds inf or nan, and every round when orjson
-    is missing or writes a probe round in some other form, so the bytes never
-    depend on orjson. A sink imports orjson only once ``repr`` has formatted
+    A rewrite runs only on a round whose bytes hold its trigger: ``e`` for the
+    exponents, ``0.0000`` for the band. ``repr`` writes a round that holds inf
+    or nan, found by the byte ``n`` of orjson's ``null``, and every round when
+    orjson is missing or writes a probe round in some other form, so the bytes
+    never depend on orjson. A sink imports orjson only once ``repr`` has formatted
     ``_ORJSON_IMPORT_FLOATS`` floats, unless it is imported already.
     """
     idx = [str(i) for i in range(n)]
@@ -207,7 +214,9 @@ def _trace_sink(args: argparse.Namespace, n: int):
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
         try:
-            with open(fd, "wb") as fh:
+            # a buffer of many rounds: at the default 8 KiB a 60-device round,
+            # about 5.3 KB, costs a ``write`` call every round or two
+            with open(fd, "wb", buffering=1 << 20) as fh:
                 fh.write(b"iter,device,x,u_prime,zeta,q\r\n")
                 yield _csv_sink(fh, n)
             # the bits ``open(path, "w")`` gives a new file, not mkstemp's 0600

@@ -19,6 +19,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -39,13 +40,18 @@ from conftest import BENCH_PATH
 # sha256 of ``run scenarios/paper_s5.json --trace F``
 BENCH_TRACE_SHA256 = "225954c42d430a2bc43bd54bf61a214edc0c4949c5635bd5b5385fc8a8fa1e55"
 # sha256 of ``compare G --trace F --stride K`` on ``generate_random_scenario(n, seed)``,
-# keyed (n, seed, K), with numpy installed; recorded while the CLI still kept
-# every round in memory and wrote it with ``csv.writer``. The scalar kernel
-# writes the same bytes.
+# keyed (n, seed, K), with numpy installed. The scalar kernel writes the same
+# bytes. (20, 1, 1) and (60, 3, 7) converge, and were recorded while the CLI
+# still kept every round in memory and wrote it with ``csv.writer``. (60, 1, 1),
+# in ``ARRAY_TRACE_DIVERGED``, exits 2 after 110 rounds; its 6,660 rows hold
+# 11,999 positive exponents, up to e+50. It was recorded with the orjson sink
+# and reads the same with orjson hidden, and with numpy and scipy hidden too.
 ARRAY_TRACE_SHA256 = {
     (20, 1, 1): "1a36757028e8681435233add5848368aaf528057b3272b311e5753a3593d4604",
+    (60, 1, 1): "d66c53a16d65b8fa8d3ccdc9446e89fe81ca225c074f865d2705c78054a6f9f0",
     (60, 3, 7): "2528d721317e5b548806f792aae5bebb6346502ae551972acb855444cb572974",
 }
+ARRAY_TRACE_DIVERGED = {(60, 1, 1)}
 # sha256 of ``oracle`` stdout on ``generate_random_scenario(1000, seed)``
 # (numpy installed), recorded before the scenario became columnar and the
 # bisection decided its comparisons from numpy sums or skipped the midpoints
@@ -630,11 +636,34 @@ class TestCompareCommand:
         trace = tmp_path / "trace.csv"
         argv = ["compare", str(write_generated(tmp_path, n, seed)), "--trace", str(trace)]
         pinned = ARRAY_TRACE_SHA256[n, seed, stride]
+        diverged = (n, seed, stride) in ARRAY_TRACE_DIVERGED
         for mode in orjson_modes(monkeypatch):
             code = main([*argv, "--stride", str(stride)])
             capsys.readouterr()
-            assert code == ExitStatus.OK, mode
+            assert code == (ExitStatus.NOT_CONVERGED if diverged else ExitStatus.OK), mode
             assert hashlib.sha256(trace.read_bytes()).hexdigest() == pinned, mode
+
+    def test_trace_streamed_whatever_its_length(self, capsys, tmp_path):
+        # the CLI holds no float per device per round: 1,800 more rounds raise
+        # the peak by less than 8 bytes per device per round
+        n = 60
+        path, trace = write_generated(tmp_path, n, 3), tmp_path / "trace.csv"
+
+        def traced_peak(rounds: int) -> int:
+            argv = ["compare", str(path), "--trace", str(trace), *STALLED_ARGS[:-1], str(rounds)]
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == ExitStatus.NOT_CONVERGED
+            assert report_dict(capsys.readouterr().out)["iterations"] == str(rounds)
+            return peak
+
+        traced_peak(200)  # the parser's, lazy imports' and orjson's one-off allocations
+        short, long = traced_peak(200), traced_peak(2000)
+        assert long - short < 8 * n * (2000 - 200)
 
     def test_array_kernel_failure_leaves_no_trace_and_no_warning(self, capsys, tmp_path):
         pytest.importorskip("numpy")
@@ -904,6 +933,7 @@ class TestTraceFloatForms:
         return rows
 
     def test_orjson_rows_match_repr_row_for_row(self):
+        orjson = pytest.importorskip("orjson")
         rows = self.fast_rows()
         x = float_corpus()
         n = len(x)
@@ -912,6 +942,32 @@ class TestTraceFloatForms:
         want = cli._repr_rows(12345, map(str, range(n)), *fields).split(b"\r\n")
         assert len(got) == len(want) == n + 1
         assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
+        # the byte that marks inf and nan is in no finite value's form
+        assert b"n" not in orjson.dumps(x)
+
+    @pytest.mark.parametrize(
+        "values, triggers",
+        [
+            ([1e16], (True, False)),
+            ([1.5e-07], (True, False)),
+            ([1.5e-05, -1.5e-05], (False, True)),
+            ([10.00001], (False, True)),  # the band's trigger, which its lookbehind rejects
+            ([0.5, 2.0], (False, False)),
+        ],
+    )
+    def test_round_of_one_form_matches_repr(self, values, triggers):
+        # a round that lacks a rewrite's trigger skips that rewrite
+        orjson = pytest.importorskip("orjson")
+        rows = self.fast_rows()
+        dumped = orjson.dumps(values)
+        assert (b"e" in dumped, b"0.0000" in dumped) == triggers
+        n = len(values)
+        fields = (values,) * 4
+        want = cli._repr_rows(7, map(str, range(n)), *fields)
+        assert rows(7, range(n), *fields) == want
+        out = io.BytesIO()
+        cli._csv_sink(out, n)(7, *fields)
+        assert out.getvalue() == want
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_round_written_by_repr(self, bad):
