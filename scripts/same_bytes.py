@@ -10,15 +10,16 @@ exit status, stdout, stderr and, for a traced call, the trace file's bytes.
 The case list runs twice: once with every installed package, and once with
 numpy, scipy and orjson hidden from the import system.
 
-137 cases: ``gen`` at n in {1, 2, 3, 8, 15, 20, 60, 200, 2000} for seeds 1 to
+145 cases: ``gen`` at n in {1, 2, 3, 8, 15, 20, 60, 200, 2000} for seeds 1 to
 3, and at n = 10^4 for seed 1. Then ``run``, ``run --trace``, ``compare`` and
 ``compare --trace --stride 7`` on ``scenarios/paper_s5.json`` and on each
 ``gen`` output of n <= 200; ``oracle`` and ``compare`` on three extreme
 variants of ``paper_s5`` (bandwidth 1e300, omegas times 1e152, omegas 1e308);
 two stalled runs that end at their iteration cap, ``compare`` at n = 60 and
-``run`` at n = 200, with tolerances of 1e-300 and eta 0.05; and ``oracle`` on
-the n = 10^4 output. The inputs are REV's ``gen`` outputs, so both trees read
-the same files.
+``run`` at n = 200, with tolerances of 1e-300 and eta 0.05; ``oracle`` on the
+n = 10^4 output; and ``run``, ``run --trace``, ``compare`` and ``oracle`` on
+``paper_s5`` and on the n = 20, seed 1 output with every demand set to 0. The
+inputs are REV's ``gen`` outputs, so both trees read the same files.
 
 Then the working tree's outputs in the two environments are compared case
 by case, so that a package that changes an output shows even where REV has
@@ -57,10 +58,14 @@ STALLED_ARGS = (
     "--eta", "0.05", "--tol-consensus", "1e-300", "--tol-constraint", "1e-300", "--max-iters", "3000"
 )
 STALLED = (("compare", "g60-3.json"), ("run", "g200-1.json"))
+# every demand set to 0: nothing is admitted, below and from the array threshold
+ZERO_DEMAND = ("paper_s5.json", "g20-1.json")
+ZERO_DEMAND_ARGS = (("run",), ("run", "--trace", "trace.csv"), ("compare",), ("oracle",))
 ENGINE_FILES = 1 + sum(n <= ENGINE_MAX_N for n, _ in GEN)
 CASES = (
     len(GEN) + 1 + len(ENGINE_ARGS) * ENGINE_FILES
     + 3 * len(EXTREME_COMMANDS) + len(STALLED) + 1
+    + len(ZERO_DEMAND) * len(ZERO_DEMAND_ARGS)
 )
 
 # argv: a src directory, the comma-separated names to hide (or ""), the CLI's
@@ -151,6 +156,12 @@ def compare_trees(rev: Path, head: Path, hide: str, work: Path) -> tuple[list[st
         case([command, f"../in/{name}", *STALLED_ARGS])
     n, seed = GEN_ORACLE
     case(["oracle", f"../in/g{n}-{seed}.json"])
+    for name in ZERO_DEMAND:
+        doc = json.loads((work / "in" / name).read_bytes())
+        doc["devices"] = [{**device, "demand": 0.0} for device in doc["devices"]]
+        (work / "in" / f"zero-{name}").write_text(json.dumps(doc))
+        for command, *args in ZERO_DEMAND_ARGS:
+            case([command, f"../in/zero-{name}", *args])
     return differ, outputs
 
 

@@ -92,13 +92,14 @@ def checked_graph(n: int, edges: tuple) -> tuple[tuple[tuple[int, int], ...], bo
 
     Valid as :func:`bandalloc.topology.build` defines it: lists or tuples of
     two ints in ``[0, n)``, no self-loop, no edge repeated in either
-    orientation. None for a list that fails any check, and for an empty one
+    orientation. None below ``engine.ARRAY_MIN_DEVICES`` devices, where the
+    kernel does not run; for a list that fails any check; and for an empty one
     or one of fewer than ``n - 1`` edges, which cannot connect ``n`` devices:
     ``build``'s per-entry loop then names the first bad entry, or checks the
     list. So the ``n`` labels of :func:`component_labels` never outgrow the
     edge list.
     """
-    if len(edges) < max(n - 1, 1):
+    if n < engine.ARRAY_MIN_DEVICES or len(edges) < max(n - 1, 1):
         return None
     if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}):
         return None

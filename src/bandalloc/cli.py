@@ -292,7 +292,7 @@ def cmd_compare(args: argparse.Namespace) -> ExitStatus:
     _emit("gap_threshold", _fmt(threshold))
     _emit("consensus_value", _fmt(result.consensus_value))
     _emit("lambda", "n/a" if solution.lam is None else _fmt(solution.lam))
-    if solution.lam is None or math.isnan(result.consensus_value):
+    if solution.lam is None:
         _emit("lambda_gap", "n/a")
     else:
         _emit("lambda_gap", _fmt(abs(result.consensus_value - solution.lam)))

@@ -48,6 +48,7 @@ _DIVERGED = (
     f"residuals grew for {_DIVERGENCE_STREAK} consecutive iterations; "
     "the gains are too aggressive, reduce eta and mu"
 )
+_ZERO = "all demands are zero; allocation is trivially zero"
 _EPS = math.ulp(1.0)
 
 # Device count from which ``run`` iterates with the numpy kernel in
@@ -297,8 +298,8 @@ def run(
     Stops as soon as both the consensus residual and the constraint
     residual are inside their tolerances, or at the iteration cap, or
     when the combined residual has grown for 100 consecutive rounds
-    (divergence). A zero confirmed total short-circuits to the all-zero
-    allocation.
+    (divergence). A zero confirmed total stops at iteration 0, on the
+    all-zero allocation, with a nan consensus value.
 
     ``trace``, when given, is called as ``trace(iteration, x, u_prime, zeta,
     q)`` with one sequence of floats per field, at iteration 0, at every
@@ -326,26 +327,12 @@ def run(
         trace(0, state.x, state.u_prime, state.zeta, state.q)
         recorded.append(0)
 
-    if confirmed.total == 0.0:
-        return RunResult(
-            allocations=state.x,
-            consensus_value=math.nan,
-            iterations_used=0,
-            converged=True,
-            trace=tuple(recorded),
-            diagnostics=Diagnostics(
-                consensus_residual=0.0,
-                constraint_residual=0.0,
-                warnings=("all demands are zero; allocation is trivially zero",),
-            ),
-            confirmed=confirmed,
-        )
-
     tol_consensus, tol_constraint = opts.tol_consensus, opts.tol_constraint
-    cons = consensus_residual(state)
-    converged = cons <= tol_consensus and constraint_residual(state) <= tol_constraint
+    zero = confirmed.total == 0.0  # the all-zero allocation of init is the answer
+    cons = 0.0 if zero else consensus_residual(state)
+    converged = zero or cons <= tol_consensus and constraint_residual(state) <= tol_constraint
     growth_streak = 0
-    kernel = array_kernel_for(scenario.n)
+    kernel = None if converged else array_kernel_for(scenario.n)
     rounds = (_scalar_rounds if kernel is None else kernel.rounds)(state, scenario)
     fields = (state.x, state.u_prime, state.zeta, state.q)
     prev = None  # the record of the round before
@@ -378,7 +365,7 @@ def run(
         prev = record
 
     diverged = growth_streak >= _DIVERGENCE_STREAK
-    warnings = [_DIVERGED] if diverged else []
+    warnings = [_DIVERGED] if diverged else [_ZERO] if zero else []
     state = EngineState(*(tuple(_listed(field)) for field in fields), k, confirmed)
     if not diverged:  # a diverged run is reported as such, wherever it ended
         _check_domain(state, capacity_coefficient(scenario.globals.snr))
@@ -395,7 +382,7 @@ def run(
 
     return RunResult(
         allocations=state.x,
-        consensus_value=math.fsum(state.u_prime) / scenario.n,
+        consensus_value=math.nan if zero else math.fsum(state.u_prime) / scenario.n,
         iterations_used=k,
         converged=converged,
         trace=tuple(recorded),

@@ -41,9 +41,9 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ..
     (bools included) or lie outside ``[0, n)``, self-loops, and an edge
     repeated in either orientation raise ``ValueError`` naming ``edges[k]``;
     a valid list that leaves a device unreached raises ``ValueError("edges:
-    communication graph is not connected")``. Where
-    ``engine.array_kernel_for(n)`` would pick the numpy kernel and it is
-    already imported, it checks the list and decides connectivity on arrays;
+    communication graph is not connected")``. Where ``array_kernel`` is
+    already imported, its ``checked_graph`` checks the list and decides
+    connectivity on arrays, from the device count ``engine`` sets for it;
     building never imports it. A per-entry loop checks the list otherwise, and
     names the first bad entry, and a union-find decides connectivity.
     """
@@ -51,8 +51,7 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ..
         raise ValueError(f"device count must be >= 1, got {n}")
     edges = tuple(edges)
     kernel = sys.modules.get(f"{__package__}.array_kernel")
-    on_arrays = kernel is not None and n >= kernel.engine.ARRAY_MIN_DEVICES
-    checked = kernel.checked_graph(n, edges) if on_arrays else None
+    checked = None if kernel is None else kernel.checked_graph(n, edges)
     if checked is None:
         seen: dict[tuple[int, int], None] = {}  # the pairs, in order
         for k, edge in enumerate(edges):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -53,6 +54,15 @@ def bench_scenario(**option_kwargs) -> Scenario:
 def generated_scenario(seed: int) -> Scenario:
     """The generated instances of acceptance criteria 2, 3 and 7: 2 to 20 devices."""
     return generate_random_scenario(2 + (seed - 1) % 19, seed=seed)
+
+
+def kernel_thresholds() -> dict[str, int]:
+    """``engine.ARRAY_MIN_DEVICES`` for each kernel that can run: the scalar
+    loop at every size, and numpy's at every size when it imports."""
+    thresholds = {"scalar": sys.maxsize}
+    if engine.array_kernel_for(sys.maxsize) is not None:
+        thresholds["array"] = 1
+    return thresholds
 
 
 class Recorded(NamedTuple):

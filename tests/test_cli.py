@@ -590,6 +590,22 @@ class TestCompareCommand:
         )
         assert captured.err == "warning: all demands are zero; allocation is trivially zero\n"
 
+    def test_all_zero_demands_from_the_array_threshold(self, capsys, tmp_path, kernel):
+        doc = json.loads(write_generated(tmp_path, 20, 1).read_text())
+        for device in doc["devices"]:
+            device["demand"] = 0.0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        code = main(["compare", str(path)])
+        captured = capsys.readouterr()
+        assert code == ExitStatus.OK
+        report = report_dict(captured.out)
+        assert (report["converged"], report["iterations"]) == ("true", "0")
+        assert report["engine_allocations"] == report["oracle_allocations"] == " ".join(["0"] * 20)
+        assert report["consensus_value"] == "nan"
+        assert report["lambda"] == report["lambda_gap"] == "n/a"
+        assert captured.err == "warning: all demands are zero; allocation is trivially zero\n"
+
     def test_benchmark_within_gate(self, capsys):
         code = main(["compare", str(BENCH_PATH)])
         out = capsys.readouterr().out
@@ -870,6 +886,24 @@ def test_numpy_not_loaded_below_threshold(tmp_path):
         "print('numpy' in sys.modules, file=sys.stderr)\n",
         str(BENCH_PATH),
         str(write_generated(tmp_path, 10, 1)),
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == "False\n"
+
+
+def test_zero_demand_run_never_loads_array_kernel():
+    # a run that admits nothing draws no round, so it needs no kernel, from the
+    # threshold on too; a scenario built in code loads none either
+    assert 20 >= engine.ARRAY_MIN_DEVICES
+    child = run_child(
+        "-c",
+        "import dataclasses, sys\n"
+        "from bandalloc import engine\n"
+        "from bandalloc.scenario import generate_random_scenario\n"
+        "scenario = generate_random_scenario(20, 1)\n"
+        "result = engine.run(dataclasses.replace(scenario, demands=(0.0,) * 20))\n"
+        "assert (result.iterations_used, result.converged) == (0, True)\n"
+        "print('bandalloc.array_kernel' in sys.modules, file=sys.stderr)\n",
     )
     assert child.returncode == 0, child.stderr
     assert child.stderr == "False\n"

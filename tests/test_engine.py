@@ -26,7 +26,14 @@ from bandalloc.scenario import generate_random_scenario, parse_scenario
 from bandalloc.topology import adjacency
 from bandalloc.utility import capacity_coefficient, derivative, invert_derivative
 
-from conftest import BENCH_PATH, bench_scenario, generated_scenario, make_scenario, recording
+from conftest import (
+    BENCH_PATH,
+    bench_scenario,
+    generated_scenario,
+    kernel_thresholds,
+    make_scenario,
+    recording,
+)
 
 # engine limit for the bundled benchmark, pinned after first computation
 BENCH_ALLOCATIONS = (0.778061243179723, 1.6758758193188736, 2.5460632790013853)
@@ -393,6 +400,28 @@ class TestRun:
         (only,) = rounds
         assert only.iteration == 0
         assert only.x == only.zeta == only.q == (0.0, 0.0)
+
+    def test_zero_demand_from_the_array_threshold(self, monkeypatch):
+        # n = 20 is past ARRAY_MIN_DEVICES: neither kernel draws a round
+        scenario = dataclasses.replace(generate_random_scenario(20, 1), demands=(0.0,) * 20)
+        zeros = (0.0,) * 20
+        for kernel, threshold in kernel_thresholds().items():
+            monkeypatch.setattr(engine, "ARRAY_MIN_DEVICES", threshold)
+            sink, rounds = recording()
+            result = run(scenario, trace=sink, trace_stride=3)
+            assert result.allocations == zeros, kernel
+            assert result.confirmed.values == zeros and result.confirmed.total == 0.0, kernel
+            assert math.isnan(result.consensus_value), kernel
+            stop = result.iterations_used, result.converged, result.trace
+            assert stop == (0, True, (0,)), kernel
+            assert result.diagnostics == engine.Diagnostics(
+                consensus_residual=0.0,
+                constraint_residual=0.0,
+                warnings=("all demands are zero; allocation is trivially zero",),
+            ), kernel
+            (only,) = rounds
+            assert only.iteration == 0, kernel
+            assert only.x == only.zeta == only.q == zeros, kernel
 
     def test_negative_final_allocation_warns(self):
         scenario = make_scenario(

@@ -20,7 +20,7 @@ from bandalloc.oracle import objective, solve
 from bandalloc.scenario import Globals, ScenarioError, generate_random_scenario
 from bandalloc.utility import capacity_coefficient, derivative, evaluate, invert_derivative
 
-from conftest import bench_scenario, generated_scenario, make_scenario
+from conftest import bench_scenario, generated_scenario, kernel_thresholds, make_scenario
 
 mpmath.mp.dps = 50
 
@@ -331,15 +331,6 @@ def outcome(call, *args) -> str:
         return f"ArithmeticError: {exc}"
 
 
-def kernel_thresholds() -> dict[str, int]:
-    """``engine.ARRAY_MIN_DEVICES`` for each kernel that can run: the scalar
-    loop at every size, and numpy's at every size when it imports."""
-    thresholds = {"scalar": sys.maxsize}
-    if engine.array_kernel_for(sys.maxsize) is not None:
-        thresholds["array"] = 1
-    return thresholds
-
-
 def guarded_and_reference(scenario) -> dict[str, tuple[str, str, int, int]]:
     """For every kernel: the outcome of ``solve`` and of the reference
     bisection, and the evaluations of each."""
@@ -364,7 +355,10 @@ def guarded_and_reference(scenario) -> dict[str, tuple[str, str, int, int]]:
 
 def guarded_against_reference(scenario, name) -> dict[str, int]:
     """Asserts that ``solve`` equals the reference bisection bit for bit on
-    every kernel, in no more evaluations; returns its evaluations per kernel."""
+    every kernel, error included, in no more evaluations; returns its
+    evaluations per kernel. For inputs on which the reference finishes:
+    where it overflows at a midpoint beyond a guard, ``solve`` may finish
+    (``TestGuardedBisection.test_finishes_where_the_plain_bisection_overflows``)."""
     counts = {}
     for kernel, (got, want, count, limit) in guarded_and_reference(scenario).items():
         assert got == want, (name, kernel)
@@ -480,6 +474,27 @@ class TestGuardedBisection:
                 assert count <= limit + 3, (k, kernel, count, limit)
                 total += count
         assert total <= 6_000, total
+
+    def test_finishes_where_the_plain_bisection_overflows(self):
+        # 1 of 6,000 fuzzed extreme inputs: the plain bisection's fourth
+        # evaluation, a midpoint beyond the lower guard, overflows the inverse;
+        # solve settles that midpoint by the guard and finishes
+        scenario = make_scenario(
+            omegas=(0.3867990638883902,), demands=(0.033445626631134553,), edges=(),
+            bandwidth=4.265787919580882e246, price=7.01583101865135e60, snr=100.0,
+        )
+        solution = oracle.OracleSolution(
+            allocations=(0.033445626631132486,), lam=-4.692977295138619e59,
+            objective=-7.847978320079415e57,
+        )
+        overflow = (
+            "ArithmeticError: bisection failure: arithmetic overflow inverting the "
+            "derivative at v = -1.4964023602591883e+307, device 0"
+        )
+        results = guarded_and_reference(scenario)
+        assert results.keys() == kernel_thresholds().keys()
+        for kernel, (got, want, _, evaluations) in results.items():
+            assert (got, want, evaluations) == (repr(solution), overflow, 4), kernel
 
     @pytest.mark.parametrize(
         "name, scenario",
@@ -604,7 +619,8 @@ GIVE_UPS = {
 
 class TestGuardsGiveUp:
     """Where the guards give up, ``solve`` evaluates every midpoint: it is the
-    plain bisection, bit for bit."""
+    plain bisection, bit for bit, error included. Guards that hold may let it
+    finish where the plain bisection overflows at a midpoint beyond them."""
 
     @pytest.mark.parametrize("path", GIVE_UPS)
     @pytest.mark.parametrize(
