@@ -8,6 +8,7 @@ total equals the budget; a common factor keeps the demand ratios exact.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +40,8 @@ def admit(demands: Sequence[float], bandwidth: float) -> ConfirmedDemands:
     scaled by ``bandwidth / total``. The scale factor is nudged down by
     single ulps until the rounded total actually lands at or below the
     budget, so the returned total satisfies ``total <= bandwidth`` exactly
-    and re-admitting a confirmed vector reproduces it bit for bit.
+    and re-admitting a confirmed vector reproduces it bit for bit. Below a
+    normal scale, the shares ``d / total`` are scaled by the budget instead.
     """
     if len(demands) == 0:
         raise ValueError("demand list must be non-empty")
@@ -53,6 +55,8 @@ def admit(demands: Sequence[float], bandwidth: float) -> ConfirmedDemands:
     if total <= bandwidth:
         return ConfirmedDemands(values=tuple(demands))
     scale = bandwidth / total
+    if scale < sys.float_info.min:  # a subnormal scale has too few bits: scale the shares
+        demands, scale = [d / total for d in demands], bandwidth
     values = [d * scale for d in demands]
     while math.fsum(values) > bandwidth:
         scale = math.nextafter(scale, 0.0)

@@ -17,8 +17,8 @@ or returns the values to continue with: it alone judges numerical failures.
 :func:`rounds` is the kernel's loop, a generator of rounds. It computes up
 to 16 rounds per numpy pass: each round writes one row of buffers kept for
 the run, and one set of reductions over the block's rows then checks all of
-them. It yields the trusted rows one by one, and hands a flagged round to the
-scalar code only when it is resumed past them.
+them. It yields the trusted rows one by one. The first round numpy cannot
+trust, once drawn, hands the rest of the run to the scalar rounds.
 
 A round's constraint residual and a bisection step's total come from a numpy
 sum with an error bound (:func:`_cheap_excess`); ``math.fsum`` decides inside
@@ -232,11 +232,12 @@ def rounds(state: engine.EngineState, scenario: Scenario):
     rows gives every round's residuals and flags the first round with a
     non-finite value, which ends the block; two buffer sets take turns.
 
-    A flagged round is run again by the scalar round, ``engine._scalar_rounds``,
-    from the round before: it raises its ``NumericalError``, or its round, with
-    exact residuals and a bound of 0.0, is yielded as it is. That happens only
-    when the rounds are drawn past the block's trusted ones, so rounds computed
-    past the end of a run never raise.
+    The first flagged round hands the rest of the run to the scalar rounds,
+    ``engine._scalar_rounds``, from the round before: they raise the round's
+    ``NumericalError``, or run that round and every later one, with exact
+    residuals and a bound of 0.0. The hand-off happens only when the rounds are
+    drawn past the block's trusted ones, so rounds computed past the end of a
+    run never raise.
     """
     g = scenario.globals
     c = capacity_coefficient(g.snr)
@@ -282,9 +283,6 @@ def rounds(state: engine.EngineState, scenario: Scenario):
             k += trusted
             if trusted:
                 fields = xs[trusted - 1], us[trusted - 1], zetas[trusted - 1], qs[trusted - 1]
-            if trusted < m:  # the flagged round, drawn
+            if trusted < m:  # the flagged round, drawn: the scalar rounds take the run over
                 before = engine.EngineState(*(tuple(f.tolist()) for f in fields), k, confirmed)
-                flagged = next(engine._scalar_rounds(before, scenario))
-                k += 1
-                fields = tuple(map(np.array, flagged[3]))
-                yield flagged
+                yield from engine._scalar_rounds(before, scenario)

@@ -322,10 +322,8 @@ def run(
     opts = scenario.options
     confirmed = admit(scenario.demands, scenario.globals.bandwidth)
     state = init(scenario, confirmed)
-    recorded: list[int] = []
     if trace is not None:
         trace(0, state.x, state.u_prime, state.zeta, state.q)
-        recorded.append(0)
 
     tol_consensus, tol_constraint = opts.tol_consensus, opts.tol_constraint
     zero = confirmed.total == 0.0  # the all-zero allocation of init is the answer
@@ -349,7 +347,6 @@ def run(
         record = [cons, constr, bound, fields[0]]
         if trace is not None and k % trace_stride == 0:
             trace(k, *map(_listed, fields))
-            recorded.append(k)
         # a bound of 0.0, from the scalar round, marks exact residuals: they compare directly
         if cons <= tol_consensus:
             if bound and _unsure(constr, tol_constraint, bound):
@@ -369,9 +366,8 @@ def run(
     state = EngineState(*(tuple(_listed(field)) for field in fields), k, confirmed)
     if not diverged:  # a diverged run is reported as such, wherever it ended
         _check_domain(state, capacity_coefficient(scenario.globals.snr))
-    if trace is not None and recorded[-1] != k:
+    if trace is not None and k % trace_stride:
         trace(k, *map(_listed, fields))
-        recorded.append(k)
 
     negatives = [i for i, x in enumerate(state.x) if x < 0.0]
     if negatives:
@@ -385,7 +381,7 @@ def run(
         consensus_value=math.nan if zero else math.fsum(state.u_prime) / scenario.n,
         iterations_used=k,
         converged=converged,
-        trace=tuple(recorded),
+        trace=() if trace is None else tuple(sorted({*range(0, k + 1, trace_stride), k})),
         diagnostics=Diagnostics(
             consensus_residual=cons,
             constraint_residual=constraint_residual(state),

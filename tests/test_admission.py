@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +39,25 @@ def test_over_capacity_scaled_proportionally():
     confirmed = admit((2.0, 4.0, 4.0), 5.0)
     assert confirmed.values == pytest.approx((1.0, 2.0, 2.0), rel=1e-15)
     assert confirmed.total == pytest.approx(5.0, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "demands, bandwidth, values",
+    [
+        ((1e300, 1.0), 1e-30, (1e-30, 0.0)),
+        ((1e300, 1.0), 1e-20, (1e-20, 1e-320)),
+        ((1e300, 1e300), 1e-300, (5e-301, 5e-301)),
+        ((3.0, 2.0), 1e-310, (6e-311, 4e-311)),
+    ],
+)
+def test_subnormal_scale_keeps_the_whole_budget(demands, bandwidth, values):
+    # bandwidth / total is below the least normal float: scaled by it, the
+    # demands lost the budget, to (0.0, 0.0) or to a total short of it
+    assert bandwidth / math.fsum(demands) < sys.float_info.min
+    confirmed = admit(demands, bandwidth)
+    assert confirmed.values == values
+    assert confirmed.total == bandwidth
+    assert admit(confirmed.values, bandwidth) == confirmed
 
 
 def test_zero_demands_pass_through():

@@ -1110,6 +1110,25 @@ def test_unusable_scenario_is_invalid_input(capsys, tmp_path, command, changes, 
     assert captured.out == ""
 
 
+def test_subnormal_admission_scale_keeps_the_budget(capsys, tmp_path):
+    # bandwidth / total rounds to 0.0: scaled by it, every demand was
+    # confirmed as 0, and run and compare warned that all demands are zero
+    devices = json.loads(BENCH_PATH.read_text(encoding="utf-8"))["devices"]
+    devices[0]["demand"] = 1e300
+    path = write_bench_with(tmp_path, bandwidth=1e-30, devices=devices)
+    reports = {}
+    for command in ("run", "compare", "oracle"):
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == ExitStatus.OK, command
+        assert "all demands are zero" not in captured.err
+        reports[command] = report = report_dict(captured.out)
+        assert (report["confirmed_demands"], report["confirmed_total"]) == ("1e-30 0 0", "1e-30")
+    compared = reports["compare"]
+    assert compared["converged"] == "true"
+    assert float(compared["max_gap"]) == pytest.approx(5.0e-7, rel=1e-3)
+
+
 @pytest.mark.parametrize("source", ["paper_s5", "gen n=20"])
 @pytest.mark.parametrize("command", ["run", "oracle", "compare"])
 def test_tiny_price_rejected_alike_without_numpy(capsys, tmp_path, command, source):

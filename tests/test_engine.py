@@ -982,6 +982,26 @@ class TestArrayKernel:
         assert forced.converged
         assert forced == plain
 
+    def test_hand_off_to_the_scalar_rounds_is_one_way(self, monkeypatch):
+        # round 5 flagged and passed by the scalar round: the scalar rounds run
+        # it and every later round, and numpy computes none after its block
+        scenario = generate_random_scenario(20, 1)
+        sink, scalar_rounds = recording()
+        want = run_on("scalar", scenario, monkeypatch, trace=sink)
+        calls = poisoned_inverse(monkeypatch, 5)
+        handed, real = [], engine._scalar_rounds
+        monkeypatch.setattr(
+            engine,
+            "_scalar_rounds",
+            lambda *a: handed.append((a[0].iteration, len(calls))) or real(*a),
+        )
+        sink, array_rounds = recording()
+        got = run_on("array", scenario, monkeypatch, trace=sink)
+        assert want.iterations_used > len(calls) >= 5
+        assert handed == [(4, len(calls))]
+        assert array_rounds == scalar_rounds
+        assert got == want
+
     def test_trace_stride(self, monkeypatch):
         scenario = with_eta(generate_random_scenario(20, 2), 0.05)
         sink, scalar_rounds = recording()
@@ -1059,10 +1079,10 @@ class TestBlocks:
         assert (block_rows(200), block_rows(10**4), block_rows(10**6)) == (16, 3, 1)
 
     def test_rounds_across_blocks_match_scalar(self, monkeypatch):
-        # three blocks, the second ended early by a flagged round that the
-        # scalar round runs; the round before each round is read from its
-        # buffer set only after the next round was drawn, the next block
-        # included, as run's divergence streak reads it
+        # one block, then a second ended early by a flagged round that hands
+        # this and every later round to the scalar rounds; the round before
+        # each round is read only after the next round was drawn, the first
+        # scalar round included, as run's divergence streak reads it
         from bandalloc import array_kernel
 
         scenario = generate_random_scenario(60, 2)
