@@ -6,7 +6,8 @@
 REV is a local git revision. It is checked out with ``git worktree add``
 into a temporary directory, which is removed afterwards. Each case is one
 CLI call, run on both trees, each call in its own process. A case compares
-exit status, stdout, stderr and, for a traced call, the trace file's bytes.
+exit status, stdout, stderr and, for a traced call, the trace file's bytes
+and permission bits (``stat.S_IMODE``), under the umask this script runs with.
 The case list runs twice: once with every installed package, and once with
 numpy, scipy and orjson hidden from the import system.
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import stat
 import subprocess
 import sys
 import tempfile
@@ -88,7 +90,8 @@ raise SystemExit(bandalloc.cli.main(argv))
 
 
 def call(src: Path, hide: str, cwd: Path, argv: list[str]) -> tuple:
-    """(exit status, stdout, stderr, trace bytes or None) of one CLI call."""
+    """(exit status, stdout, stderr, trace bytes, trace permission bits) of
+    one CLI call; the trace's parts are None when it wrote no trace."""
     proc = subprocess.run(
         [sys.executable, "-c", BOOT, str(src), hide, *argv],
         cwd=cwd,
@@ -96,16 +99,18 @@ def call(src: Path, hide: str, cwd: Path, argv: list[str]) -> tuple:
         timeout=600,
     )
     trace = cwd / "trace.csv"
-    data = trace.read_bytes() if trace.exists() else None
-    trace.unlink(missing_ok=True)
-    return proc.returncode, proc.stdout, proc.stderr, data
+    data = mode = None
+    if trace.exists():
+        data, mode = trace.read_bytes(), stat.S_IMODE(trace.stat().st_mode)
+        trace.unlink()
+    return proc.returncode, proc.stdout, proc.stderr, data, mode
 
 
 def differs(case: str, old: tuple, new: tuple) -> str | None:
     """``case`` and the parts in which two outputs of it differ, or None."""
     if old == new:
         return None
-    parts = ("exit", "stdout", "stderr", "trace")
+    parts = ("exit", "stdout", "stderr", "trace", "trace mode")
     moved = [part for part, a, b in zip(parts, old, new) if a != b]
     return f"{case}: {', '.join(moved)}"
 
@@ -113,7 +118,7 @@ def differs(case: str, old: tuple, new: tuple) -> str | None:
 def compare_trees(rev: Path, head: Path, hide: str, work: Path) -> tuple[list[str], dict]:
     """The cases whose outputs differ between the trees ``rev`` and ``head``,
     each with the parts that differ; and ``head``'s outputs by case, with
-    sha256 digests in place of bytes."""
+    sha256 digests in place of output bytes."""
     for d in ("in", "rev", "head"):
         (work / d).mkdir()
     differ: list[str] = []
@@ -125,15 +130,16 @@ def compare_trees(rev: Path, head: Path, hide: str, work: Path) -> tuple[list[st
         name = " ".join(argv)
         if line := differs(name, old, new):
             differ.append(line)
-        digests = (hashlib.sha256(part).digest() if part else part for part in new[1:])
-        outputs[name] = (new[0], *digests)
+        code, *texts, mode = new
+        digests = (hashlib.sha256(part).digest() if part else part for part in texts)
+        outputs[name] = (code, *digests, mode)
         return old
 
     s5 = (REPO / "scenarios" / "paper_s5.json").read_bytes()
     (work / "in" / "paper_s5.json").write_bytes(s5)
     files = ["../in/paper_s5.json"]
     for n, seed in [*GEN, GEN_ORACLE]:
-        code, out, err, _ = case(["gen", "--n", str(n), "--seed", str(seed)])
+        code, out, err, *_ = case(["gen", "--n", str(n), "--seed", str(seed)])
         if code != 0:
             raise RuntimeError(f"gen --n {n} --seed {seed} failed: {err.decode()}")
         (work / "in" / f"g{n}-{seed}.json").write_bytes(out)

@@ -13,7 +13,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from enum import IntEnum
 from itertools import repeat
 from pathlib import Path
@@ -198,7 +197,9 @@ def _csv_sink(fh, n: int):
 def _trace_sink(args: argparse.Namespace, n: int):
     """The engine's trace sink for the command's body: None without
     ``--trace``, else one that streams CSV rows to a temporary sibling of
-    FILE.
+    FILE. The sibling is created exclusively under a random name, and that
+    ``open`` gives it a new file's permissions; the process's file-creation
+    mask is never changed.
 
     The file replaces FILE once the body returns; on any exception it is
     removed and FILE is left as it was.
@@ -211,21 +212,18 @@ def _trace_sink(args: argparse.Namespace, n: int):
     target = Path(args.trace)
     if target.is_dir():
         raise _CliError(f"cannot write trace file {args.trace}: it is a directory")
+    tmp = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
+        # a buffer of many rounds: at the default 8 KiB a 60-device round,
+        # about 5.3 KB, costs a ``write`` call every round or two
+        fh = open(tmp, "xb", buffering=1 << 20)
         try:
-            # a buffer of many rounds: at the default 8 KiB a 60-device round,
-            # about 5.3 KB, costs a ``write`` call every round or two
-            with open(fd, "wb", buffering=1 << 20) as fh:
+            with fh:
                 fh.write(b"iter,device,x,u_prime,zeta,q\r\n")
                 yield _csv_sink(fh, n)
-            # the bits ``open(path, "w")`` gives a new file, not mkstemp's 0600
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, target)
         except BaseException:
-            Path(tmp).unlink(missing_ok=True)
+            tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
         # the reason alone: the full message names the temporary file, a random name
@@ -291,11 +289,9 @@ def cmd_compare(args: argparse.Namespace) -> ExitStatus:
     _emit("max_gap", _fmt(max_gap))
     _emit("gap_threshold", _fmt(threshold))
     _emit("consensus_value", _fmt(result.consensus_value))
-    _emit("lambda", "n/a" if solution.lam is None else _fmt(solution.lam))
-    if solution.lam is None:
-        _emit("lambda_gap", "n/a")
-    else:
-        _emit("lambda_gap", _fmt(abs(result.consensus_value - solution.lam)))
+    lam = solution.lam
+    _emit("lambda", "n/a" if lam is None else _fmt(lam))
+    _emit("lambda_gap", "n/a" if lam is None else _fmt(abs(result.consensus_value - lam)))
     for message in result.diagnostics.warnings:
         _warn(message)
     passed = result.converged and max_gap <= threshold

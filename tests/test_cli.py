@@ -363,6 +363,50 @@ class TestRunCommand:
         assert code == ExitStatus.OK
         assert stat.S_IMODE(trace.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
 
+    def test_trace_leaves_the_umask_alone(self, capsys, tmp_path, monkeypatch):
+        # the umask is process-wide: a probe of it would race other threads'
+        # file creation, so the trace gets its bits from the open alone
+        trace, reference = tmp_path / "trace.csv", tmp_path / "reference"
+        with open(reference, "w"):
+            pass
+
+        def refuse(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
+        capsys.readouterr()
+        assert code == ExitStatus.OK
+        assert stat.S_IMODE(trace.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == BENCH_TRACE_SHA256
+
+    def test_trace_never_opens_an_existing_temporary_name(self, capsys, tmp_path, monkeypatch):
+        # a name taken already is an error, and the file holding it is not this
+        # call's to write to or remove
+        trace = tmp_path / "trace.csv"
+        monkeypatch.setattr(os, "urandom", lambda size: bytes(range(size)))
+        taken = tmp_path / ".trace.csv.000102030405.tmp"
+        taken.write_bytes(b"another file\n")
+        code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == ExitStatus.INVALID_INPUT
+        assert captured.err == f"error: cannot write trace file {trace}: File exists\n"
+        assert captured.out == ""
+        assert taken.read_bytes() == b"another file\n"
+        assert list(tmp_path.iterdir()) == [taken]
+
+    def test_trace_leaves_a_stale_temporary_file_alone(self, capsys, tmp_path):
+        # what a killed run left behind is not under the next run's random name
+        trace = tmp_path / "trace.csv"
+        stale = tmp_path / f".trace.csv.{os.urandom(6).hex()}.tmp"
+        stale.write_bytes(b"iter,device,x,u_prime,zeta,q\r\n0,0,")
+        code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
+        capsys.readouterr()
+        assert code == ExitStatus.OK
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == BENCH_TRACE_SHA256
+        assert stale.read_bytes() == b"iter,device,x,u_prime,zeta,q\r\n0,0,"
+        assert sorted(tmp_path.iterdir()) == sorted([stale, trace])
+
     def test_zero_demand_trace_holds_initial_state(self, capsys, tmp_path):
         doc = json.loads(BENCH_PATH.read_text())
         for device in doc["devices"]:
@@ -1059,6 +1103,24 @@ def test_orjson_not_loaded_by_small_or_untraced_calls(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert child.stderr == "False\n"
+
+
+def test_traced_compare_does_not_import_tempfile(tmp_path):
+    # -S: without site, whose hooks may import tempfile themselves; shutil
+    # stays, since argparse's help formatter imports it
+    child = run_child(
+        "-S",
+        "-c",
+        "import sys\n"
+        "from bandalloc.cli import main\n"
+        "assert main(['compare', sys.argv[1], '--trace', sys.argv[2]]) == 0\n"
+        "print('tempfile' in sys.modules, file=sys.stderr)\n",
+        str(BENCH_PATH),
+        str(tmp_path / "trace.csv"),
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == "False\n"
+    assert (tmp_path / "trace.csv").exists()
 
 
 def test_long_trace_loads_orjson_midway_with_bytes_unchanged(tmp_path):
