@@ -17,7 +17,9 @@ or returns the values to continue with: it alone judges numerical failures.
 :func:`rounds` is the kernel's loop, a generator of rounds. It computes up
 to 16 rounds per numpy pass: each round writes one row of buffers kept for
 the run, and one set of reductions over the block's rows then checks all of
-them. It yields the trusted rows one by one. The first round numpy cannot
+them. A round's intermediates, too, go to arrays made once per run, and its
+constants are 0-d arrays: its numpy calls allocate only ``np.bincount``'s
+result. It yields the trusted rows one by one. The first round numpy cannot
 trust, once drawn, hands the rest of the run to the scalar rounds.
 
 A round's constraint residual and a bisection step's total come from a numpy
@@ -193,22 +195,30 @@ def _constants(omega, c: float, price: float) -> tuple:
         return (*inverse_constants(omega, c, price), 2.0 * price, 2.0 * price * c, c)
 
 
-def _inverse(omega_c, disc_const, two_price, two_price_c, c, v, out=(None, None)):
+def _inverse(omega_c, disc_const, two_price, two_price_c, c, v, out=(None, None), work=None):
     """The closed-form inverse and its discriminant, in the scalar operation order.
 
     The arguments are :func:`bandalloc.utility.inverse_from_constants`'s;
     ``out`` names the arrays to write the two results to, None allocating one.
+    ``work`` is None, where ``v`` may be a float, or three arrays of ``v``'s
+    shape, which every other step writes into, and a 0-d -0.5.
     """
     x, disc = out
-    vc = v * c
-    b = two_price + vc
-    const = v - omega_c
-    t = two_price - vc
-    disc = np.add(t * t, disc_const, disc)
-    root = np.sqrt(disc)
+    b, t, const, half = work or (None, None, None, -0.5)
+    if b is None:  # Python arithmetic for the steps on a float v
+        b, t, const = two_price + v * c, two_price - v * c, v - omega_c
+        disc = np.add(t * t, disc_const, disc)
+        root = np.sqrt(disc)
+    else:
+        np.add(two_price, np.multiply(v, c, t), b)
+        np.subtract(two_price, t, t)
+        np.subtract(v, omega_c, const)
+        disc = np.add(np.multiply(t, t, t), disc_const, disc)
+        root = np.sqrt(disc, t)
     # b = 2*price + v*c is never -0.0, so copysign pairs b == 0 with +root
-    q = -0.5 * (b + np.copysign(root, b))
-    return np.maximum(q / two_price_c, const / q, out=x), disc
+    q = np.multiply(half, np.add(b, np.copysign(root, b, root), root), root)
+    x = np.divide(q, two_price_c, x)
+    return np.maximum(x, np.divide(const, q, const), out=x), disc
 
 
 def block_rows(n: int) -> int:
@@ -232,6 +242,11 @@ def rounds(state: engine.EngineState, scenario: Scenario):
     rows gives every round's residuals and flags the first round with a
     non-finite value, which ends the block; two buffer sets take turns.
 
+    A round writes every intermediate with ``out`` to arrays made once per
+    run, never kept between runs: both ends of every directed edge, from one
+    ``take``, and three arrays of n floats; only ``np.bincount`` allocates.
+    Its constants are 0-d arrays, which numpy takes faster than floats.
+
     The first flagged round hands the rest of the run to the scalar rounds,
     ``engine._scalar_rounds``, from the round before: they raise the round's
     ``NumericalError``, or run that round and every later one, with exact
@@ -241,15 +256,13 @@ def rounds(state: engine.EngineState, scenario: Scenario):
     """
     g = scenario.globals
     c = capacity_coefficient(g.snr)
-    consts = _constants(np.array(scenario.omegas), c, g.price)
-    eta, mu = g.eta, g.mu
+    omega_c, disc_const, *scalars = _constants(np.array(scenario.omegas), c, g.price)
+    eta, mu, *scalars = map(np.array, (g.eta, g.mu, *scalars))
     # directed edge list: device src[e] hears from device dst[e]
     adjacency = scenario.adjacency
     degrees = [len(nbrs) for nbrs in adjacency]
     src = np.repeat(np.arange(scenario.n), degrees)
-    dst = np.fromiter(
-        (j for nbrs in adjacency for j in nbrs), dtype=np.intp, count=sum(degrees)
-    )
+    dst = np.fromiter(chain.from_iterable(adjacency), np.intp, sum(degrees))
     n = scenario.n
     max_iters = scenario.options.max_iters
     confirmed = state.confirmed
@@ -260,17 +273,24 @@ def rounds(state: engine.EngineState, scenario: Scenario):
     # and each set's fields as lists of rows
     buffers = np.empty((2, 5, block_rows(n), n))
     row_views = [[list(field) for field in block] for block in buffers]
+    pairs = np.stack((dst, src))
+    theirs, own = ends = np.empty(pairs.shape)
+    summand, step, _, _ = work = (*np.empty((3, n)), np.array(-0.5))
     while True:
         for block, (xs, us, zetas, qs, discs) in zip(buffers, row_views):
             m = max(1, min(len(xs), max_iters - k))
             x, y, zeta, _ = fields
             with np.errstate(all="ignore"):
                 for r in range(m):
-                    # positional arguments: numpy parses keywords slower
-                    q = np.multiply(eta, np.bincount(src, y.take(dst) - y.take(src), n), qs[r])
-                    y = np.add(y, q - zeta + mu * (x - dstar), us[r])
-                    zeta = np.subtract(zeta, mu * q, zetas[r])
-                    x = _inverse(*consts, y, (xs[r], discs[r]))[0]
+                    # positional out, parsed faster; the indices are in range, so
+                    # "clip" changes nothing but writing to out= unbuffered
+                    y.take(pairs, None, ends, "clip")
+                    gossip = np.bincount(src, np.subtract(theirs, own, theirs), n)
+                    q = np.multiply(eta, gossip, qs[r])
+                    np.multiply(mu, np.subtract(x, dstar, step), step)
+                    y = np.add(y, np.add(np.subtract(q, zeta, summand), step, summand), us[r])
+                    zeta = np.subtract(zeta, np.multiply(mu, q, step), zetas[r])
+                    x = _inverse(omega_c, disc_const, *scalars, y, (xs[r], discs[r]), work)[0]
                 x_m, u_m, zeta_m, _, disc_m = block[:, :m]
                 # one sum flags every non-finite value, an overflowed square included
                 finite = np.logical_and.reduce(np.isfinite(u_m + zeta_m + x_m + disc_m), axis=1)

@@ -54,15 +54,15 @@ _EPS = math.ulp(1.0)
 # Device count from which ``run`` iterates with the numpy kernel in
 # ``array_kernel``, and ``oracle.solve`` bisects on its elementwise inverse,
 # when numpy imports. The kernels give equal results, so it decides speed
-# alone. The scalar code is faster below about 22 devices for a run and 28
+# alone. The scalar code is faster below about 18 devices for a run and 28
 # for a solve (median us, scalar/array, then the median paired ratio; seeds
-# 1-3 in-process on 2 shared vCPUs; per round of ``run``: 6.4/14.0 (0.45) at
-# 8, 8.7/14.1 (0.62) at 12, 11.4/14.2 (0.80) at 16, 14.8/15.4 (0.95) at 20,
-# 16.3/14.4 (1.12) at 24; per solve, at about 12 evaluations each: 257/386
+# 1-3 in-process on 2 shared vCPUs; per round of ``run``: 6.2/11.8 (0.52) at
+# 8, 8.4/11.7 (0.71) at 12, 11.7/14.3 (0.85) at 16, 14.5/13.3 (1.07) at 20,
+# 15.9/13.7 (1.21) at 24; per solve, at about 12 evaluations each: 257/386
 # (0.67) at 16, 298/372 (0.80) at 20, 334/365 (0.91) at 24, 404/349 (1.16)
-# at 32). One rule serves both; from 16 to 22 devices a run loses a few us
-# per round and a solve < 0.1 ms, and 20-device runs, which the benchmark
-# times, stay on the array kernel.
+# at 32). One rule serves both; at 16 and 17 devices a run loses 1-3 us per
+# round and from 16 to 27 a solve < 0.1 ms, and 20-device runs, which the
+# benchmark times, win on the array kernel.
 ARRAY_MIN_DEVICES = 16
 
 

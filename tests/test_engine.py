@@ -1111,6 +1111,56 @@ class TestBlocks:
             before, before_fields = residuals, fields
         assert stepped == [rows + 2]
 
+    @pytest.mark.parametrize("edge", ["first-round", "second-block"])
+    def test_hand_off_at_a_block_edge(self, monkeypatch, edge):
+        # a flagged round 1 hands off init's state, and a flagged first round of
+        # the second block the last row of the other buffer set
+        from bandalloc import array_kernel
+
+        scenario = generate_random_scenario(20, 1)
+        flagged = 1 if edge == "first-round" else array_kernel.block_rows(scenario.n) + 1
+        sink, scalar_rounds = recording()
+        want = run_on("scalar", scenario, monkeypatch, trace=sink)
+        assert want.iterations_used > flagged
+        start = initial_state(scenario)
+        prior = scalar_rounds[flagged - 1]
+        assert prior.iteration == flagged - 1
+        before = EngineState(*prior[1:], flagged - 1, start.confirmed)
+        assert before == start or flagged > 1
+        poisoned_inverse(monkeypatch, flagged)
+        handed, real = [], engine._scalar_rounds
+        monkeypatch.setattr(engine, "_scalar_rounds", lambda *a: handed.append(a) or real(*a))
+        sink, array_rounds = recording()
+        got = run_on("array", scenario, monkeypatch, trace=sink)
+        assert handed == [(before, scenario)]
+        assert array_rounds == scalar_rounds
+        assert got == want
+
+    def test_interleaved_runs_keep_their_own_buffers(self, monkeypatch):
+        # two generators drawn round by round, each computing its blocks while
+        # the other is inside one, yield what each yields drawn alone
+        from bandalloc import array_kernel
+
+        scenarios = [generate_random_scenario(n, 1) for n in (20, 60)]
+        count = 3 * array_kernel.block_rows(20)
+        assert array_kernel.block_rows(60) * 3 == count
+        monkeypatch.setattr(
+            engine, "_scalar_rounds", lambda *a: pytest.fail("array round fell back to scalar")
+        )
+
+        def copied(drawn):  # a yielded row is overwritten two blocks later
+            *residuals, fields = drawn
+            return (*residuals, tuple(field.tobytes() for field in fields))
+
+        runs = [array_kernel.rounds(initial_state(s), s) for s in scenarios]
+        together = [[], []]
+        for _ in range(count):
+            for got, rounds in zip(together, runs):
+                got.append(copied(next(rounds)))
+        for got, scenario in zip(together, scenarios):
+            rounds = array_kernel.rounds(initial_state(scenario), scenario)
+            assert got == [copied(next(rounds)) for _ in range(count)]
+
     @pytest.mark.parametrize("stop", ["converged", "diverged", "cap"])
     def test_rounds_past_the_stop_never_raise(self, monkeypatch, stop):
         # one block holds the run's last round and the next one, which overflows:
