@@ -18,9 +18,12 @@ The cases: ``gen`` at n in {1, 2, 3, 8, 15, 20, 60, 200, 2000} for seeds 1 to
 variants of ``paper_s5`` (bandwidth 1e300, omegas times 1e152, omegas 1e308);
 two stalled runs that end at their iteration cap, ``compare`` at n = 60 and
 ``run`` at n = 200, with tolerances of 1e-300 and eta 0.05; ``oracle`` on the
-n = 10^4 output; and ``run``, ``run --trace``, ``compare`` and ``oracle`` on
-``paper_s5`` and on the n = 20, seed 1 output with every demand set to 0. The
-inputs are REV's ``gen`` outputs, so both trees read the same files.
+n = 10^4 output; ``run``, ``run --trace``, ``compare`` and ``oracle`` on
+``paper_s5`` and on the n = 20, seed 1 output with every demand set to 0;
+and ``run``, ``compare`` and ``oracle`` on ``paper_s5`` with device 0's
+demand 1e300 and a bandwidth of 1e-30 or 1e-20, whose admission scale is
+subnormal. The inputs are REV's ``gen`` outputs, so both trees read the
+same files.
 
 Then the working tree's outputs in the two environments are compared case
 by case, so that a package that changes an output shows even where REV has
@@ -63,6 +66,9 @@ STALLED = (("compare", "g60-3.json"), ("run", "g200-1.json"))
 # every demand set to 0: nothing is admitted, below and from the array threshold
 ZERO_DEMAND = ("paper_s5.json", "g20-1.json")
 ZERO_DEMAND_ARGS = (("run",), ("run", "--trace", "trace.csv"), ("compare",), ("oracle",))
+# device 0's demand 1e300 against these bandwidths: bandwidth / total is subnormal
+SUBNORMAL_BANDWIDTHS = (1e-30, 1e-20)
+SUBNORMAL_COMMANDS = ("run", "compare", "oracle")
 
 # argv: a src directory, the comma-separated names to hide (or ""), the CLI's
 # arguments. Runs the CLI from that src directory with those packages unimportable.
@@ -162,6 +168,14 @@ def compare_trees(rev: Path, head: Path, hide: str, work: Path) -> tuple[list[st
         (work / "in" / f"zero-{name}").write_text(json.dumps(doc))
         for command, *args in ZERO_DEMAND_ARGS:
             case([command, f"../in/zero-{name}", *args])
+    doc = json.loads(s5)
+    for bandwidth in SUBNORMAL_BANDWIDTHS:
+        devices = [{**doc["devices"][0], "demand": 1e300}, *doc["devices"][1:]]
+        name = f"s5-demand-1e300-bandwidth-{bandwidth:g}.json"
+        variant = {**doc, "bandwidth": bandwidth, "devices": devices}
+        (work / "in" / name).write_text(json.dumps(variant))
+        for command in SUBNORMAL_COMMANDS:
+            case([command, f"../in/{name}"])
     return differ, outputs
 
 

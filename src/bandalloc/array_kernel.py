@@ -74,18 +74,18 @@ def _cheap_excess(xs, total: float, eps: float = math.ulp(1.0)) -> tuple:
     return np.add.reduce(xs, axis=-1) - total, bound
 
 
-def settled_excess(xs, total: float) -> float | None:
-    """``sum(xs) - total`` with the sign of ``math.fsum(xs) - total``, or None.
+def settled_excess(xs, total: float) -> float:
+    """``sum(xs) - total`` with the sign of ``math.fsum(xs) - total``, NaN included.
 
     The float64 sum of :func:`_cheap_excess` decides past its bound; inside
     it, the same sum and bound in long double, where that is wider than
-    float64, decide past theirs. None leaves the sign to ``fsum``.
+    float64, decide past theirs; inside those, ``fsum`` decides.
     """
     with np.errstate(all="ignore"):  # an overflowed sum has an infinite bound: fsum decides
         diff, bound = _cheap_excess(xs, total)
         if not abs(diff) > bound and _LONG_EPS < math.ulp(1.0) and bound < _LONG_LIMIT:
             diff, bound = _cheap_excess(xs.astype(np.longdouble), total, _LONG_EPS)
-    return float(diff) if abs(diff) > bound else None
+    return float(diff) if abs(diff) > bound else math.fsum(xs.tolist()) - total
 
 
 def checked_graph(n: int, edges: tuple) -> tuple[tuple[tuple[int, int], ...], bool] | None:
@@ -159,13 +159,14 @@ def component_labels(n: int, lo, hi) -> tuple:
 
 
 def inverse_and_slope_for(omega, c: float, price: float, scalar):
-    """``v -> xs``, :func:`bandalloc.utility.invert_derivative` of every device
-    at ``v``; ``(v, xs) -> `` the numpy sum of ``1/U''(x)`` over the devices;
-    and the least, greatest and summed omega.
+    """``oracle._inverse``'s kit on float64 arrays: ``v -> xs``,
+    :func:`bandalloc.utility.invert_derivative` of every device at ``v``;
+    ``(v, xs) -> `` numpy's sums of ``1/U''(x)``, of ``xs`` and of ``|xs|``;
+    :func:`settled_excess`; and the least, greatest and summed omega.
 
-    ``xs`` is a float64 array where it and its discriminant are finite;
-    otherwise ``scalar(v)`` computes it, or raises. The sum is ``dT/dv`` for
-    the total ``T(v) = sum(xs)``; ``xs`` may be a list. ``U''`` is
+    ``xs`` is numpy's result where it and its discriminant are finite;
+    otherwise ``scalar(v)``'s list, as an array, or what it raises. The first
+    sum is ``dT/dv`` for the total ``T(v) = sum(xs)``. ``U''`` is
     ``-(v + 2*price*x)**2/omega - 2*price``.
     """
     omega = np.asarray(omega, dtype=float)
@@ -177,16 +178,17 @@ def inverse_and_slope_for(omega, c: float, price: float, scalar):
             xs, disc = _inverse(*consts, v)
             if np.logical_and.reduce(np.isfinite(xs + disc)):
                 return xs
-        return scalar(v)
+        return np.array(scalar(v))
 
     def slope(v, xs):
         with np.errstate(all="ignore"):
-            t = v + two_price * np.asarray(xs)
-            return float(np.add.reduce(1.0 / (-t * t / omega - two_price)))
+            t = v + two_price * xs
+            dt = np.add.reduce(1.0 / (-t * t / omega - two_price))
+            return float(dt), float(xs.sum()), float(abs(xs).sum())
 
     with np.errstate(all="ignore"):  # the sum may overflow, as the builtin sum does
         summary = float(omega.min()), float(omega.max()), float(np.add.reduce(omega))
-    return inverse, slope, summary
+    return inverse, slope, settled_excess, summary
 
 
 def _constants(omega, c: float, price: float) -> tuple:

@@ -123,11 +123,7 @@ def init(scenario: Scenario, confirmed: ConfirmedDemands) -> EngineState:
     zero zeta start is required for the conserved-sum constraint mechanism.
     """
     n = scenario.n
-    if len(confirmed.values) != n:
-        raise ValueError(
-            f"confirmed demand count {len(confirmed.values)} does not match "
-            f"device count {n}"
-        )
+    _check_count(n, confirmed)
     g = scenario.globals
     mode = scenario.options.init_mode
     zeros = (0.0,) * n
@@ -263,6 +259,14 @@ def array_kernel_for(n: int):
     except ImportError:  # numpy is optional; the scalar code is the stdlib fallback
         return None
     return array_kernel
+
+
+def _check_count(n: int, confirmed: ConfirmedDemands) -> None:
+    """Raise ``ValueError`` unless ``confirmed`` holds one demand per device."""
+    if len(confirmed.values) != n:
+        raise ValueError(
+            f"confirmed demand count {len(confirmed.values)} does not match device count {n}"
+        )
 
 
 def _listed(field):

@@ -83,18 +83,20 @@ def objective(scenario: Scenario, allocations: tuple[float, ...]) -> float:
 
 
 def _inverse(omegas: tuple[float, ...], c: float, price: float):
-    """``v -> xs``, every device's inverse derivative at the common value v;
-    ``(v, xs) -> `` the sum of ``1/U''(x)``, the slope of ``sum(xs)`` in v;
-    and ``(min(omegas), max(omegas), sum(omegas))``.
+    """The solve's kit: ``v -> xs``, every device's inverse derivative at the
+    common value v; ``(v, xs) -> (dT/dv, sum(xs), sum(|xs|))``, where the sum
+    of ``1/U''(x)`` is the slope of ``T(v) = sum(xs)``; ``(xs, target) -> ``
+    a float with the sign of ``math.fsum(xs) - target``, NaN included; and
+    ``(min(omegas), max(omegas), sum(omegas))``.
 
     ``U''`` is written ``-(v + 2*price*x)**2/omega - 2*price``, from
     ``c*x + 1 = omega*c/(v + 2*price*x)``: it does not cancel where x nears
     the asymptote ``-1/c``, as ``c*x + 1`` does. From
-    ``engine.ARRAY_MIN_DEVICES`` devices on, when numpy imports, all three
-    come from ``array_kernel.inverse_and_slope_for``, which reads the omega
-    column as an array once per solve and hands any value it cannot trust to
-    the scalar loop; otherwise, and as the test reference, ``xs`` is a list
-    from one ``inverse_from_constants`` call per device. Either way each
+    ``engine.ARRAY_MIN_DEVICES`` devices on, when numpy imports, the kit is
+    ``array_kernel.inverse_and_slope_for``'s, on float64 arrays, which hands
+    any value it cannot trust to the scalar loop; otherwise, and as the test
+    reference, ``xs`` is a list from one ``inverse_from_constants`` call per
+    device, summed by the builtins and ``math.fsum``. Either way each
     device's constants come from ``inverse_constants``, once per solve.
     """
     two_price, two_price_c = 2.0 * price, 2.0 * price * c
@@ -112,33 +114,20 @@ def _inverse(omegas: tuple[float, ...], c: float, price: float):
             raise type(exc)(_FAILURE.format(what, v, len(xs))) from None
         return xs
 
-    def slope(v: float, xs) -> float:
+    def slope(v: float, xs: list[float]) -> tuple[float, float, float]:
         total = 0.0
         for w, x in zip(omegas, xs):
             t = v + two_price * x
             total += 1.0 / (-t * t / w - two_price)
-        return total
+        return total, sum(xs), sum(map(abs, xs))
+
+    def excess(xs: list[float], target: float) -> float:
+        return math.fsum(xs) - target
 
     kernel = engine.array_kernel_for(len(omegas))
     if kernel is None:
-        return scalar, slope, (min(omegas), max(omegas), sum(omegas))
+        return scalar, slope, excess, (min(omegas), max(omegas), sum(omegas))
     return kernel.inverse_and_slope_for(omegas, c, price, scalar)
-
-
-def _excess(xs, target: float) -> float:
-    """A float with the sign of ``math.fsum(xs) - target``, NaN included.
-
-    An array's sum decides where it lies past its error bound, in float64
-    and then in long double (``array_kernel.settled_excess``); otherwise
-    ``fsum`` decides."""
-    if not isinstance(xs, list):
-        from . import array_kernel  # loaded already: xs is its array
-
-        diff = array_kernel.settled_excess(xs, target)
-        if diff is not None:
-            return diff
-        xs = xs.tolist()
-    return math.fsum(xs) - target
 
 
 def _newton(probe, lo: float, hi: float, v: float):
@@ -177,13 +166,14 @@ def _newton(probe, lo: float, hi: float, v: float):
     return None
 
 
-def _guards(inverse, slope, lo: float, hi: float, target: float, start: float):
+def _guards(inverse, slope, excess, lo: float, hi: float, target: float, start: float):
     """Bounds ``(below, above)``: the bisection's excess is positive at every
     midpoint at or below ``below``, and not positive at or above ``above``.
 
-    :func:`_newton` locates the root r of ``sum(xs) - target`` on numpy's
-    sums, which decide nothing. A guard ``r - g`` then counts when its excess
-    over the target plus a margin is positive, through :func:`_excess`: past
+    ``inverse``, ``slope`` and ``excess`` are the kit of :func:`_inverse`.
+    :func:`_newton` locates the root r of ``sum(xs) - target`` on the slope's
+    plain sums, which decide nothing. A guard ``r - g`` then counts when its
+    excess over the target plus a margin is positive, through ``excess``: past
     the margin, rounding cannot turn the sign anywhere below it. ``r + g``
     likewise, with the sign turned. A guard that does not confirm, and any
     failure of the search, leaves an infinite bound, where the bisection
@@ -191,14 +181,10 @@ def _guards(inverse, slope, lo: float, hi: float, target: float, start: float):
     """
 
     def probe(v: float):
-        """``xs``, numpy's ``sum(xs) - target``, the slope of ``sum(xs)`` in v,
-        and a bound on the rounding error of the exact total of ``xs``."""
+        """``xs``, the plain ``sum(xs) - target``, the slope of ``sum(xs)`` in
+        v, and a bound on the rounding error of the exact total of ``xs``."""
         xs = inverse(v)
-        if isinstance(xs, list):
-            total, size = sum(xs), sum(map(abs, xs))
-        else:
-            total, size = float(xs.sum()), float(abs(xs).sum())
-        dt = slope(v, xs)
+        dt, total, size = slope(v, xs)
         return xs, total - target, dt, _ROUNDING * (size - abs(v) * dt) + math.ulp(target)
 
     bounds = [-math.inf, math.inf]
@@ -212,7 +198,7 @@ def _guards(inverse, slope, lo: float, hi: float, target: float, start: float):
             guard = r - sign * width
             if lo < guard < hi:
                 xs, _, _, noise = probe(guard)
-                if sign * _excess(xs, target + sign * _MARGIN * noise) > 0.0:
+                if sign * excess(xs, target + sign * _MARGIN * noise) > 0.0:
                     bounds[side] = guard
     except (ArithmeticError, ValueError):
         pass
@@ -241,11 +227,7 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
     rounded sum would be, and the two paths give equal solutions bit for bit.
     """
     n = scenario.n
-    if len(confirmed.values) != n:
-        raise ValueError(
-            f"confirmed demand count {len(confirmed.values)} does not match "
-            f"device count {n}"
-        )
+    engine._check_count(n, confirmed)
     g = scenario.globals
     c = capacity_coefficient(g.snr)
     omegas = scenario.omegas
@@ -255,7 +237,7 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
         zeros = tuple(0.0 for _ in range(n))
         return OracleSolution(allocations=zeros, lam=None, objective=objective(scenario, zeros))
 
-    inverse, slope, (w_min, w_max, w_sum) = _inverse(omegas, c, g.price)
+    inverse, slope, excess, (w_min, w_max, w_sum) = _inverse(omegas, c, g.price)
 
     # both ends are monotone in omega, in floating point too
     lo = derivative(w_min, c, g.price, g.bandwidth * n)
@@ -270,7 +252,7 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
             # least-omega device alone takes the total, every device takes as much
             lo = derivative(w_min, c, g.price, target)
             xs = inverse(lo)
-        if _excess(xs, target) >= 0.0:
+        if excess(xs, target) >= 0.0:
             break
         lo -= abs(lo) + 1.0
     else:
@@ -282,7 +264,7 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
         raise ArithmeticError("bisection bracket failure: a bracket end is not finite")
 
     start = derivative(w_sum / n, c, g.price, target / n)
-    below, above = _guards(inverse, slope, lo, hi, target, start)
+    below, above = _guards(inverse, slope, excess, lo, hi, target, start)
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-12 * max(1.0, abs(mid)):
@@ -292,7 +274,7 @@ def solve(scenario: Scenario, confirmed: ConfirmedDemands) -> OracleSolution:
             lo = mid
         elif mid >= above:
             hi = mid
-        elif _excess(inverse(mid), target) > 0.0:
+        elif excess(inverse(mid), target) > 0.0:
             lo = mid
         else:
             hi = mid

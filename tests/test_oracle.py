@@ -234,6 +234,48 @@ class TestArrayPath:
         assert calls
         assert array == scalar
 
+    def test_scalar_values_reach_the_sign_test_as_an_array(self, monkeypatch):
+        # a non-finite discriminant at one bisection midpoint hands it to the
+        # scalar loop, whose values the kit keeps and compares as numpy's
+        import numpy as np
+
+        from bandalloc import array_kernel
+
+        scenario = generate_random_scenario(20, 1)
+        confirmed = admit(scenario.demands, scenario.globals.bandwidth)
+        real, points = array_kernel._inverse, []
+
+        def recorded(*args):
+            points.append(args[-1])
+            return real(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(array_kernel, "_inverse", recorded)
+            want = repr(solve(scenario, confirmed))
+        # the last evaluated bisection midpoint: the last value before lam's
+        poison = points[-2]
+        # the index of the sign test of the poisoned values, then those values
+        fallback, scalar = [], oracle.inverse_from_constants
+
+        def poisoned(*args):
+            xs, disc = real(*args)
+            if args[-1] == poison:
+                disc[0] = math.inf
+                fallback.append(len(seen))
+            return xs, disc
+
+        seen = recorded_excess(monkeypatch)
+        monkeypatch.setattr(array_kernel, "_inverse", poisoned)
+        monkeypatch.setattr(
+            oracle, "inverse_from_constants", lambda *a: fallback.append(scalar(*a)) or fallback[-1]
+        )
+        assert repr(solve(scenario, confirmed)) == want
+        k, *values = fallback
+        assert len(values) == scenario.n
+        xs, target, _ = seen[k]
+        assert type(xs) is np.ndarray and xs.dtype == np.float64
+        assert (xs.tolist(), target) == (values, confirmed.total)
+
     @pytest.mark.parametrize(
         "omega, error",
         [
@@ -268,12 +310,12 @@ def reference_solve(scenario, confirmed):
     g = scenario.globals
     c = capacity_coefficient(g.snr)
     n, omegas, target = scenario.n, scenario.omegas, confirmed.total
-    inverse = oracle._inverse(omegas, c, g.price)[0]
+    inverse, _, kit_excess, _ = oracle._inverse(omegas, c, g.price)
     evaluations = []
 
     def excess(v):
         evaluations.append(v)
-        return oracle._excess(inverse(v), target)
+        return kit_excess(inverse(v), target)
 
     def bisect():
         if target == 0.0:
@@ -567,8 +609,13 @@ def scaled_slope(factor: float):
     real = oracle._inverse
 
     def inverse(*args):
-        values, slope, summary = real(*args)
-        return values, (lambda v, xs: factor * slope(v, xs)), summary
+        values, slope, *rest = real(*args)
+
+        def scaled(v, xs):
+            dt, *sums = slope(v, xs)
+            return factor * dt, *sums
+
+        return values, scaled, *rest
 
     return inverse
 
@@ -673,7 +720,7 @@ def test_division_by_zero_names_value_and_device(monkeypatch, omegas):
     )
     for name, threshold in kernel_thresholds().items():
         monkeypatch.setattr(engine, "ARRAY_MIN_DEVICES", threshold)
-        inverse, _, _ = oracle._inverse(omegas, capacity_coefficient(1.0), price)
+        inverse = oracle._inverse(omegas, capacity_coefficient(1.0), price)[0]
         with pytest.raises(ZeroDivisionError) as excinfo:
             inverse(-2.0 * price)
         assert str(excinfo.value) == want, name
@@ -728,24 +775,39 @@ def sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
-def fsum_fallbacks(monkeypatch, scenario) -> tuple[str, int]:
-    """``repr`` of ``solve``'s solution, and how often ``_excess`` left the sign to ``fsum``."""
+def recorded_excess(monkeypatch) -> list:
+    """Patch ``array_kernel.settled_excess``, which the array kit of each later
+    ``solve`` takes, to assert that it returns a float and to record its
+    arguments and whether it left the sign to ``fsum``; returns the records."""
     from bandalloc import array_kernel
 
-    real = array_kernel.settled_excess
-    results = []
+    real, real_fsum = array_kernel.settled_excess, math.fsum
+    fsums, seen = [], []
 
     def recorded(xs, target):
-        results.append(real(xs, target))
-        return results[-1]
+        before = len(fsums)
+        diff = real(xs, target)
+        assert type(diff) is float, diff
+        seen.append((xs, target, len(fsums) > before))
+        return diff
 
+    monkeypatch.setattr(math, "fsum", lambda v: fsums.append(v) or real_fsum(v))
     monkeypatch.setattr(array_kernel, "settled_excess", recorded)
+    return seen
+
+
+def fsum_fallbacks(monkeypatch, scenario) -> tuple[str, int]:
+    """``repr`` of ``solve``'s solution, and how often ``settled_excess`` left
+    the sign to ``fsum``."""
+    seen = recorded_excess(monkeypatch)
     solution = solve(scenario, admit(scenario.demands, scenario.globals.bandwidth))
-    return repr(solution), results.count(None)
+    assert seen
+    return repr(solution), sum(fell_back for *_, fell_back in seen)
 
 
 class TestCheapSumDecisions:
-    """``oracle._excess`` against the all-``fsum`` bisection it replaces."""
+    """``array_kernel.settled_excess``, the array kit's sign test, against the
+    all-``fsum`` bisection it replaces."""
 
     @pytest.fixture(autouse=True)
     def _numpy(self):
@@ -755,22 +817,19 @@ class TestCheapSumDecisions:
     def test_decisions_and_results_match_fsum(self, monkeypatch, n):
         from bandalloc import array_kernel
 
-        real = oracle._excess
+        real = array_kernel.settled_excess
         inside = 0  # decisions that numpy's sum leaves to fsum
         for seed in range(1, 6):
             scenario = generate_random_scenario(n, seed)
             confirmed = admit(scenario.demands, scenario.globals.bandwidth)
-            seen = []
-            monkeypatch.setattr(
-                oracle, "_excess", lambda xs, t: seen.append((xs, t)) or real(xs, t)
-            )
+            seen = recorded_excess(monkeypatch)
             cheap = solve(scenario, confirmed)
-            assert seen and all(not isinstance(xs, list) for xs, _ in seen)
-            for xs, t in seen:
+            assert seen and all(xs.dtype == float for xs, *_ in seen)
+            for xs, t, _ in seen:
                 assert sign(real(xs, t)) == sign(fsum_excess(xs, t)), (n, seed)
                 diff, bound = array_kernel._cheap_excess(xs, t)
                 inside += abs(diff) <= bound
-            monkeypatch.setattr(oracle, "_excess", fsum_excess)
+            monkeypatch.setattr(array_kernel, "settled_excess", fsum_excess)
             exact = solve(scenario, confirmed)
             assert cheap.lam == exact.lam, (n, seed)
             assert cheap.allocations == exact.allocations, (n, seed)
@@ -786,17 +845,13 @@ class TestCheapSumDecisions:
 
         if not array_kernel._LONG_EPS < math.ulp(1.0):
             pytest.skip("numpy's long double is float64 here")
-        real = oracle._excess
         # decisions the long double sum settles, and those of them inside float64's bound
         decided = inside = 0
         for seed in seeds:
             scenario = generate_random_scenario(n, seed)
-            seen = []
-            monkeypatch.setattr(
-                oracle, "_excess", lambda xs, t: seen.append((xs, t)) or real(xs, t)
-            )
+            seen = recorded_excess(monkeypatch)
             solve(scenario, admit(scenario.demands, scenario.globals.bandwidth))
-            for xs, t in seen:
+            for xs, t, _ in seen:
                 wide = xs.astype(np.longdouble)
                 diff, bound = array_kernel._cheap_excess(wide, t, array_kernel._LONG_EPS)
                 if abs(diff) > bound:
@@ -831,6 +886,8 @@ class TestCheapSumDecisions:
     def test_cancellation_inside_the_bound_takes_fsum(self, monkeypatch):
         import numpy as np
 
+        from bandalloc import array_kernel
+
         # the exact total is 2 + ulp(2), one float above the target, but
         # numpy's sum loses both ones to the 1e16 terms
         xs = np.array([1.0, 1e16, -1e16, 1.0 + 2 * math.ulp(1.0)])
@@ -841,11 +898,13 @@ class TestCheapSumDecisions:
         calls = []
         real_fsum = math.fsum
         monkeypatch.setattr(math, "fsum", lambda v: calls.append(v) or real_fsum(v))
-        assert oracle._excess(xs, target) > 0.0
+        assert array_kernel.settled_excess(xs, target) > 0.0
         assert calls
 
     def test_cancellation_inside_the_long_double_bound_takes_fsum(self, monkeypatch):
         import numpy as np
+
+        from bandalloc import array_kernel
 
         # as above, but the 1e20 terms swallow the ones in long double too
         xs = np.array([1.0, 1e20, -1e20, 1.0 + 2 * math.ulp(1.0)])
@@ -854,11 +913,13 @@ class TestCheapSumDecisions:
         calls = []
         real_fsum = math.fsum
         monkeypatch.setattr(math, "fsum", lambda v: calls.append(v) or real_fsum(v))
-        assert oracle._excess(xs, target) > 0.0
+        assert array_kernel.settled_excess(xs, target) > 0.0
         assert calls
 
     def test_overflowing_sum_left_to_fsum(self):
         import numpy as np
+
+        from bandalloc import array_kernel
 
         # float64 sums overflow, a long double one would not: fsum keeps the
         # decision, and raises
@@ -866,15 +927,17 @@ class TestCheapSumDecisions:
         with pytest.raises(OverflowError):
             math.fsum(xs.tolist())
         with pytest.raises(OverflowError):
-            oracle._excess(xs, 1.0)
+            array_kernel.settled_excess(xs, 1.0)
 
     def test_clear_comparison_skips_fsum(self, monkeypatch):
         import numpy as np
+
+        from bandalloc import array_kernel
 
         calls = []
         real_fsum = math.fsum
         monkeypatch.setattr(math, "fsum", lambda v: calls.append(v) or real_fsum(v))
         xs = np.arange(1.0, 101.0)
-        assert oracle._excess(xs, 5050.0 - 1e-9) > 0.0
-        assert oracle._excess(xs, 5050.0 + 1e-9) < 0.0
+        assert array_kernel.settled_excess(xs, 5050.0 - 1e-9) > 0.0
+        assert array_kernel.settled_excess(xs, 5050.0 + 1e-9) < 0.0
         assert not calls

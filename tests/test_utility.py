@@ -133,14 +133,16 @@ class TestDerivative:
 
 
 def slope_closure(path: str, omega: float, c: float, price: float):
-    """``oracle.solve``'s slope ``(v, xs) -> sum(1/U''(x))`` for one device of
-    ``omega``: the scalar loop's, or the array kernel's."""
+    """``(v, x) -> 1/U''(x)``, ``oracle.solve``'s slope for one device of
+    ``omega``: the scalar kit's on a list, or the array kit's on an array."""
     if path == "scalar":
-        return oracle._inverse((omega,), c, price)[1]
+        slope = oracle._inverse((omega,), c, price)[1]
+        return lambda v, x: slope(v, [x])[0]
     np = pytest.importorskip("numpy")
     from bandalloc.array_kernel import inverse_and_slope_for
 
-    return inverse_and_slope_for(np.array([omega]), c, price, None)[1]
+    slope = inverse_and_slope_for(np.array([omega]), c, price, None)[1]
+    return lambda v, x: slope(v, np.array([x]))[0]
 
 
 @pytest.mark.parametrize("path", ["scalar", "array"])
@@ -158,7 +160,7 @@ class TestInverseSlope:
         c = mpmath.log(101, 2)
         want = mpmath.diff(lambda t: omega * c / (c * t + 1) - mpmath.mpf("0.02") * t, x)
         slope = slope_closure(path, omega, C100, 0.01)
-        assert slope(v, [x]) == pytest.approx(float(1 / want), rel=1e-12)
+        assert slope(v, x) == pytest.approx(float(1 / want), rel=1e-12)
 
     def test_is_the_inverse_slope(self, path):
         def inverse(v):
@@ -168,7 +170,7 @@ class TestInverseSlope:
         slope = slope_closure(path, 3.0, C100, 0.01)
         for v in (-50.0, -1.0, 0.0, 1.0617, 5.0, 6.0, 1e3):
             numeric = (inverse(v + h) - inverse(v - h)) / (2.0 * h)
-            assert slope(v, [inverse(v)]) == pytest.approx(numeric, rel=1e-6), v
+            assert slope(v, inverse(v)) == pytest.approx(numeric, rel=1e-6), v
 
 
 class TestInvertDerivative:
