@@ -822,15 +822,19 @@ class TestCheapSumDecisions:
         for seed in range(1, 6):
             scenario = generate_random_scenario(n, seed)
             confirmed = admit(scenario.demands, scenario.globals.bandwidth)
-            seen = recorded_excess(monkeypatch)
-            cheap = solve(scenario, confirmed)
+            # each solve patches inside its own context, so every seed's cheap
+            # solve runs the real sign test, not the last seed's reference
+            with monkeypatch.context() as patch:
+                seen = recorded_excess(patch)
+                cheap = solve(scenario, confirmed)
             assert seen and all(xs.dtype == float for xs, *_ in seen)
             for xs, t, _ in seen:
                 assert sign(real(xs, t)) == sign(fsum_excess(xs, t)), (n, seed)
                 diff, bound = array_kernel._cheap_excess(xs, t)
                 inside += abs(diff) <= bound
-            monkeypatch.setattr(array_kernel, "settled_excess", fsum_excess)
-            exact = solve(scenario, confirmed)
+            with monkeypatch.context() as patch:
+                patch.setattr(array_kernel, "settled_excess", fsum_excess)
+                exact = solve(scenario, confirmed)
             assert cheap.lam == exact.lam, (n, seed)
             assert cheap.allocations == exact.allocations, (n, seed)
         # numpy's error bound grows with n: at 1000 devices a step next to the
@@ -849,8 +853,9 @@ class TestCheapSumDecisions:
         decided = inside = 0
         for seed in seeds:
             scenario = generate_random_scenario(n, seed)
-            seen = recorded_excess(monkeypatch)
-            solve(scenario, admit(scenario.demands, scenario.globals.bandwidth))
+            with monkeypatch.context() as patch:
+                seen = recorded_excess(patch)
+                solve(scenario, admit(scenario.demands, scenario.globals.bandwidth))
             for xs, t, _ in seen:
                 wide = xs.astype(np.longdouble)
                 diff, bound = array_kernel._cheap_excess(wide, t, array_kernel._LONG_EPS)
