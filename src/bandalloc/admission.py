@@ -10,14 +10,14 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
+
+from .record import Record
 
 __all__ = ["ConfirmedDemands", "admit"]
 
 
-@dataclass(frozen=True)
-class ConfirmedDemands:
+class ConfirmedDemands(Record):
     """Per-device confirmed targets whose total never exceeds the budget."""
 
     values: tuple[float, ...]

@@ -15,7 +15,6 @@ import re
 import sys
 from enum import IntEnum
 from itertools import repeat
-from pathlib import Path
 
 from . import engine, oracle
 from .admission import ConfirmedDemands, admit
@@ -64,7 +63,8 @@ def _warn(message: str) -> None:
 
 def _load_scenario_file(path: str) -> Scenario:
     try:
-        return parse_scenario(Path(path).read_bytes())
+        with open(path, "rb") as fh:
+            return parse_scenario(fh.read())
     except OSError as exc:
         raise _CliError(f"cannot read scenario file {path}: {exc}") from None
     except ScenarioError as exc:
@@ -76,7 +76,7 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     ``SolverOptions`` field that the flag's ``dest`` names."""
     given = {name: value for name, value in vars(args).items() if value is not None}
     global_kwargs, option_kwargs = (
-        {f.name: given[f.name] for f in dataclasses.fields(settings) if f.name in given}
+        {name: given[name] for name in settings._names if name in given}
         for settings in (scenario.globals, scenario.options)
     )
     if not global_kwargs and not option_kwargs:
@@ -209,10 +209,10 @@ def _trace_sink(args: argparse.Namespace, n: int):
     if args.trace is None:
         yield None
         return
-    target = Path(args.trace)
-    if target.is_dir():
+    if os.path.isdir(args.trace):
         raise _CliError(f"cannot write trace file {args.trace}: it is a directory")
-    tmp = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
+    parent, name = os.path.split(args.trace)
+    tmp = os.path.join(parent, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
         # a buffer of many rounds: at the default 8 KiB a 60-device round,
         # about 5.3 KB, costs a ``write`` call every round or two
@@ -221,9 +221,10 @@ def _trace_sink(args: argparse.Namespace, n: int):
             with fh:
                 fh.write(b"iter,device,x,u_prime,zeta,q\r\n")
                 yield _csv_sink(fh, n)
-            os.replace(tmp, target)
+            os.replace(tmp, args.trace)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
             raise
     except OSError as exc:
         # the reason alone: the full message names the temporary file, a random name
@@ -306,7 +307,8 @@ def cmd_gen(args: argparse.Namespace) -> ExitStatus:
     text = serialize_scenario(scenario)
     if args.out is not None:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as exc:
             raise _CliError(f"cannot write {args.out}: {exc}") from None
     else:

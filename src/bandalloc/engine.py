@@ -19,11 +19,10 @@ confirmed demand total, so the two together land on the equal-marginal
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .admission import ConfirmedDemands, admit
+from .record import Record
 from .scenario import Scenario
 # not called: kept because bench/tracer.py wraps these bindings by name
 from .topology import build as build_topology  # noqa: F401
@@ -75,8 +74,7 @@ class NumericalError(RuntimeError):
         self.device = device
 
 
-@dataclass(frozen=True)
-class EngineState:
+class EngineState(Record):
     """Round-boundary state of all devices, one float per device per field.
 
     ``u_prime`` holds the marginal utilities the devices quote to their
@@ -93,16 +91,18 @@ class EngineState:
     confirmed: ConfirmedDemands
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(Record):
+    """The final state's residuals, whether the run diverged, and its warnings."""
+
     consensus_residual: float
     constraint_residual: float
     diverged: bool = False
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
+    """The engine's allocations and consensus value, its rounds, and its diagnostics."""
+
     allocations: tuple[float, ...]
     consensus_value: float
     iterations_used: int
@@ -134,6 +134,7 @@ def init(scenario: Scenario, confirmed: ConfirmedDemands) -> EngineState:
     elif mode == "uniform":
         xs = (g.bandwidth / n,) * n
     else:
+        import random
         rng = random.Random(scenario.options.seed if scenario.options.seed is not None else 0)
         xs = tuple(rng.uniform(0.0, g.bandwidth) for _ in range(n))
     c = capacity_coefficient(g.snr)

@@ -16,10 +16,10 @@ bisection finishes, its steps, solution and error are these, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import engine
 from .admission import ConfirmedDemands
+from .record import Record
 from .scenario import Scenario
 from .utility import capacity_coefficient, derivative, evaluate
 from .utility import inverse_constants, inverse_from_constants
@@ -48,8 +48,7 @@ _MARGIN = 3.0
 _FAILURE = "bisection failure: {} inverting the derivative at v = {}, device {}"
 
 
-@dataclass(frozen=True)
-class OracleSolution:
+class OracleSolution(Record):
     """Optimal allocations, the common marginal value, and the welfare value.
 
     ``lam`` is None for the degenerate all-zero-demand instance, where no

@@ -12,16 +12,15 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import random
+import os
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict
 from functools import cached_property
 from operator import itemgetter
-from pathlib import Path
-from typing import Any
 
 from . import topology
 from .admission import _floats
+from .record import Record
 from .utility import capacity_coefficient
 
 __all__ = [
@@ -45,7 +44,7 @@ class ScenarioError(ValueError):
     """A scenario document or field violates its contract."""
 
 
-def _number(name: str, value: Any) -> float:
+def _number(name: str, value: object) -> float:
     """``value`` as a float: bools, non-numbers and ints beyond float range are errors."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{name} must be a number, got {value!r}")
@@ -55,20 +54,19 @@ def _number(name: str, value: Any) -> float:
         raise ScenarioError(f"{name} is an integer too large for a float") from None
 
 
-def _positive(name: str, value: Any) -> float:
+def _positive(name: str, value: object) -> float:
     x = _number(name, value)
     if not (math.isfinite(x) and x > 0):
         raise ScenarioError(f"{name} must be a positive finite number, got {x}")
     return x
 
 
-def _require_int(name: str, value: Any) -> None:
+def _require_int(name: str, value: object) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ScenarioError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Globals:
+class Globals(Record):
     """Shared constants: total bandwidth, channel SNR, price, and gains."""
 
     bandwidth: float
@@ -78,8 +76,8 @@ class Globals:
     eta: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            object.__setattr__(self, f.name, _positive(f.name, getattr(self, f.name)))
+        for name in self._names:
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
         if 1.0 + self.snr == 1.0:
             raise ScenarioError(f"snr is too small: log2(1 + snr) rounds to 0, got {self.snr}")
         if 2.0 * self.price * capacity_coefficient(self.snr) == 0.0:  # the inverse's divisor
@@ -88,8 +86,7 @@ class Globals:
             )
 
 
-@dataclass(frozen=True)
-class SolverOptions:
+class SolverOptions(Record):
     """Stopping rule, initialization mode, and optional RNG seed."""
 
     max_iters: int = 10000
@@ -112,8 +109,7 @@ class SolverOptions:
             _require_int("seed", self.seed)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A complete, validated problem instance.
 
     Device ``k`` is ``(omegas[k], demands[k])``, two columns of floats.
@@ -127,7 +123,7 @@ class Scenario:
     omegas: tuple[float, ...]
     demands: tuple[float, ...]
     edges: tuple[tuple[int, int], ...]
-    options: SolverOptions = field(default_factory=SolverOptions)
+    options: SolverOptions = SolverOptions()
 
     def __post_init__(self) -> None:
         omegas, demands = tuple(self.omegas), tuple(self.demands)
@@ -170,12 +166,10 @@ class Scenario:
         return topology.adjacency(self.n, self.edges)
 
 
-_GLOBAL_KEYS = [f.name for f in fields(Globals)]
-_TOP_KEYS = {*_GLOBAL_KEYS, "devices", "edges", "options"}
+_TOP_KEYS = {*Globals._names, "devices", "edges", "options"}
 _REQUIRED_TOP_KEYS = _TOP_KEYS - {"options"}
 _DEVICE_KEYS = {"omega", "demand"}
 _OMEGA, _DEMAND = itemgetter("omega"), itemgetter("demand")
-_OPTION_KEYS = {f.name for f in fields(SolverOptions)}
 
 
 def _check_keys(doc: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -206,7 +200,7 @@ def _device_columns(entries: list) -> tuple[Sequence, Sequence]:
     return [entry["omega"] for entry in entries], [entry["demand"] for entry in entries]
 
 
-def scenario_from_dict(doc: Any) -> Scenario:
+def scenario_from_dict(doc: object) -> Scenario:
     """Validate a decoded JSON document and build a :class:`Scenario`.
 
     This checks the document's shape; the dataclasses check the values.
@@ -217,7 +211,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("top level must be a JSON object")
     _check_keys(doc, _TOP_KEYS, _REQUIRED_TOP_KEYS, "top level")
-    glob = Globals(**{key: doc[key] for key in _GLOBAL_KEYS})
+    glob = Globals(**{key: doc[key] for key in Globals._names})
 
     raw_devices = doc["devices"]
     if not isinstance(raw_devices, list) or not raw_devices:
@@ -233,7 +227,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
     raw = doc.get("options", {})
     if not isinstance(raw, dict):
         raise ScenarioError("options: must be an object")
-    _check_keys(raw, _OPTION_KEYS, set(), "options")
+    _check_keys(raw, SolverOptions._name_set, set(), "options")
     # an unset seed is written by leaving the key out, never as null
     if "seed" in raw and raw["seed"] is None:
         raise ScenarioError("options: seed must be an integer, got None")
@@ -302,9 +296,10 @@ def serialize_scenario(scenario: Scenario) -> str:
     return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | os.PathLike[str]) -> Scenario:
     """Read and parse a scenario file."""
-    return parse_scenario(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        return parse_scenario(fh.read())
 
 
 def generate_random_scenario(n: int, seed: int) -> Scenario:
@@ -319,6 +314,7 @@ def generate_random_scenario(n: int, seed: int) -> Scenario:
     """
     if n < 1:
         raise ValueError(f"device count must be >= 1, got {n}")
+    import random
     rng = random.Random(seed)
     omegas = [rng.uniform(0.5, 5.0) for _ in range(n)]
     demands = [rng.uniform(0.5, 3.0) for _ in range(n)]

@@ -1123,6 +1123,29 @@ def test_traced_compare_does_not_import_tempfile(tmp_path):
     assert (tmp_path / "trace.csv").exists()
 
 
+def test_compare_imports_no_pathlib_typing_random_or_tempfile():
+    # -S, as above; pathlib, typing and random alone cost a fresh process about 15 ms
+    child = run_child(
+        "-S",
+        "-c",
+        "import sys\n"
+        "from bandalloc.cli import main\n"
+        "assert main(['compare', sys.argv[1]]) == 0\n"
+        "unused = {'pathlib', 'typing', 'random', 'tempfile'}\n"
+        "print(sorted(unused & set(sys.modules)), file=sys.stderr)\n",
+        str(BENCH_PATH),
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == "[]\n"
+
+
+def test_unreadable_scenario_file_error_names_the_path_and_the_reason(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    assert main(["run", str(missing)]) == ExitStatus.INVALID_INPUT
+    reason = f"[Errno 2] No such file or directory: '{missing}'"
+    assert capsys.readouterr().err == f"error: cannot read scenario file {missing}: {reason}\n"
+
+
 def test_long_trace_loads_orjson_midway_with_bytes_unchanged(tmp_path):
     pytest.importorskip("orjson")
     trace = tmp_path / "trace.csv"
