@@ -20,10 +20,12 @@ two stalled runs that end at their iteration cap, ``compare`` at n = 60 and
 ``run`` at n = 200, with tolerances of 1e-300 and eta 0.05; ``oracle`` on the
 n = 10^4 output; ``run``, ``run --trace``, ``compare`` and ``oracle`` on
 ``paper_s5`` and on the n = 20, seed 1 output with every demand set to 0;
-and ``run``, ``compare`` and ``oracle`` on ``paper_s5`` with device 0's
-demand 1e300 and a bandwidth of 1e-30 or 1e-20, whose admission scale is
-subnormal. The inputs are REV's ``gen`` outputs, so both trees read the
-same files.
+``run``, ``compare`` and ``oracle`` on ``paper_s5`` with device 0's demand
+1e300 and a bandwidth of 1e-30 or 1e-20, whose admission scale is subnormal;
+and ``run`` and ``compare`` on ``paper_s5`` and on the n = 20, seed 1 output
+with each of ``--mu 0.1``, ``--init uniform`` and ``--init random --seed 5``,
+and with the rejected overrides ``--eta -1`` and ``--max-iters 0``. The
+inputs are REV's ``gen`` outputs, so both trees read the same files.
 
 Then the working tree's outputs in the two environments are compared case
 by case, so that a package that changes an output shows even where REV has
@@ -69,6 +71,17 @@ ZERO_DEMAND_ARGS = (("run",), ("run", "--trace", "trace.csv"), ("compare",), ("o
 # device 0's demand 1e300 against these bandwidths: bandwidth / total is subnormal
 SUBNORMAL_BANDWIDTHS = (1e-30, 1e-20)
 SUBNORMAL_COMMANDS = ("run", "compare", "oracle")
+# engine flags, each of which replaces a field of the scenario's Globals or
+# SolverOptions; the last two are rejected, with exit 1 and "invalid override: ..."
+OVERRIDE_ARGS = (
+    ("--mu", "0.1"),
+    ("--init", "uniform"),
+    ("--init", "random", "--seed", "5"),
+    ("--eta", "-1"),
+    ("--max-iters", "0"),
+)
+OVERRIDE = ("paper_s5.json", "g20-1.json")
+OVERRIDE_COMMANDS = ("run", "compare")
 
 # argv: a src directory, the comma-separated names to hide (or ""), the CLI's
 # arguments. Runs the CLI from that src directory with those packages unimportable.
@@ -176,6 +189,10 @@ def compare_trees(rev: Path, head: Path, hide: str, work: Path) -> tuple[list[st
         (work / "in" / name).write_text(json.dumps(variant))
         for command in SUBNORMAL_COMMANDS:
             case([command, f"../in/{name}"])
+    for name in OVERRIDE:
+        for command in OVERRIDE_COMMANDS:
+            for args in OVERRIDE_ARGS:
+                case([command, f"../in/{name}", *args])
     return differ, outputs
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import gc
 import math
@@ -84,11 +83,11 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     if option_kwargs.get("init_mode") == "random":
         option_kwargs["init_mode"] = "seeded-random"
     try:
-        glob = dataclasses.replace(scenario.globals, **global_kwargs)
-        options = dataclasses.replace(scenario.options, **option_kwargs)
+        glob = scenario.globals.replace(**global_kwargs)
+        options = scenario.options.replace(**option_kwargs)
     except ScenarioError as exc:
         raise _CliError(f"invalid override: {exc}") from None
-    return dataclasses.replace(scenario, globals=glob, options=options)
+    return scenario.replace(globals=glob, options=options)
 
 
 # floats that ``repr`` formats in about the time that ``import orjson`` takes in a

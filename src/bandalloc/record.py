@@ -1,19 +1,17 @@
-"""The methods ``@dataclass(frozen=True)`` compiles for each record, written once."""
+"""The frozen record that each data type of the package is, written once."""
 
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from operator import itemgetter
 
 
 class Record:
-    """A frozen dataclass whose ``==``, ``hash`` and ``repr`` read its fields only,
+    """A frozen record whose ``==``, ``hash`` and ``repr`` read its fields only,
     never a value that a ``cached_property`` keeps beside them in ``__dict__``."""
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        dataclass(init=False, repr=False, eq=False)(cls)  # for fields, replace and asdict
-        cls._names = tuple(f.name for f in fields(cls))
+        cls._names = tuple(cls.__annotations__)  # the fields: the class's own annotated names
         cls._name_set = frozenset(cls._names)
-        cls._defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+        cls._defaults = {name: vars(cls)[name] for name in cls._names if name in vars(cls)}
         cls._values = itemgetter(*cls._names)  # of ``__dict__``: a tuple, or the one value
 
     def __init__(self, *args, **kwargs) -> None:
@@ -34,11 +32,15 @@ class Record:
     def __post_init__(self) -> None:
         """Check the fields; a record without rules accepts any values."""
 
+    def replace(self, **changes) -> "Record":
+        """A new record of these fields with ``changes`` in place, checked again."""
+        return type(self)(**{name: self.__dict__[name] for name in self._names} | changes)
+
     def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -14,7 +14,6 @@ import json
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import asdict
 from functools import cached_property
 from operator import itemgetter
 
@@ -203,7 +202,7 @@ def _device_columns(entries: list) -> tuple[Sequence, Sequence]:
 def scenario_from_dict(doc: object) -> Scenario:
     """Validate a decoded JSON document and build a :class:`Scenario`.
 
-    This checks the document's shape; the dataclasses check the values.
+    This checks the document's shape; the records check the values.
     From ``engine.ARRAY_MIN_DEVICES`` devices on it imports the numpy
     kernels, as ``engine.array_kernel_for`` does, so that
     :func:`bandalloc.topology.build` checks the edges on arrays.
@@ -280,11 +279,11 @@ def parse_scenario(text: str | bytes) -> Scenario:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Plain-dict form of a scenario, inverse of :func:`scenario_from_dict`."""
-    options = asdict(scenario.options)
+    options = {name: getattr(scenario.options, name) for name in SolverOptions._names}
     if options["seed"] is None:  # an unset seed is written by leaving the key out
         del options["seed"]
     return {
-        **asdict(scenario.globals),
+        **{name: getattr(scenario.globals, name) for name in Globals._names},
         "devices": [{"omega": w, "demand": d} for w, d in zip(scenario.omegas, scenario.demands)],
         "edges": [[i, j] for i, j in scenario.edges],
         "options": options,

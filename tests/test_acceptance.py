@@ -7,7 +7,6 @@ failure output).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import random
@@ -56,10 +55,7 @@ def _run_with_rescue(scenario):
     if not unstable:
         return result, False
     g = scenario.globals
-    halved = dataclasses.replace(
-        scenario,
-        globals=dataclasses.replace(g, eta=g.eta / 2.0, mu=g.mu / 2.0),
-    )
+    halved = scenario.replace(globals=g.replace(eta=g.eta / 2.0, mu=g.mu / 2.0))
     try:
         return run(halved), True
     except NumericalError:

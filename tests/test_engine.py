@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import sys
@@ -188,14 +187,14 @@ class TestStep:
         )
         flat = state_from_values(scenario, [-1.0] * 5)
         # equal marginals, zero zeta and x = d_star: every u' stays exactly -1
-        flat = dataclasses.replace(flat, x=flat.confirmed.values)
+        flat = flat.replace(x=flat.confirmed.values)
         assert reference_step(flat, scenario).u_prime == (-1.0,) * 5
         assert step(flat, scenario) == reference_step(flat, scenario)
         # device 2's new u' is about 0.6 * y, its neighbours' about 0.2 * y: only
         # device 2's t*t overflows, and only at y = -3e154, not at -1e150
-        state = dataclasses.replace(flat, u_prime=(0.5, 1.0, -1e150, 2.0, 0.0))
+        state = flat.replace(u_prime=(0.5, 1.0, -1e150, 2.0, 0.0))
         assert step(state, scenario) == reference_step(state, scenario)
-        state = dataclasses.replace(flat, u_prime=(0.5, 1.0, -3e154, 2.0, 0.0))
+        state = flat.replace(u_prime=(0.5, 1.0, -3e154, 2.0, 0.0))
         with pytest.raises(OverflowError) as expected:
             reference_step(state, scenario)
         with pytest.raises(NumericalError, match="^arithmetic overflow at iteration 1") as got:
@@ -209,7 +208,7 @@ class TestStep:
             snr=1.0, price=0.5,
         )
         state = state_from_values(scenario, [1.0 - 1.2e154] * 3)
-        state = dataclasses.replace(state, x=state.confirmed.values)
+        state = state.replace(x=state.confirmed.values)
         assert reference_step(state, scenario).x == (math.inf, 1.2e154, 1.2e154)
         with pytest.raises(NumericalError) as got:
             step(state, scenario)
@@ -219,9 +218,7 @@ class TestStep:
         scenario = make_scenario(
             omegas=(1.0, 1.0), demands=(1.0, 1.0), edges=((0, 1),), mu=1e10, eta=1.0
         )
-        state = dataclasses.replace(
-            initial_state(scenario), u_prime=(0.0, 1e300), zeta=(1e300, 0.0)
-        )
+        state = initial_state(scenario).replace(u_prime=(0.0, 1e300), zeta=(1e300, 0.0))
         want = reference_step(state, scenario)
         assert want.zeta == (-math.inf, math.inf) and all(map(math.isfinite, want.x))
         with pytest.raises(NumericalError) as got:
@@ -245,7 +242,7 @@ class TestFixedPoint:
 
     def test_mismatched_correction_is_not_stationary(self, bench):
         base = stationary_state(bench, 1.0)
-        state = dataclasses.replace(base, zeta=tuple(-z for z in base.zeta))
+        state = base.replace(zeta=tuple(-z for z in base.zeta))
         after = step(state, bench)
         assert vectors(after) != vectors(state)
 
@@ -403,7 +400,7 @@ class TestRun:
 
     def test_zero_demand_from_the_array_threshold(self, monkeypatch):
         # n = 20 is past ARRAY_MIN_DEVICES: neither kernel draws a round
-        scenario = dataclasses.replace(generate_random_scenario(20, 1), demands=(0.0,) * 20)
+        scenario = generate_random_scenario(20, 1).replace(demands=(0.0,) * 20)
         zeros = (0.0,) * 20
         for kernel, threshold in kernel_thresholds().items():
             monkeypatch.setattr(engine, "ARRAY_MIN_DEVICES", threshold)
@@ -436,9 +433,7 @@ class TestRun:
 
     def test_unstable_gain_raises_numerical_error(self):
         scenario = bench_scenario()
-        unstable = dataclasses.replace(
-            scenario, globals=dataclasses.replace(scenario.globals, eta=50.0)
-        )
+        unstable = scenario.replace(globals=scenario.globals.replace(eta=50.0))
         with pytest.raises(NumericalError) as excinfo:
             run(unstable)
         assert excinfo.value.iteration > 0
@@ -446,9 +441,7 @@ class TestRun:
 
     def test_slow_divergence_aborts_with_suggestion(self):
         scenario = bench_scenario()
-        shaky = dataclasses.replace(
-            scenario, globals=dataclasses.replace(scenario.globals, eta=1.0)
-        )
+        shaky = scenario.replace(globals=scenario.globals.replace(eta=1.0))
         result = run(shaky)
         assert not result.converged
         assert result.diagnostics.diverged
@@ -497,7 +490,7 @@ def test_final_allocation_outside_domain_raises(kernel, monkeypatch):
 
 
 def with_eta(scenario, eta: float):
-    return dataclasses.replace(scenario, globals=dataclasses.replace(scenario.globals, eta=eta))
+    return scenario.replace(globals=scenario.globals.replace(eta=eta))
 
 
 def stable_eta(scenario) -> float:
@@ -679,16 +672,14 @@ def dividing_by_zero(omegas=(1e-200,), **kwargs):
         snr=1.0, price=DIVIDING_PRICE, **{"mu": 1e-300, **kwargs},
     )
     state = initial_state(scenario)
-    return scenario, dataclasses.replace(
-        state, x=(0.5,) * n, u_prime=(-2.0 * DIVIDING_PRICE,) * n
-    )
+    return scenario, state.replace(x=(0.5,) * n, u_prime=(-2.0 * DIVIDING_PRICE,) * n)
 
 
 def failing_rounds():
     """Round-1 states that fail by each of the per-device checks, the failure
     they name, and what ``reference_step`` computes for them."""
     pair = make_scenario(omegas=(1.0, 1.0), demands=(1.0, 1.0), edges=((0, 1),), eta=10.0)
-    state = dataclasses.replace(initial_state(pair), u_prime=(0.0, 1e308))
+    state = initial_state(pair).replace(u_prime=(0.0, 1e308))
     yield pytest.param(
         pair, state, "non-finite value at iteration 1, device 0",
         lambda ref: ref.u_prime[0] == math.inf, id="u_prime",
@@ -697,7 +688,7 @@ def failing_rounds():
     pair = make_scenario(
         omegas=(1.0, 1.0), demands=(1.0, 1.0), edges=((0, 1),), mu=1e10, eta=1.0
     )
-    state = dataclasses.replace(initial_state(pair), u_prime=(0.0, 1e300), zeta=(1e300, 0.0))
+    state = initial_state(pair).replace(u_prime=(0.0, 1e300), zeta=(1e300, 0.0))
     yield pytest.param(
         pair, state, "non-finite value at iteration 1, device 0",
         lambda ref: ref.zeta[0] == -math.inf and all(map(math.isfinite, ref.u_prime + ref.x)),
@@ -710,9 +701,7 @@ def failing_rounds():
         edges=((0, 1), (1, 2), (2, 3), (3, 4)), snr=1.0, price=0.5,
     )
     state = state_from_values(line, [-1.0] * 5)
-    state = dataclasses.replace(
-        state, x=state.confirmed.values, u_prime=(0.5, 1.0, 3e154, 2.0, 0.0)
-    )
+    state = state.replace(x=state.confirmed.values, u_prime=(0.5, 1.0, 3e154, 2.0, 0.0))
     yield pytest.param(
         line, state, "arithmetic overflow at iteration 1, device 2", lambda ref: ref == 2,
         id="square",
@@ -724,7 +713,7 @@ def failing_rounds():
         snr=1.0, price=0.5, eta=1e-300,
     )
     state = state_from_values(heavy, [1.0 - 1.2e154] * 3)
-    state = dataclasses.replace(state, x=(1.0, 1.0, 2.0))
+    state = state.replace(x=(1.0, 1.0, 2.0))
     yield pytest.param(
         heavy, state, "non-finite value at iteration 1, device 0",
         lambda ref: ref.x[0] == math.inf and all(map(math.isfinite, ref.u_prime)),
@@ -733,7 +722,7 @@ def failing_rounds():
     # device 2's square overflows too, a check before the one device 0 fails:
     # the earlier device is named
     yield pytest.param(
-        heavy, dataclasses.replace(state, u_prime=(*state.u_prime[:2], -3e154)),
+        heavy, state.replace(u_prime=(*state.u_prime[:2], -3e154)),
         "non-finite value at iteration 1, device 0", lambda ref: ref == 2, id="later-device",
     )
     # device 0's zeta' = 1e300 - 1e10 * 1e300 overflows, and its u' stays at
@@ -741,8 +730,8 @@ def failing_rounds():
     pair, state = dividing_by_zero((1e-200, 1.0), mu=1e10, eta=1.0)
     yield pytest.param(
         pair,
-        dataclasses.replace(
-            state, x=state.confirmed.values, u_prime=(state.u_prime[0], 1e300), zeta=(1e300, 0.0)
+        state.replace(
+            x=state.confirmed.values, u_prime=(state.u_prime[0], 1e300), zeta=(1e300, 0.0)
         ),
         "non-finite value at iteration 1, device 0",
         lambda ref: isinstance(ref, ZeroDivisionError), id="raising-inverse",
@@ -848,7 +837,7 @@ def test_gossip_sums_in_sequence(monkeypatch):
     scenario = make_scenario(
         omegas=(1.0,) * 4, demands=(1.0,) * 4, edges=((0, 1), (0, 2), (0, 3)), eta=1.0
     )
-    state = dataclasses.replace(initial_state(scenario), u_prime=(0.0, *diffs))
+    state = initial_state(scenario).replace(u_prime=(0.0, *diffs))
     stepped = step(state, scenario)
     assert stepped.q[0] == 0.0
     pytest.importorskip("numpy")
@@ -1024,10 +1013,10 @@ class TestArrayKernel:
         scenario = with_eta(generate_random_scenario(1000, 1), 0.05)
 
         def capped(rounds: int):
-            options = dataclasses.replace(
-                scenario.options, max_iters=rounds, tol_consensus=1e-300, tol_constraint=1e-300
+            options = scenario.options.replace(
+                max_iters=rounds, tol_consensus=1e-300, tol_constraint=1e-300
             )
-            return dataclasses.replace(scenario, options=options)
+            return scenario.replace(options=options)
 
         def traced_peak(rounds: int) -> int:
             limited = capped(rounds)
@@ -1174,8 +1163,8 @@ class TestBlocks:
         else:
             scenario = generate_random_scenario(20, 1)
         if stop == "cap":
-            options = dataclasses.replace(scenario.options, max_iters=50)
-            scenario = dataclasses.replace(scenario, options=options)
+            options = scenario.options.replace(max_iters=50)
+            scenario = scenario.replace(options=options)
         want = outcome("scalar", scenario, monkeypatch)
         assert want[0] == stop
         k = want[1]
@@ -1189,8 +1178,8 @@ class TestBlocks:
 
 
 def with_tol_constraint(scenario, tol: float):
-    options = dataclasses.replace(scenario.options, tol_constraint=tol)
-    return dataclasses.replace(scenario, options=options)
+    options = scenario.options.replace(tol_constraint=tol)
+    return scenario.replace(options=options)
 
 
 class TestCheapDecisions:
@@ -1290,10 +1279,10 @@ class TestCheapDecisions:
         from bandalloc import array_kernel
 
         scenario = with_eta(generate_random_scenario(200, 1), 0.05)
-        options = dataclasses.replace(
-            scenario.options, max_iters=3000, tol_consensus=1e-300, tol_constraint=1e-300
+        options = scenario.options.replace(
+            max_iters=3000, tol_consensus=1e-300, tol_constraint=1e-300
         )
-        stalled = dataclasses.replace(scenario, options=options)
+        stalled = scenario.replace(options=options)
         drawn, sums = [0], []  # rounds drawn so far; that count at each fsum call
         real_rounds, real_fsum = array_kernel.rounds, math.fsum
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import fractions
 import inspect
 import math
@@ -208,10 +207,7 @@ class TestArrayPath:
 
     def test_zero_demand_alike(self, monkeypatch):
         scenario = generate_random_scenario(20, 1)
-        scenario = dataclasses.replace(
-            scenario,
-            demands=(0.0,) * scenario.n,
-        )
+        scenario = scenario.replace(demands=(0.0,) * scenario.n)
         for path in ("scalar", "array"):
             solution = solve_on(path, scenario, monkeypatch)
             assert solution.lam is None, path
@@ -221,7 +217,7 @@ class TestArrayPath:
     def test_equal_omegas_stay_on_the_array_path(self, monkeypatch):
         # every x is 0 at the upper bracket end max(omegas)*c; its
         # discriminant is finite, so the array value is used as it is
-        scenario = dataclasses.replace(generate_random_scenario(20, 1), omegas=(2.0,) * 20)
+        scenario = generate_random_scenario(20, 1).replace(omegas=(2.0,) * 20)
         calls = []
         # the scalar loop's one call per device
         real = oracle.inverse_from_constants
@@ -292,10 +288,7 @@ class TestArrayPath:
     )
     def test_arithmetic_failure_alike(self, monkeypatch, omega, error):
         scenario = generate_random_scenario(20, 1)
-        scenario = dataclasses.replace(
-            scenario,
-            omegas=tuple(omega(w) for w in scenario.omegas),
-        )
+        scenario = scenario.replace(omegas=tuple(omega(w) for w in scenario.omegas))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for path in ("scalar", "array"):
@@ -465,7 +458,7 @@ class TestGuardedBisection:
             with pytest.raises(OverflowError, match="arithmetic overflow"):
                 oracle._inverse(scenario.omegas, c, g.price)[0](lo)
             wide, fits = (
-                dataclasses.replace(scenario, globals=dataclasses.replace(g, bandwidth=b))
+                scenario.replace(globals=g.replace(bandwidth=b))
                 for b in (bandwidth, 1e6)
             )
             guarded_against_reference(wide, name)

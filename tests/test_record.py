@@ -1,10 +1,10 @@
 """The package's records against ``@dataclass(frozen=True)`` twins of themselves.
 
-Every record inherits its methods from ``bandalloc.record.Record`` instead of
-having ``dataclass`` generate them. Each record here is checked against a
-reference twin that ``dataclasses.make_dataclass(..., frozen=True)`` builds from
-the record's own ``fields()``: the same name, fields and defaults, but the
-generated methods.
+Every record is a ``bandalloc.record.Record``, and none is a dataclass. Each
+record here is checked against a reference twin that
+``dataclasses.make_dataclass(..., frozen=True)`` builds from the record's own
+``_names`` and ``_defaults``: the same name, fields and defaults, but the
+methods that ``dataclass`` generates.
 """
 
 from __future__ import annotations
@@ -106,42 +106,42 @@ RECORDS = {
 def twin(record: type) -> type:
     """A ``@dataclass(frozen=True)`` of the record's name, fields and defaults."""
     spec = [
-        (f.name, f.type, dataclasses.field(default=f.default))
-        if f.default is not dataclasses.MISSING
-        else (f.name, f.type)
-        for f in dataclasses.fields(record)
+        (name, record.__annotations__[name], dataclasses.field(default=record._defaults[name]))
+        if name in record._defaults
+        else (name, record.__annotations__[name])
+        for name in record._names
     ]
     return dataclasses.make_dataclass(record.__name__, spec, frozen=True)
 
 
 def twin_of(instance):
-    fields = dataclasses.fields(instance)
-    return twin(type(instance))(**{f.name: getattr(instance, f.name) for f in fields})
+    return twin(type(instance))(**{name: getattr(instance, name) for name in instance._names})
 
 
 def instances(record):
     return [record(**kwargs) for kwargs in RECORDS[record][1]]
 
 
-def records_in_package() -> set[type]:
-    """Every dataclass defined in a loaded module of the package."""
+def classes_in_package() -> set[type]:
+    """Every class defined in a loaded module of the package."""
     return {
         obj
         for name, module in list(sys.modules.items())
         if name == "bandalloc" or name.startswith("bandalloc.")
         for obj in vars(module).values()
-        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
-        and obj.__module__.startswith("bandalloc")
+        if isinstance(obj, type) and obj.__module__.startswith("bandalloc")
     }
 
 
 def test_every_record_inherits_the_methods_of_the_one_base():
-    # a record declared with @dataclass(frozen=True), or one that generates any
-    # of these methods, fails here
-    assert records_in_package() == set(RECORDS)
+    # a record declared with @dataclass, or one that defines any of these
+    # methods itself, fails here
+    classes = classes_in_package()
+    assert {cls for cls in classes if issubclass(cls, Record) and cls is not Record} == set(RECORDS)
+    assert not [cls for cls in classes if dataclasses.is_dataclass(cls)]
+    methods = "__init__", "replace", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"
     for record in RECORDS:
-        assert issubclass(record, Record)
-        for method in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        for method in methods:
             assert getattr(record, method) is getattr(Record, method), (record, method)
 
 
@@ -149,8 +149,11 @@ def test_every_record_inherits_the_methods_of_the_one_base():
 class TestParityWithFrozenDataclass:
     def test_fields_order_and_defaults(self, record):
         expected, _ = RECORDS[record]
-        assert [(f.name, f.default) for f in dataclasses.fields(record)] == expected
-        assert all(f.default_factory is dataclasses.MISSING for f in dataclasses.fields(record))
+        defaults = record._defaults
+        got = [(name, defaults.get(name, dataclasses.MISSING)) for name in record._names]
+        assert got == expected
+        assert [(f.name, f.default) for f in dataclasses.fields(twin(record))] == expected
+        assert all(getattr(record, name) is default for name, default in defaults.items())
         assert record.__doc__ and "*args" not in record.__doc__
 
     def test_eq_repr_and_hash(self, record):
@@ -164,32 +167,46 @@ class TestParityWithFrozenDataclass:
         assert all(a.__eq__(object()) is NotImplemented for a in made)
 
     def test_asdict_astuple_and_replace(self, record):
-        for a in instances(record):
-            assert dataclasses.asdict(a) == dataclasses.asdict(twin_of(a))
-            assert dataclasses.astuple(a) == dataclasses.astuple(twin_of(a))
-            assert dataclasses.replace(a) == a
-            assert vars(a) == vars(twin_of(a))  # every field, defaults included
+        # a record's ``vars`` and fields against the twin's ``asdict`` and
+        # ``astuple``; its ``replace`` against ``dataclasses.replace``
+        made = instances(record)
+        for a in made:
+            assert vars(a) == dataclasses.asdict(twin_of(a))  # every field, defaults included
+            assert tuple(getattr(a, name) for name in a._names) == dataclasses.astuple(twin_of(a))
+            assert vars(a) == vars(twin_of(a))
+            assert a.replace() == a and a.replace() is not a and type(a.replace()) is record
+            with pytest.raises(TypeError):
+                dataclasses.replace(twin_of(a), other=1)
+            with pytest.raises(TypeError, match=rf"^{record.__name__}\(\) takes {a._names[0]}"):
+                a.replace(other=1)
+        for a, b in itertools.product(made, repeat=2):
+            for names in (record._names[:1], record._names[-2:]):
+                change = {name: getattr(b, name) for name in names}
+                assert twin_of(a.replace(**change)) == dataclasses.replace(twin_of(a), **change)
 
     def test_frozen(self, record):
         for a in instances(record):
-            for name in (*(f.name for f in dataclasses.fields(a)), "other"):
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    setattr(a, name, 1)
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    delattr(a, name)
+            for name in (*a._names, "other"):
+                for act in (lambda x: setattr(x, name, 1), lambda x: delattr(x, name)):
+                    with pytest.raises(dataclasses.FrozenInstanceError) as want:
+                        act(twin_of(a))
+                    with pytest.raises(AttributeError) as got:
+                        act(a)
+                    assert type(got.value) is AttributeError
+                    assert str(got.value) == str(want.value)
 
     def test_calls_that_do_not_fit_raise_type_error(self, record):
         kwargs = RECORDS[record][1][-1]
-        fields = dataclasses.fields(record)
-        values = [kwargs.get(f.name, f.default) for f in fields]
-        first, rest = fields[0].name, {f.name: v for f, v in zip(fields[1:], values[1:])}
+        fields = record._names
+        values = [kwargs.get(name, record._defaults.get(name)) for name in fields]
+        first, rest = fields[0], dict(zip(fields[1:], values[1:]))
         assert record(*values) == record(values[0], **rest) == record(**kwargs)
         bad_calls = [
             ((), {**kwargs, "other": 1}),  # unknown
             ((*values, 1), {}),  # surplus
             (values[:1], {**rest, first: values[0]}),  # repeated
         ]
-        required = [f.name for f in dataclasses.fields(record) if f.default is dataclasses.MISSING]
+        required = [name for name in fields if name not in record._defaults]
         if required:
             bad_calls.append(((), {k: v for k, v in kwargs.items() if k != required[-1]}))
         for args, bad in bad_calls:
@@ -215,7 +232,7 @@ class TestParityWithFrozenDataclass:
 def test_replace_checks_again(record, change):
     a = instances(record)[0]
     with pytest.raises(ScenarioError):
-        dataclasses.replace(a, **change)
+        a.replace(**change)
 
 
 def test_cached_values_take_no_part_in_eq_hash_or_repr():
@@ -226,5 +243,6 @@ def test_cached_values_take_no_part_in_eq_hash_or_repr():
     s, t = bench_scenario(), bench_scenario()
     assert s.adjacency and "adjacency" in vars(s)
     assert s == t and t == s and hash(s) == hash(t) and repr(s) == repr(t)
-    assert s != dataclasses.replace(t, demands=(1.0, 2.0, 1.0))
+    assert s != t.replace(demands=(1.0, 2.0, 1.0))
+    assert "total" not in vars(a.replace()) and "adjacency" not in vars(s.replace())
     assert pickle.loads(pickle.dumps(a)) == a and copy.copy(s) == s

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import hashlib
 import json
 import math
@@ -244,7 +243,7 @@ class TestDirectConstruction:
         g = Globals(bandwidth=5, snr=100, price=1, mu=1, eta=1)
         d = make_scenario(omegas=(2,), demands=(0,), edges=())
         o = SolverOptions(tol_consensus=1, tol_constraint=1)
-        values = (*dataclasses.astuple(g), *d.omegas, *d.demands)
+        values = (g.bandwidth, g.snr, g.price, g.mu, g.eta, *d.omegas, *d.demands)
         assert all(type(v) is float for v in (*values, o.tol_consensus, o.tol_constraint))
 
     # the last four are not pairs at all
@@ -337,19 +336,19 @@ class TestTopologyCarried:
     def test_replace_rebuilds_and_validates(self, build_calls):
         scenario = bench_scenario()
         assert scenario.adjacency == ((1,), (0, 2), (1,))
-        ring = dataclasses.replace(scenario, edges=((0, 1), (1, 2), (2, 0)))
+        ring = scenario.replace(edges=((0, 1), (1, 2), (2, 0)))
         assert len(build_calls) == 2
         assert "adjacency" not in vars(ring)
         assert ring.adjacency == ((1, 2), (0, 2), (0, 1))
         assert scenario.adjacency == ((1,), (0, 2), (1,))
         # a copy with the same edges builds its own adjacency on first read
-        same = dataclasses.replace(scenario)
+        same = scenario.replace()
         assert "adjacency" not in vars(same)
         assert same.adjacency == scenario.adjacency and same.adjacency is not scenario.adjacency
         with pytest.raises(ScenarioError, match=r"edges\[1\]: duplicate edge"):
-            dataclasses.replace(scenario, edges=((0, 1), (1, 0), (1, 2)))
+            scenario.replace(edges=((0, 1), (1, 0), (1, 2)))
         with pytest.raises(ScenarioError, match="^edges: communication graph is not connected$"):
-            dataclasses.replace(scenario, edges=((0, 1),))
+            scenario.replace(edges=((0, 1),))
 
 
 
@@ -510,7 +509,7 @@ class TestWholeColumnChecks:
 
 def handwritten_dict(scenario: Scenario) -> dict:
     """The serializer's dict written out field by field, as it was before it
-    was derived from the dataclasses."""
+    was derived from the records' fields."""
     g, o = scenario.globals, scenario.options
     options = {
         "max_iters": o.max_iters,
