@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the working tree's CLI writes the same bytes as revision REV.
 
-    python scripts/same_bytes.py REV
+    python scripts/same_bytes.py REV [--allow PATTERN ...] [--allow-added FILE]
 
 REV is a local git revision. It is checked out with ``git worktree add``
 into a temporary directory, which is removed afterwards. Each case is one
@@ -31,13 +31,25 @@ Then the working tree's outputs in the two environments are compared case
 by case, so that a package that changes an output shows even where REV has
 the same fault.
 
+A change that moves some outputs on purpose names those cases with
+``--allow PATTERN``, a shell-style pattern (``fnmatch``) matched against the
+whole case name as printed, such as ``compare * --trace trace.csv --stride 7``.
+``--allow-added FILE`` takes a pattern from each line of the working tree's
+FILE that FILE did not hold at REV; ``#`` starts a comment. A line that FILE
+held at REV allows nothing, so a change that moves a case again adds its
+pattern again, with a comment of its own. The patterns apply only to the
+comparison with REV. The comparison across the two environments stays
+strict.
+
 Prints one line per environment and one for the comparison across them, each
-followed by one line per case that differs. Exits 1 if any case differs.
+followed by one line per allowed case that differs, then one per other case
+that differs. Exits 1 if any case differs that no pattern allows.
 """
 
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
 import json
 import stat
@@ -134,13 +146,13 @@ def differs(case: str, old: tuple, new: tuple) -> str | None:
     return f"{case}: {', '.join(moved)}"
 
 
-def compare_trees(rev: Path, head: Path, hide: str, work: Path) -> tuple[list[str], dict]:
+def compare_trees(rev: Path, head: Path, hide: str, work: Path) -> tuple[dict, dict]:
     """The cases whose outputs differ between the trees ``rev`` and ``head``,
-    each with the parts that differ; and ``head``'s outputs by case, with
-    sha256 digests in place of output bytes."""
+    each with the line naming the parts that differ; and ``head``'s outputs by
+    case, with sha256 digests in place of output bytes."""
     for d in ("in", "rev", "head"):
         (work / d).mkdir()
-    differ: list[str] = []
+    differ: dict[str, str] = {}
     outputs: dict[str, tuple] = {}
 
     def case(argv: list[str]) -> tuple:
@@ -148,7 +160,7 @@ def compare_trees(rev: Path, head: Path, hide: str, work: Path) -> tuple[list[st
         new = call(head / "src", hide, work / "head", argv)
         name = " ".join(argv)
         if line := differs(name, old, new):
-            differ.append(line)
+            differ[name] = line
         code, *texts, mode = new
         digests = (hashlib.sha256(part).digest() if part else part for part in texts)
         outputs[name] = (code, *digests, mode)
@@ -209,18 +221,48 @@ def extremes(doc: dict) -> dict[str, dict]:
     }
 
 
-def report(title: str, differ: list[str]) -> bool:
-    """Print ``title`` with a count, then each case in ``differ``; True if any."""
-    print(f"{title}: {len(differ)} differ" if differ else f"{title}: all identical")
-    for line in differ:
-        print(f"  differs: {line}")
-    return bool(differ)
+def report(title: str, differ: dict[str, str], patterns: list[str] = ()) -> bool:
+    """Print ``title`` with counts, then each case in ``differ`` that one of
+    ``patterns`` allows, then each other one; True if there is another one."""
+    allowed = [name for name in differ if any(fnmatch.fnmatchcase(name, p) for p in patterns)]
+    other = [name for name in differ if name not in allowed]
+    counts = f"{len(differ)} differ" + (f", {len(allowed)} allowed" if patterns else "")
+    print(f"{title}: {counts}" if differ else f"{title}: all identical")
+    for kind, names in (("allowed", allowed), ("differs", other)):
+        for name in names:
+            print(f"  {kind}: {differ[name]}")
+    return bool(other)
+
+
+def added_lines(commit: str, path: str) -> list[str]:
+    """The patterns on the lines of the working tree's file ``path`` (from the
+    repository's root) that it did not hold at ``commit``; ``#`` starts a
+    comment."""
+    file = (REPO / path).resolve().relative_to(REPO)
+    show = ["git", "-C", str(REPO), "show", f"{commit}:{file.as_posix()}"]
+    held = set(subprocess.run(show, capture_output=True, text=True).stdout.splitlines())
+    lines = (REPO / file).read_text().splitlines()
+    patterns = (line.partition("#")[0].strip() for line in lines if line not in held)
+    return [pattern for pattern in patterns if pattern]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="local git revision to compare the working tree with")
-    rev = parser.parse_args().rev
+    parser.add_argument(
+        "--allow",
+        action="append",
+        default=[],
+        metavar="PATTERN",
+        help="a shell-style pattern naming cases that may differ from REV (repeatable)",
+    )
+    parser.add_argument(
+        "--allow-added",
+        metavar="FILE",
+        help="also allow each pattern on a line of FILE that FILE did not hold at REV",
+    )
+    args = parser.parse_args()
+    rev = args.rev
     git = ["git", "-C", str(REPO)]
     commit = subprocess.run(
         [*git, "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
@@ -230,6 +272,11 @@ def main() -> int:
     if not commit:
         print(f"error: {rev} is not a commit of this repository", file=sys.stderr)
         return 2
+    patterns = args.allow
+    if args.allow_added is not None:
+        patterns += added_lines(commit, args.allow_added)
+    for pattern in patterns:
+        print(f"allowed to differ from {rev}: {pattern}")
     failed = False
     heads = []
     with tempfile.TemporaryDirectory(prefix="same_bytes.") as tmp:
@@ -242,16 +289,18 @@ def main() -> int:
                 work.mkdir()
                 differ, outputs = compare_trees(checkout, REPO, hide, work)
                 title = f"{label}: {len(outputs)} cases against {rev} ({commit[:12]})"
-                failed |= report(title, differ)
+                failed |= report(title, differ, patterns)
                 heads.append(outputs)
         finally:
             subprocess.run([*git, "worktree", "remove", "--force", str(checkout)], check=True)
     first, second = heads
-    across = [differs(name, first[name], second[name]) for name in first]
+    across = {name: differs(name, first[name], second[name]) for name in first}
     failed |= report(
         f"working tree, {' against '.join(ENVIRONMENTS)}: {len(first)} cases",
-        [line for line in across if line],
+        {name: line for name, line in across.items() if line},
     )
+    if patterns and not failed:
+        print(f"no case differs from {rev} but those allowed")
     return 1 if failed else 0
 
 

@@ -10,7 +10,6 @@ import functools
 import gc
 import math
 import os
-import re
 import sys
 from enum import IntEnum
 from itertools import repeat
@@ -90,11 +89,11 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return scenario.replace(globals=glob, options=options)
 
 
-# floats that ``repr`` formats in about the time that ``import orjson`` takes in a
-# fresh process: 7.5 to 13.7 ms against 0.8 to 1 us per float on a 2-vCPU VM
+# floats that ``_repr_rows`` formats in about the time that ``import orjson`` takes
+# in a fresh process: 5.8 to 9.1 ms against 0.7 to 1.1 us per float on a 2-vCPU VM
 _ORJSON_IMPORT_FLOATS = 10_000
-# a round's worth of values, on both sides of every float form that orjson
-# writes otherwise than ``repr``
+# a round's worth of values, on both sides of every float form that ``repr``
+# writes otherwise than orjson
 _PROBE = (
     0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.5e-10, -1e-09, 1e-06, 1e-05, -1.5e-05,
     9.999999999999999e-05, 0.0001, 0.1, 10.00001, -10.000015, 9999999999999998.0, 1e16,
@@ -102,18 +101,36 @@ _PROBE = (
 )
 
 
+def _decimal_band(text: str) -> str:
+    """``text`` with each ``repr`` float from 1e-5 up to 1e-4 written out:
+    ``0.000015`` for ``1.5e-05``."""
+    parts = text.split("e-05")
+    for i, part in enumerate(parts[:-1]):
+        head, _, mantissa = part.rpartition(",")
+        j = mantissa[0] == "-"  # the lead digit's index
+        parts[i] = f"{head},{mantissa[:j]}0.0000{mantissa[j:].replace('.', '')}"
+    return "".join(parts)
+
+
 def _repr_rows(k: int, idx, x, u_prime, zeta, q) -> bytes:
-    """One round's CSV rows, each float written by ``repr``; ``idx`` holds
-    the device numbers as strings."""
+    """One round's CSV rows; ``idx`` holds the device numbers as strings.
+
+    Each float's ``repr`` is respelt as orjson writes it: ``0.000015`` for
+    ``1.5e-05`` from 1e-5 up to 1e-4, ``1e-6`` for ``1e-06`` at exponents -6
+    to -9, and ``1e16`` for ``1e+16``. The digits are the same.
+    """
     fields = zip(
         repeat(str(k)), idx, map(repr, x), map(repr, u_prime), map(repr, zeta), map(repr, q)
     )
-    return ("\r\n".join(map(",".join, fields)) + "\r\n").encode()
-
-
-def _band_repr(match: re.Match) -> bytes:  # b"0.000015" -> b"1.5e-05"
-    lead, rest = match.groups()
-    return b"%s.%se-05" % (lead, rest) if rest else lead + b"e-05"
+    text = "\r\n".join(map(",".join, fields)) + "\r\n"
+    # a rewrite runs only on text that holds its trigger, and would change nothing else
+    if "e+" in text:
+        text = text.replace("e+", "e")
+    if "e-05" in text:
+        text = _decimal_band(text)
+    if "e-0" in text:
+        text = text.replace("e-0", "e-")
+    return text.encode()
 
 
 def _orjson_rows():
@@ -122,27 +139,17 @@ def _orjson_rows():
     ``devices`` is ``range(n)``.
 
     None in place of ``rows`` when orjson does not import, or when it writes
-    ``_PROBE`` in some form that ``rows`` does not turn into ``repr``'s.
+    ``_PROBE`` otherwise than ``_repr_rows``.
     """
     try:
         from orjson import dumps
     except ImportError:
         return None
-    e_plus = re.compile(rb"e(?=\d)").sub
-    e_one_digit = re.compile(rb"e-(?=\d[,\]])").sub
-    # the lookbehind, which skips 10.00001, follows the literal that the search scans for
-    band = re.compile(rb"0\.0000(?<=[,-]0\.0000)(\d)(\d*)").sub
 
     def rows(k, devices, x, u_prime, zeta, q) -> bytes | None:
         data = dumps(list(zip(repeat(k), devices, x, u_prime, zeta, q)))
         if b"n" in data:  # orjson writes n only in null, its form of inf and nan
             return None
-        # each pass runs only on bytes that hold its trigger: a skipped pass
-        # would have rewritten nothing
-        if b"e" in data:
-            data = e_one_digit(b"e-0", e_plus(b"e+", data))
-        if b"0.0000" in data:
-            data = band(_band_repr, data)
         return data[2:-2].replace(b"],[", b"\r\n") + b"\r\n"
 
     probe = [_PROBE] * 4
@@ -156,21 +163,14 @@ def _csv_sink(fh, n: int):
     binary file.
 
     The rows are ``iter,device,x,u_prime,zeta,q`` with ``\\r\\n`` endings,
-    byte for byte what ``csv.writer`` writes for them: each float is its
-    ``repr``. A round is one ``orjson.dumps`` of its rows once orjson is
-    imported. orjson writes the same shortest round-trip digits as ``repr``,
-    in other forms for three kinds of value, which the sink rewrites:
-
-    - from 1e-5 up to 1e-4, ``0.000015`` for ``1.5e-05``;
-    - exponents -6 to -9 without the zero: ``1e-6`` for ``1e-06``;
-    - positive exponents without the sign: ``1e16`` for ``1e+16``.
-
-    A rewrite runs only on a round whose bytes hold its trigger: ``e`` for the
-    exponents, ``0.0000`` for the band. ``repr`` writes a round that holds inf
-    or nan, found by the byte ``n`` of orjson's ``null``, and every round when
-    orjson is missing or writes a probe round in some other form, so the bytes
-    never depend on orjson. A sink imports orjson only once ``repr`` has formatted
-    ``_ORJSON_IMPORT_FLOATS`` floats, unless it is imported already.
+    each float in orjson's spelling of ``repr``'s digits (see ``_repr_rows``).
+    A round is one ``orjson.dumps`` of its rows once orjson is imported.
+    ``_repr_rows`` writes a round that holds inf or nan (as ``inf`` and
+    ``nan``), found by the byte ``n`` of orjson's ``null``, and every round
+    when orjson is missing or writes a probe round in some other form, so the
+    bytes never depend on orjson. A sink imports orjson only once
+    ``_repr_rows`` has formatted ``_ORJSON_IMPORT_FLOATS`` floats, unless it
+    is imported already.
     """
     idx = [str(i) for i in range(n)]
     devices = range(n)

@@ -14,6 +14,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import stat
 import struct
 import subprocess
@@ -36,15 +37,25 @@ from bandalloc.scenario import (
 
 from conftest import BENCH_PATH
 
-# sha256 of ``run scenarios/paper_s5.json --trace F``
+# sha256 of ``run scenarios/paper_s5.json --trace F``: of the file, and of the
+# file in ``repr``'s spelling (``repr_spelling``), the bytes the trace had
+# before it took orjson's spelling. The second pins the values.
+BENCH_TRACE_BYTES_SHA256 = "16052b213005a423ff235c01936f605a94c223392a59357c529941d8e4f6a28f"
 BENCH_TRACE_SHA256 = "225954c42d430a2bc43bd54bf61a214edc0c4949c5635bd5b5385fc8a8fa1e55"
 # sha256 of ``compare G --trace F --stride K`` on ``generate_random_scenario(n, seed)``,
-# keyed (n, seed, K), with numpy installed. The scalar kernel writes the same
-# bytes. (20, 1, 1) and (60, 3, 7) converge, and were recorded while the CLI
+# keyed (n, seed, K), with numpy installed: of the file, and of the file in
+# ``repr``'s spelling. The scalar kernel writes the same bytes. (20, 1, 1) and
+# (60, 3, 7) converge, and their ``repr`` digests were recorded while the CLI
 # still kept every round in memory and wrote it with ``csv.writer``. (60, 1, 1),
 # in ``ARRAY_TRACE_DIVERGED``, exits 2 after 110 rounds; its 6,660 rows hold
-# 11,999 positive exponents, up to e+50. It was recorded with the orjson sink
-# and reads the same with orjson hidden, and with numpy and scipy hidden too.
+# 11,999 positive exponents, up to e+50. Its ``repr`` digest was recorded with
+# the orjson sink and read the same with orjson hidden, and with numpy and
+# scipy hidden too.
+ARRAY_TRACE_BYTES_SHA256 = {
+    (20, 1, 1): "5712b6fe9c31768b286b72b788d0843d73cd0fe51c7ee25cd1bd756ad276665d",
+    (60, 1, 1): "350c1a68cb664fd67b176bfab6dd2ce95b894765279f55d9fb493d6fa47d8f26",
+    (60, 3, 7): "7e831aadcf6eefc9a7a8539e483f94b5dcba0aacf07eeaaf4a5222039aa0b09d",
+}
 ARRAY_TRACE_SHA256 = {
     (20, 1, 1): "1a36757028e8681435233add5848368aaf528057b3272b311e5753a3593d4604",
     (60, 1, 1): "d66c53a16d65b8fa8d3ccdc9446e89fe81ca225c074f865d2705c78054a6f9f0",
@@ -135,6 +146,26 @@ def report_dict(output: str) -> dict[str, str]:
 
 def floats(field: str) -> list[float]:
     return [float(v) for v in field.split()]
+
+
+def _band_repr(match: re.Match) -> bytes:  # b"0.000015" -> b"1.5e-05"
+    lead, rest = match.groups()
+    return b"%s.%se-05" % (lead, rest) if rest else lead + b"e-05"
+
+
+def repr_spelling(trace: bytes) -> bytes:
+    """``trace`` with every float as ``repr`` spells it, by the three rewrites
+    that once turned orjson's rows into ``repr``'s: ``e+`` for a positive
+    exponent, ``e-0`` for a one-digit negative one, and ``1.5e-05`` for
+    ``0.000015``. The band's lookbehind skips a value such as 10.00001."""
+    trace = re.sub(rb"e(?=\d)", b"e+", trace)
+    trace = re.sub(rb"e-(?=\d[,\r])", b"e-0", trace)
+    return re.sub(rb"0\.0000(?<=[,-]0\.0000)(\d)(\d*)", _band_repr, trace)
+
+
+def trace_digests(trace: bytes) -> tuple[str, str]:
+    """sha256 of ``trace``, and of ``trace`` in ``repr``'s spelling."""
+    return tuple(hashlib.sha256(data).hexdigest() for data in (trace, repr_spelling(trace)))
 
 
 def read_trace(path) -> list[dict[str, str]]:
@@ -274,16 +305,17 @@ class TestRunCommand:
         capsys.readouterr()
 
     def test_trace_bytes_pinned(self, capsys, tmp_path, monkeypatch):
-        # digest of the benchmark trace as first written; any change to the
-        # engine arithmetic or the CSV format shows up here, with orjson or without
+        # digests of the benchmark trace, and of its repr spelling as first
+        # written; any change to the engine arithmetic or the CSV format shows
+        # up here, with orjson or without
         trace = tmp_path / "trace.csv"
         for mode in orjson_modes(monkeypatch):
             code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
             capsys.readouterr()
             assert code == ExitStatus.OK, mode
             data = trace.read_bytes()
-            assert (len(data), data.count(b"\n")) == (29205, 340), mode
-            assert hashlib.sha256(data).hexdigest() == BENCH_TRACE_SHA256, mode
+            assert (len(data), data.count(b"\n")) == (29144, 340), mode
+            assert trace_digests(data) == (BENCH_TRACE_BYTES_SHA256, BENCH_TRACE_SHA256), mode
 
     def test_numerical_failure_leaves_no_trace(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -304,7 +336,7 @@ class TestRunCommand:
         code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
         capsys.readouterr()
         assert code == ExitStatus.OK
-        assert hashlib.sha256(trace.read_bytes()).hexdigest() == BENCH_TRACE_SHA256
+        assert trace_digests(trace.read_bytes()) == (BENCH_TRACE_BYTES_SHA256, BENCH_TRACE_SHA256)
         assert list(tmp_path.iterdir()) == [trace]
 
     def test_trace_in_missing_directory(self, capsys, tmp_path):
@@ -377,7 +409,7 @@ class TestRunCommand:
         capsys.readouterr()
         assert code == ExitStatus.OK
         assert stat.S_IMODE(trace.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
-        assert hashlib.sha256(trace.read_bytes()).hexdigest() == BENCH_TRACE_SHA256
+        assert trace_digests(trace.read_bytes()) == (BENCH_TRACE_BYTES_SHA256, BENCH_TRACE_SHA256)
 
     def test_trace_never_opens_an_existing_temporary_name(self, capsys, tmp_path, monkeypatch):
         # a name taken already is an error, and the file holding it is not this
@@ -402,7 +434,7 @@ class TestRunCommand:
         code = main(["run", str(BENCH_PATH), "--trace", str(trace)])
         capsys.readouterr()
         assert code == ExitStatus.OK
-        assert hashlib.sha256(trace.read_bytes()).hexdigest() == BENCH_TRACE_SHA256
+        assert trace_digests(trace.read_bytes()) == (BENCH_TRACE_BYTES_SHA256, BENCH_TRACE_SHA256)
         assert stale.read_bytes() == b"iter,device,x,u_prime,zeta,q\r\n0,0,"
         assert sorted(tmp_path.iterdir()) == sorted([stale, trace])
 
@@ -694,13 +726,13 @@ class TestCompareCommand:
         assert kernel == "scalar" or n >= engine.ARRAY_MIN_DEVICES
         trace = tmp_path / "trace.csv"
         argv = ["compare", str(write_generated(tmp_path, n, seed)), "--trace", str(trace)]
-        pinned = ARRAY_TRACE_SHA256[n, seed, stride]
+        pinned = ARRAY_TRACE_BYTES_SHA256[n, seed, stride], ARRAY_TRACE_SHA256[n, seed, stride]
         diverged = (n, seed, stride) in ARRAY_TRACE_DIVERGED
         for mode in orjson_modes(monkeypatch):
             code = main([*argv, "--stride", str(stride)])
             capsys.readouterr()
             assert code == (ExitStatus.NOT_CONVERGED if diverged else ExitStatus.OK), mode
-            assert hashlib.sha256(trace.read_bytes()).hexdigest() == pinned, mode
+            assert trace_digests(trace.read_bytes()) == pinned, mode
 
     def test_trace_streamed_whatever_its_length(self, capsys, tmp_path):
         # the CLI holds no float per device per round: 1,800 more rounds raise
@@ -1000,7 +1032,8 @@ def float_corpus() -> list[float]:
 
 
 class TestTraceFloatForms:
-    """The trace sink's ``orjson.dumps`` path writes what ``repr`` writes."""
+    """The trace sink's stdlib path, ``_repr_rows``, writes what its
+    ``orjson.dumps`` path writes."""
 
     @staticmethod
     def fast_rows():
@@ -1015,36 +1048,41 @@ class TestTraceFloatForms:
         x = float_corpus()
         n = len(x)
         fields = (x, x[::-1], x[1:] + x[:1], x[n // 2 :] + x[: n // 2])
-        got = rows(12345, range(n), *fields).split(b"\r\n")
-        want = cli._repr_rows(12345, map(str, range(n)), *fields).split(b"\r\n")
+        want = rows(12345, range(n), *fields).split(b"\r\n")
+        got = cli._repr_rows(12345, map(str, range(n)), *fields).split(b"\r\n")
         assert len(got) == len(want) == n + 1
         assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
         # the byte that marks inf and nan is in no finite value's form
         assert b"n" not in orjson.dumps(x)
 
+    # each value with its spelling in the trace; the triggers are those of
+    # _repr_rows's three rewrites in the values' repr: e+, e-05 and e-0
     @pytest.mark.parametrize(
         "values, triggers",
         [
-            ([1e16], (True, False)),
-            ([1.5e-07], (True, False)),
-            ([1.5e-05, -1.5e-05], (False, True)),
-            ([10.00001], (False, True)),  # the band's trigger, which its lookbehind rejects
-            ([0.5, 2.0], (False, False)),
+            ({1e16: "1e16", -1.5e22: "-1.5e22"}, (True, False, False)),
+            ({1.5e-07: "1.5e-7"}, (False, False, True)),
+            ({1.5e-05: "0.000015", -1e-05: "-0.00001"}, (False, True, True)),
+            ({10.00001: "10.00001", 1e-10: "1e-10"}, (False, False, False)),
+            ({0.5: "0.5", 2.0: "2.0"}, (False, False, False)),
+            (
+                {9.999999999999999e-05: "0.00009999999999999999", -1e-09: "-1e-9", 1e100: "1e100"},
+                (True, True, True),
+            ),
         ],
     )
-    def test_round_of_one_form_matches_repr(self, values, triggers):
+    def test_round_of_one_form_matches_repr(self, monkeypatch, values, triggers):
         # a round that lacks a rewrite's trigger skips that rewrite
-        orjson = pytest.importorskip("orjson")
-        rows = self.fast_rows()
-        dumped = orjson.dumps(values)
-        assert (b"e" in dumped, b"0.0000" in dumped) == triggers
+        text = ",".join(map(repr, values))
+        assert ("e+" in text, "e-05" in text, "e-0" in text) == triggers
         n = len(values)
-        fields = (values,) * 4
-        want = cli._repr_rows(7, map(str, range(n)), *fields)
-        assert rows(7, range(n), *fields) == want
-        out = io.BytesIO()
-        cli._csv_sink(out, n)(7, *fields)
-        assert out.getvalue() == want
+        fields = (list(values),) * 4
+        want = "".join(f"7,{i},{v},{v},{v},{v}\r\n" for i, v in enumerate(values.values()))
+        assert cli._repr_rows(7, map(str, range(n)), *fields) == want.encode()
+        for mode in orjson_modes(monkeypatch):
+            out = io.BytesIO()
+            cli._csv_sink(out, n)(7, *fields)
+            assert out.getvalue() == want.encode(), mode
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_round_written_by_repr(self, bad):
@@ -1058,6 +1096,9 @@ class TestTraceFloatForms:
         assert out.getvalue() == (
             cli._repr_rows(3, ["0", "1"], *([1e-05, 1e16],) * 4)
             + cli._repr_rows(4, ["0", "1"], *fields)
+        )
+        assert out.getvalue().endswith(
+            f"4,0,0.00001,1e16,3.0,0.0\r\n4,1,{bad!r},2.0,1e-6,-0.0\r\n".encode()
         )
 
     def test_probe_keeps_repr_for_another_form(self, monkeypatch):
@@ -1159,7 +1200,8 @@ def test_long_trace_loads_orjson_midway_with_bytes_unchanged(tmp_path):
         str(trace),
     )
     assert child.stderr == "0 True\n"
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == ARRAY_TRACE_SHA256[60, 3, 7]
+    pinned = ARRAY_TRACE_BYTES_SHA256[60, 3, 7], ARRAY_TRACE_SHA256[60, 3, 7]
+    assert trace_digests(trace.read_bytes()) == pinned
 
 
 def write_bench_with(tmp_path, **changes) -> pathlib.Path:
