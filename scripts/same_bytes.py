@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the working tree's CLI writes the same bytes as revision REV.
 
-    python scripts/same_bytes.py REV [--allow PATTERN ...] [--allow-added FILE]
+    python scripts/same_bytes.py REV [--allow PATTERN ...]
 
 REV is a local git revision. It is checked out with ``git worktree add``
 into a temporary directory, which is removed afterwards. Each case is one
@@ -31,15 +31,17 @@ Then the working tree's outputs in the two environments are compared case
 by case, so that a package that changes an output shows even where REV has
 the same fault.
 
-A change that moves some outputs on purpose names those cases with
-``--allow PATTERN``, a shell-style pattern (``fnmatch``) matched against the
-whole case name as printed, such as ``compare * --trace trace.csv --stride 7``.
-``--allow-added FILE`` takes a pattern from each line of the working tree's
-FILE that FILE did not hold at REV; ``#`` starts a comment. A line that FILE
-held at REV allows nothing, so a change that moves a case again adds its
-pattern again, with a comment of its own. The patterns apply only to the
-comparison with REV. The comparison across the two environments stays
-strict.
+A change that moves some outputs on purpose names them with shell-style
+patterns (``fnmatch``), each matched against the whole line the script
+prints for a case that differs: the case name, a colon and the parts that
+differ, such as ``compare * --trace trace.csv --stride 7: trace``. So a
+pattern names the parts that may move as well as the cases. The patterns
+are each line of the working tree's ``scripts/same_bytes.allow`` that the
+file did not hold at REV (``#`` starts a comment), and each ``--allow
+PATTERN``. A line that the file held at REV allows nothing, so a change that
+moves a case again adds its pattern again, with a comment of its own. The
+patterns apply only to the comparison with REV. The comparison across the
+two environments stays strict.
 
 Prints one line per environment and one for the comparison across them, each
 followed by one line per allowed case that differs, then one per other case
@@ -59,6 +61,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+ALLOW_FILE = "scripts/same_bytes.allow"  # from the repository's root
 # label: the packages hidden, comma-separated
 ENVIRONMENTS = {"all packages": "", "numpy, scipy and orjson hidden": "numpy,scipy,orjson"}
 GEN = [(n, seed) for n in (1, 2, 3, 8, 15, 20, 60, 200, 2000) for seed in (1, 2, 3)]
@@ -223,8 +226,11 @@ def extremes(doc: dict) -> dict[str, dict]:
 
 def report(title: str, differ: dict[str, str], patterns: list[str] = ()) -> bool:
     """Print ``title`` with counts, then each case in ``differ`` that one of
-    ``patterns`` allows, then each other one; True if there is another one."""
-    allowed = [name for name in differ if any(fnmatch.fnmatchcase(name, p) for p in patterns)]
+    ``patterns`` allows, then each other one; True if there is another one.
+    A pattern is matched against the case's line in ``differ``."""
+    allowed = [
+        name for name, line in differ.items() if any(fnmatch.fnmatchcase(line, p) for p in patterns)
+    ]
     other = [name for name in differ if name not in allowed]
     counts = f"{len(differ)} differ" + (f", {len(allowed)} allowed" if patterns else "")
     print(f"{title}: {counts}" if differ else f"{title}: all identical")
@@ -238,10 +244,9 @@ def added_lines(commit: str, path: str) -> list[str]:
     """The patterns on the lines of the working tree's file ``path`` (from the
     repository's root) that it did not hold at ``commit``; ``#`` starts a
     comment."""
-    file = (REPO / path).resolve().relative_to(REPO)
-    show = ["git", "-C", str(REPO), "show", f"{commit}:{file.as_posix()}"]
+    show = ["git", "-C", str(REPO), "show", f"{commit}:{path}"]
     held = set(subprocess.run(show, capture_output=True, text=True).stdout.splitlines())
-    lines = (REPO / file).read_text().splitlines()
+    lines = (REPO / path).read_text().splitlines()
     patterns = (line.partition("#")[0].strip() for line in lines if line not in held)
     return [pattern for pattern in patterns if pattern]
 
@@ -254,12 +259,8 @@ def main() -> int:
         action="append",
         default=[],
         metavar="PATTERN",
-        help="a shell-style pattern naming cases that may differ from REV (repeatable)",
-    )
-    parser.add_argument(
-        "--allow-added",
-        metavar="FILE",
-        help="also allow each pattern on a line of FILE that FILE did not hold at REV",
+        help="a shell-style pattern naming cases, and their parts, that may differ "
+        f"from REV (repeatable), beside the lines added to {ALLOW_FILE} since REV",
     )
     args = parser.parse_args()
     rev = args.rev
@@ -272,9 +273,7 @@ def main() -> int:
     if not commit:
         print(f"error: {rev} is not a commit of this repository", file=sys.stderr)
         return 2
-    patterns = args.allow
-    if args.allow_added is not None:
-        patterns += added_lines(commit, args.allow_added)
+    patterns = added_lines(commit, ALLOW_FILE) + args.allow
     for pattern in patterns:
         print(f"allowed to differ from {rev}: {pattern}")
     failed = False

@@ -89,7 +89,7 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return scenario.replace(globals=glob, options=options)
 
 
-# floats that ``_repr_rows`` formats in about the time that ``import orjson`` takes
+# floats that ``_stdlib_rows`` formats in about the time that ``import orjson`` takes
 # in a fresh process: 5.8 to 9.1 ms against 0.7 to 1.1 us per float on a 2-vCPU VM
 _ORJSON_IMPORT_FLOATS = 10_000
 # a round's worth of values, on both sides of every float form that ``repr``
@@ -112,7 +112,7 @@ def _decimal_band(text: str) -> str:
     return "".join(parts)
 
 
-def _repr_rows(k: int, idx, x, u_prime, zeta, q) -> bytes:
+def _stdlib_rows(k: int, idx, x, u_prime, zeta, q) -> bytes:
     """One round's CSV rows; ``idx`` holds the device numbers as strings.
 
     Each float's ``repr`` is respelt as orjson writes it: ``0.000015`` for
@@ -134,12 +134,12 @@ def _repr_rows(k: int, idx, x, u_prime, zeta, q) -> bytes:
 
 
 def _orjson_rows():
-    """``rows(k, devices, x, u_prime, zeta, q)``: ``_repr_rows``'s bytes from
+    """``rows(k, devices, x, u_prime, zeta, q)``: ``_stdlib_rows``'s bytes from
     one ``orjson.dumps``, or None for a round holding a non-finite value;
     ``devices`` is ``range(n)``.
 
     None in place of ``rows`` when orjson does not import, or when it writes
-    ``_PROBE`` otherwise than ``_repr_rows``.
+    ``_PROBE`` otherwise than ``_stdlib_rows``.
     """
     try:
         from orjson import dumps
@@ -154,7 +154,7 @@ def _orjson_rows():
 
     probe = [_PROBE] * 4
     devices = range(len(_PROBE))
-    same = rows(0, devices, *probe) == _repr_rows(0, map(str, devices), *probe)
+    same = rows(0, devices, *probe) == _stdlib_rows(0, map(str, devices), *probe)
     return rows if same else None
 
 
@@ -163,13 +163,13 @@ def _csv_sink(fh, n: int):
     binary file.
 
     The rows are ``iter,device,x,u_prime,zeta,q`` with ``\\r\\n`` endings,
-    each float in orjson's spelling of ``repr``'s digits (see ``_repr_rows``).
+    each float in orjson's spelling of ``repr``'s digits (see ``_stdlib_rows``).
     A round is one ``orjson.dumps`` of its rows once orjson is imported.
-    ``_repr_rows`` writes a round that holds inf or nan (as ``inf`` and
+    ``_stdlib_rows`` writes a round that holds inf or nan (as ``inf`` and
     ``nan``), found by the byte ``n`` of orjson's ``null``, and every round
     when orjson is missing or writes a probe round in some other form, so the
     bytes never depend on orjson. A sink imports orjson only once
-    ``_repr_rows`` has formatted ``_ORJSON_IMPORT_FLOATS`` floats, unless it
+    ``_stdlib_rows`` has formatted ``_ORJSON_IMPORT_FLOATS`` floats, unless it
     is imported already.
     """
     idx = [str(i) for i in range(n)]
@@ -185,7 +185,7 @@ def _csv_sink(fh, n: int):
             fast, left = _orjson_rows(), math.inf
         data = None if fast is None else fast(k, devices, x, u_prime, zeta, q)
         if data is None:
-            data = _repr_rows(k, idx, x, u_prime, zeta, q)
+            data = _stdlib_rows(k, idx, x, u_prime, zeta, q)
             left -= 4 * n
         write(data)
 

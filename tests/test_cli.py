@@ -192,7 +192,8 @@ def kernel(request, monkeypatch):
 def orjson_modes(monkeypatch):
     """Yield "orjson" with orjson imported, when it is installed, so that a
     trace sink writes every round through it, then "hidden" with orjson not
-    importable, so that ``repr`` writes every round."""
+    importable, so that the stdlib writer, ``cli._stdlib_rows``, writes every
+    round."""
     with contextlib.suppress(ImportError):
         import orjson  # noqa: F401
 
@@ -1032,7 +1033,7 @@ def float_corpus() -> list[float]:
 
 
 class TestTraceFloatForms:
-    """The trace sink's stdlib path, ``_repr_rows``, writes what its
+    """The trace sink's stdlib path, ``_stdlib_rows``, writes what its
     ``orjson.dumps`` path writes."""
 
     @staticmethod
@@ -1049,14 +1050,14 @@ class TestTraceFloatForms:
         n = len(x)
         fields = (x, x[::-1], x[1:] + x[:1], x[n // 2 :] + x[: n // 2])
         want = rows(12345, range(n), *fields).split(b"\r\n")
-        got = cli._repr_rows(12345, map(str, range(n)), *fields).split(b"\r\n")
+        got = cli._stdlib_rows(12345, map(str, range(n)), *fields).split(b"\r\n")
         assert len(got) == len(want) == n + 1
         assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
         # the byte that marks inf and nan is in no finite value's form
         assert b"n" not in orjson.dumps(x)
 
     # each value with its spelling in the trace; the triggers are those of
-    # _repr_rows's three rewrites in the values' repr: e+, e-05 and e-0
+    # _stdlib_rows's three rewrites in the values' repr: e+, e-05 and e-0
     @pytest.mark.parametrize(
         "values, triggers",
         [
@@ -1072,13 +1073,14 @@ class TestTraceFloatForms:
         ],
     )
     def test_round_of_one_form_matches_repr(self, monkeypatch, values, triggers):
-        # a round that lacks a rewrite's trigger skips that rewrite
+        # a round whose values' repr holds only some of the triggers: it skips
+        # the other rewrites, and both writers give the expected spelling
         text = ",".join(map(repr, values))
         assert ("e+" in text, "e-05" in text, "e-0" in text) == triggers
         n = len(values)
         fields = (list(values),) * 4
         want = "".join(f"7,{i},{v},{v},{v},{v}\r\n" for i, v in enumerate(values.values()))
-        assert cli._repr_rows(7, map(str, range(n)), *fields) == want.encode()
+        assert cli._stdlib_rows(7, map(str, range(n)), *fields) == want.encode()
         for mode in orjson_modes(monkeypatch):
             out = io.BytesIO()
             cli._csv_sink(out, n)(7, *fields)
@@ -1086,6 +1088,8 @@ class TestTraceFloatForms:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_round_written_by_repr(self, bad):
+        # orjson writes null for inf and nan, so the stdlib writer writes the
+        # round, with repr's inf and nan
         rows = self.fast_rows()
         fields = ([1e-05, bad], [1e16, 2.0], [3.0, 1e-06], [0.0, -0.0])
         assert rows(4, range(2), *fields) is None
@@ -1094,8 +1098,8 @@ class TestTraceFloatForms:
         record(3, *([1e-05, 1e16],) * 4)
         record(4, *fields)
         assert out.getvalue() == (
-            cli._repr_rows(3, ["0", "1"], *([1e-05, 1e16],) * 4)
-            + cli._repr_rows(4, ["0", "1"], *fields)
+            cli._stdlib_rows(3, ["0", "1"], *([1e-05, 1e16],) * 4)
+            + cli._stdlib_rows(4, ["0", "1"], *fields)
         )
         assert out.getvalue().endswith(
             f"4,0,0.00001,1e16,3.0,0.0\r\n4,1,{bad!r},2.0,1e-6,-0.0\r\n".encode()
@@ -1109,7 +1113,7 @@ class TestTraceFloatForms:
         fields = ([1e16, 2.0, 1e-05],) * 4
         out = io.BytesIO()
         cli._csv_sink(out, 3)(0, *fields)
-        assert out.getvalue() == cli._repr_rows(0, ["0", "1", "2"], *fields)
+        assert out.getvalue() == cli._stdlib_rows(0, ["0", "1", "2"], *fields)
 
     def test_orjson_tried_once_after_the_import_threshold(self, monkeypatch):
         tried = []
@@ -1126,8 +1130,8 @@ class TestTraceFloatForms:
 
 
 def test_orjson_not_loaded_by_small_or_untraced_calls(tmp_path):
-    # import costs about as much as repr on 10^4 floats: a call that formats
-    # fewer does not pay for it
+    # import costs about as much as the stdlib writer on 10^4 floats: a call
+    # that formats fewer does not pay for it
     child = run_child(
         "-c",
         "import sys\n"

@@ -1,5 +1,5 @@
 """scripts/same_bytes.py: which differing cases its patterns allow, and which
-patterns a change adds to an allow file. The full comparison runs in CI."""
+patterns a change adds to the allow file. The full comparison runs in CI."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ DIFFER = {
     "run ../in/g20-1.json --trace trace.csv": "run ../in/g20-1.json --trace trace.csv: trace",
     "gen --n 3 --seed 1": "gen --n 3 --seed 1: stdout",
 }
+TRACE = "run * --trace trace.csv: trace"
 
 
 def test_no_pattern_fails_every_case(capsys):
@@ -33,7 +34,7 @@ def test_no_pattern_fails_every_case(capsys):
 
 
 def test_allowed_cases_listed_and_passed(capsys):
-    assert same_bytes.report("env", DIFFER, ["run * --trace trace.csv", "gen --n 3 *"]) is False
+    assert same_bytes.report("env", DIFFER, [TRACE, "gen --n 3 *"]) is False
     assert capsys.readouterr().out == (
         "env: 2 differ, 2 allowed\n"
         "  allowed: run ../in/g20-1.json --trace trace.csv: trace\n"
@@ -41,10 +42,28 @@ def test_allowed_cases_listed_and_passed(capsys):
     )
 
 
-def test_a_second_case_fails_and_patterns_match_whole_names(capsys):
-    # "gen --n 3" names no case whole, so it allows nothing
-    assert same_bytes.report("env", DIFFER, ["run * --trace trace.csv", "gen --n 3"]) is True
-    assert capsys.readouterr().out.splitlines()[-1] == "  differs: gen --n 3 --seed 1: stdout"
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        "gen --n 3",  # names no line whole
+        "gen --n 3 --seed 1",  # the case, without the parts that differ
+        "gen --n 3 --seed 1: stderr",  # another part
+    ],
+)
+def test_a_second_case_fails_and_patterns_match_whole_lines(capsys, pattern):
+    assert same_bytes.report("env", DIFFER, [TRACE, pattern]) is True
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  allowed: run ../in/g20-1.json --trace trace.csv: trace",
+        "  differs: gen --n 3 --seed 1: stdout",
+    ]
+
+
+def test_a_pattern_allows_only_the_parts_it_names(capsys):
+    name = "run ../in/g20-1.json --trace trace.csv"
+    assert same_bytes.report("env", {name: f"{name}: exit, trace"}, [TRACE]) is True
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  differs: run ../in/g20-1.json --trace trace.csv: exit, trace"
+    ]
 
 
 def test_no_case_differs(capsys):
@@ -58,7 +77,7 @@ def test_only_lines_added_since_the_commit_allow(tmp_path, monkeypatch):
     git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
     subprocess.run([*git, "init", "-q"], check=True)
     allow = tmp_path / "allow"
-    allow.write_text("# header\nrun * --trace trace.csv  # an earlier change\n")
+    allow.write_text(f"# header\n{TRACE}  # an earlier change\n")
     subprocess.run([*git, "add", "allow"], check=True)
     subprocess.run([*git, "commit", "-qm", "base"], check=True)
     base = subprocess.run(
@@ -67,5 +86,5 @@ def test_only_lines_added_since_the_commit_allow(tmp_path, monkeypatch):
     monkeypatch.setattr(same_bytes, "REPO", tmp_path)
     assert same_bytes.added_lines(base, "allow") == []
     with allow.open("a") as fh:
-        fh.write("\n# why\ngen --n 3 *\nrun * --trace trace.csv  # moved again\n")
-    assert same_bytes.added_lines(base, "allow") == ["gen --n 3 *", "run * --trace trace.csv"]
+        fh.write(f"\n# why\ngen --n 3 *\n{TRACE}  # moved again\n")
+    assert same_bytes.added_lines(base, "allow") == ["gen --n 3 *", TRACE]
