@@ -15,12 +15,13 @@ Anything else goes to the scalar code, which raises as it would on its own
 or returns the values to continue with: it alone judges numerical failures.
 
 :func:`rounds` is the kernel's loop, a generator of rounds. It computes up
-to 16 rounds per numpy pass: each round writes one row of buffers kept for
-the run, and one set of reductions over the block's rows then checks all of
-them. A round's intermediates, too, go to arrays made once per run, and its
-constants are 0-d arrays: its numpy calls allocate only ``np.bincount``'s
-result. It yields the trusted rows one by one. The first round numpy cannot
-trust, once drawn, hands the rest of the run to the scalar rounds.
+to 32 rounds per numpy pass: each round's 24 numpy calls write one row of
+buffers kept for the run, and 16 calls on the block's rows then give every
+round's residuals and check all of them on those sums. A round's
+intermediates, too, go to arrays made once per run, and its constants are
+0-d arrays: its numpy calls allocate only ``np.bincount``'s result. It
+yields the trusted rows one by one. The first round numpy cannot trust,
+once drawn, hands the rest of the run to the scalar rounds.
 
 A round's constraint residual and a bisection step's total come from a numpy
 sum with an error bound (:func:`_cheap_excess`); ``math.fsum`` decides inside
@@ -212,10 +213,11 @@ def _inverse(omega_c, disc_const, two_price, two_price_c, c, v, out=(None, None)
         disc = np.add(t * t, disc_const, disc)
         root = np.sqrt(disc)
     else:
-        np.add(two_price, np.multiply(v, c, t), b)
-        np.subtract(two_price, t, t)
-        np.subtract(v, omega_c, const)
-        disc = np.add(np.multiply(t, t, t), disc_const, disc)
+        add, multiply, subtract = np.add, np.multiply, np.subtract
+        add(two_price, multiply(v, c, t), b)
+        subtract(two_price, t, t)
+        subtract(v, omega_c, const)
+        disc = add(multiply(t, t, t), disc_const, disc)
         root = np.sqrt(disc, t)
     # b = 2*price + v*c is never -0.0, so copysign pairs b == 0 with +root
     q = np.multiply(half, np.add(b, np.copysign(root, b, root), root), root)
@@ -226,10 +228,11 @@ def _inverse(omega_c, disc_const, two_price, two_price_c, c, v, out=(None, None)
 def block_rows(n: int) -> int:
     """Rounds :func:`rounds` computes per numpy pass for ``n`` devices.
 
-    At least 1, at most 16, and at most 32768 values (256 KiB) per field:
-    from about 10^4 devices on, larger blocks ran slower.
+    At least 1, at most 32 (at 200 devices 16 ran 3-4 % slower, 64 no faster),
+    and at most 32768 values (256 KiB) per field: from about 10^4 devices on,
+    larger blocks ran slower. A block's 16 checking calls serve all its rows.
     """
-    return max(1, min(16, 32768 // n))
+    return max(1, min(32, 32768 // n))
 
 
 def rounds(state: engine.EngineState, scenario: Scenario):
@@ -241,13 +244,12 @@ def rounds(state: engine.EngineState, scenario: Scenario):
     :func:`block_rows` rounds, each written in place to one row of
     ``(rows, n)`` buffers for x, u_prime, zeta, q and the discriminant; no
     block runs past ``max_iters``. After it, one set of reductions along the
-    rows gives every round's residuals and flags the first round with a
-    non-finite value, which ends the block; two buffer sets take turns.
-
-    A round writes every intermediate with ``out`` to arrays made once per
-    run, never kept between runs: both ends of every directed edge, from one
-    ``take``, and three arrays of n floats; only ``np.bincount`` allocates.
-    Its constants are 0-d arrays, which numpy takes faster than floats.
+    rows gives every round's residuals, and the first round whose spread,
+    bound or zeta-plus-discriminant sum is not finite ends the block; two
+    buffer sets take turns. A round writes every intermediate with ``out`` to
+    arrays made once per run, never kept between runs (both ends of every
+    directed edge, from one ``take``, and three arrays of n floats), so only
+    ``np.bincount`` allocates; its constants are 0-d arrays, faster than floats.
 
     The first flagged round hands the rest of the run to the scalar rounds,
     ``engine._scalar_rounds``, from the round before: they raise the round's
@@ -259,7 +261,7 @@ def rounds(state: engine.EngineState, scenario: Scenario):
     g = scenario.globals
     c = capacity_coefficient(g.snr)
     omega_c, disc_const, *scalars = _constants(np.array(scenario.omegas), c, g.price)
-    eta, mu, *scalars = map(np.array, (g.eta, g.mu, *scalars))
+    eta, mu, two_price, two_price_c, c = map(np.array, (g.eta, g.mu, *scalars))
     # directed edge list: device src[e] hears from device dst[e]
     adjacency = scenario.adjacency
     degrees = [len(nbrs) for nbrs in adjacency]
@@ -278,6 +280,7 @@ def rounds(state: engine.EngineState, scenario: Scenario):
     pairs = np.stack((dst, src))
     theirs, own = ends = np.empty(pairs.shape)
     summand, step, _, _ = work = (*np.empty((3, n)), np.array(-0.5))
+    add, subtract, multiply, bincount = np.add, np.subtract, np.multiply, np.bincount
     while True:
         for block, (xs, us, zetas, qs, discs) in zip(buffers, row_views):
             m = max(1, min(len(xs), max_iters - k))
@@ -287,19 +290,19 @@ def rounds(state: engine.EngineState, scenario: Scenario):
                     # positional out, parsed faster; the indices are in range, so
                     # "clip" changes nothing but writing to out= unbuffered
                     y.take(pairs, None, ends, "clip")
-                    gossip = np.bincount(src, np.subtract(theirs, own, theirs), n)
-                    q = np.multiply(eta, gossip, qs[r])
-                    np.multiply(mu, np.subtract(x, dstar, step), step)
-                    y = np.add(y, np.add(np.subtract(q, zeta, summand), step, summand), us[r])
-                    zeta = np.subtract(zeta, np.multiply(mu, q, step), zetas[r])
-                    x = _inverse(omega_c, disc_const, *scalars, y, (xs[r], discs[r]), work)[0]
+                    gossip = bincount(src, subtract(theirs, own, theirs), n)
+                    q = multiply(eta, gossip, qs[r])
+                    multiply(mu, subtract(x, dstar, step), step)
+                    y = add(y, add(subtract(q, zeta, summand), step, summand), us[r])
+                    zeta = subtract(zeta, multiply(mu, q, step), zetas[r])
+                    x = _inverse(omega_c, disc_const, two_price, two_price_c, c, y,
+                                 (xs[r], discs[r]), work)[0]
                 x_m, u_m, zeta_m, _, disc_m = block[:, :m]
-                # one sum flags every non-finite value, an overflowed square included
-                finite = np.logical_and.reduce(np.isfinite(u_m + zeta_m + x_m + disc_m), axis=1)
-                trusted = m if finite.all() else int(finite.argmin())
-                u_m = u_m[:trusted]
                 cons = np.maximum.reduce(u_m, axis=1) - np.minimum.reduce(u_m, axis=1)
-                excess, bound = _cheap_excess(x_m[:trusted], total)
+                excess, bound = _cheap_excess(x_m, total)
+                # not finite where a u', x, zeta or disc is, an overflowed square included
+                finite = np.isfinite(cons + bound + add.reduce(zeta_m + disc_m, axis=1))
+                trusted = m if finite.all() else int(finite.argmin())
                 residuals = (cons.tolist(), np.abs(excess).tolist(), bound.tolist())
             yield from zip(*residuals, zip(xs[:trusted], us, zetas, qs))
             k += trusted

@@ -55,12 +55,12 @@ _EPS = math.ulp(1.0)
 # when numpy imports. The kernels give equal results, so it decides speed
 # alone. The scalar code is faster below about 18 devices for a run and 28
 # for a solve (median us, scalar/array, then the median paired ratio; seeds
-# 1-3 in-process on 2 shared vCPUs; per round of ``run``: 6.2/11.8 (0.52) at
-# 8, 8.4/11.7 (0.71) at 12, 11.7/14.3 (0.85) at 16, 14.5/13.3 (1.07) at 20,
-# 15.9/13.7 (1.21) at 24; per solve, at about 12 evaluations each: 257/386
+# 1-3 in-process on 2 shared vCPUs; per round of ``run``: 7.7/13.8 (0.54) at
+# 8, 11.1/15.9 (0.71) at 12, 13.1/14.1 (0.91) at 16, 16.0/14.2 (1.11) at 20,
+# 18.3/13.7 (1.32) at 24; per solve, at about 12 evaluations each: 257/386
 # (0.67) at 16, 298/372 (0.80) at 20, 334/365 (0.91) at 24, 404/349 (1.16)
-# at 32). One rule serves both; at 16 and 17 devices a run loses 1-3 us per
-# round and from 16 to 27 a solve < 0.1 ms, and 20-device runs, which the
+# at 32). One rule serves both; at 16 and 17 devices a run loses up to 1 us
+# per round and from 16 to 27 a solve < 0.1 ms, and 20-device runs, which the
 # benchmark times, win on the array kernel.
 ARRAY_MIN_DEVICES = 16
 
@@ -338,15 +338,15 @@ def run(
     kernel = None if converged else array_kernel_for(scenario.n)
     rounds = (_scalar_rounds if kernel is None else kernel.rounds)(state, scenario)
     fields = (state.x, state.u_prime, state.zeta, state.q)
-    prev = None  # the record of the round before
-    k = 0
+    prev = None  # the record of the round before, and its combined residual
+    k, max_iters = 0, opts.max_iters
 
     def settle(*records):  # exact residual and bound 0.0: math.fsum at most once per round
         for record in records:
             if record[2]:
                 record[1:3] = abs(math.fsum(_listed(record[3])) - confirmed.total), 0.0
 
-    while not converged and growth_streak < _DIVERGENCE_STREAK and k < opts.max_iters:
+    while not converged and growth_streak < _DIVERGENCE_STREAK and k < max_iters:
         cons, constr, bound, fields = next(rounds)
         k += 1
         record = [cons, constr, bound, fields[0]]
@@ -359,12 +359,14 @@ def run(
             if not record[1] > tol_constraint:
                 converged = True
                 continue
+        combined = cons + record[1]
         if prev is not None:
             slack = record[2] + prev[2]
-            if slack and _unsure(cons + record[1], prev[0] + prev[1], slack):
+            if slack and _unsure(combined, before, slack):
                 settle(record, prev)
-            growth_streak = growth_streak + 1 if cons + record[1] > prev[0] + prev[1] else 0
-        prev = record
+                combined, before = cons + record[1], prev[0] + prev[1]
+            growth_streak = growth_streak + 1 if combined > before else 0
+        prev, before = record, combined
 
     diverged = growth_streak >= _DIVERGENCE_STREAK
     warnings = [_DIVERGED] if diverged else [_ZERO] if zero else []

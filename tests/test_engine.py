@@ -851,9 +851,11 @@ def test_gossip_sums_in_sequence(monkeypatch):
     assert round_state(fields, 1, state.confirmed) == stepped
 
 
-def poisoned_inverse(monkeypatch, round_: int) -> list:
-    """Patch ``array_kernel._inverse`` to overflow the discriminant of device 0 in ``round_``.
+def poisoned_inverse(monkeypatch, round_: int, field: str = "disc") -> list:
+    """Patch ``array_kernel._inverse`` to make one value of device 0 infinite in ``round_``.
 
+    ``field`` names the value: the discriminant, ``x`` or ``u_prime``, each
+    set after the round's inverse, so no other value of that round shows it.
     Returns the list of calls, one entry per round computed.
     """
     from bandalloc import array_kernel
@@ -865,7 +867,8 @@ def poisoned_inverse(monkeypatch, round_: int) -> list:
         x, disc = real(*args, **kwargs)
         calls.append(None)
         if len(calls) == round_:
-            disc[0] = math.inf  # in place: the block reads its own buffer
+            # in place: the block reads its own buffers, u_prime the inverse's v
+            {"disc": disc, "x": x, "u_prime": args[5]}[field][0] = math.inf
         return x, disc
 
     monkeypatch.setattr(array_kernel, "_inverse", inverse)
@@ -1063,9 +1066,9 @@ class TestBlocks:
 
         for n in (1, 2, 15, 16, 200, 2047, 2048, 2049, 10**4, 32768, 32769, 10**6):
             rows = block_rows(n)
-            assert 1 <= rows <= 16
+            assert 1 <= rows <= 32
             assert rows * n <= max(n, 32768)
-        assert (block_rows(200), block_rows(10**4), block_rows(10**6)) == (16, 3, 1)
+        assert (block_rows(200), block_rows(10**4), block_rows(10**6)) == (32, 3, 1)
 
     def test_rounds_across_blocks_match_scalar(self, monkeypatch):
         # one block, then a second ended early by a flagged round that hands
@@ -1122,6 +1125,30 @@ class TestBlocks:
         sink, array_rounds = recording()
         got = run_on("array", scenario, monkeypatch, trace=sink)
         assert handed == [(before, scenario)]
+        assert array_rounds == scalar_rounds
+        assert got == want
+
+    @pytest.mark.parametrize("field", ["x", "u_prime", "disc"])
+    def test_each_checked_field_flags_its_own_round(self, monkeypatch, field):
+        # an infinite x, u' or discriminant in a round inside the first block is
+        # flagged at that round, not at a later one where it has spread to
+        # other values: the scalar rounds take over from the round before
+        from bandalloc import array_kernel
+
+        scenario = generate_random_scenario(20, 1)
+        flagged = 5
+        assert array_kernel.block_rows(scenario.n) > flagged
+        sink, scalar_rounds = recording()
+        want = run_on("scalar", scenario, monkeypatch, trace=sink)
+        assert want.iterations_used > flagged
+        poisoned_inverse(monkeypatch, flagged, field)
+        handed, real = [], engine._scalar_rounds
+        monkeypatch.setattr(
+            engine, "_scalar_rounds", lambda *a: handed.append(a[0].iteration) or real(*a)
+        )
+        sink, array_rounds = recording()
+        got = run_on("array", scenario, monkeypatch, trace=sink)
+        assert handed == [flagged - 1]
         assert array_rounds == scalar_rounds
         assert got == want
 
